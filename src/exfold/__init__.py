@@ -30,7 +30,6 @@ from .strands import (
     StructureSpace,
     all_pairs_space,
     bpm_space,
-    bps_space,
     candidate_pairs,
     canonical_ordering,
     complementary,

@@ -42,10 +42,6 @@ REDUCTION_NAMES = (
 )
 
 
-class Mismatch(RuntimeError):
-    pass
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -265,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact secondary-structure thermodynamics toolkit")
     parser.add_argument("--decimal", type=int, default=0,
                         help="also render rationals with this many decimal digits")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallel sections (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list/count structures of a space")
@@ -324,16 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except Mismatch as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except (reductions.OracleInconsistency, reductions.BudgetViolation) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

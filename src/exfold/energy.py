@@ -17,11 +17,13 @@ from typing import Optional, Sequence
 import mpmath
 
 from .strands import (
+    BaseRef,
     Flattening,
     InvalidInput,
     SecondaryStructure,
     StrandSystem,
     check_structure,
+    flattening,
     is_connected,
     _crossing_free,
 )
@@ -41,25 +43,21 @@ def energy_bpm(structure: SecondaryStructure) -> int:
     return -len(structure.pairs)
 
 
-def stack_count(system: StrandSystem, structure: SecondaryStructure,
-                ordering: Optional[Sequence[int]] = None) -> int:
-    """Stacked adjacent pairs (i,j),(i+1,j-1) under the flattened order.
-
-    Adjacency across a nick does not stack: both (i, i+1) and (j-1, j) must
-    sit on a single strand.
-    """
-    flat = Flattening(system, ordering)
-    pairs = set(flat.flat_pairs(structure))
-    count = 0
-    for i, j in pairs:
-        if (i + 1, j - 1) in pairs and i not in flat.nicks and (j - 1) not in flat.nicks:
-            count += 1
-    return count
+def stack_count(structure: SecondaryStructure) -> int:
+    """Stacked couples: (s,x)-(t,y) with (s,x+1)-(t,y-1), which is the flat
+    test (i,j),(i+1,j-1) with no nick inside (i, i+1) or (j-1, j).  Each
+    couple counts once under every ordering, so it takes none.  Walking both
+    orientations of every pair finds each couple twice."""
+    partner = {}
+    for a, b in structure.pairs:
+        partner[a], partner[b] = b, a
+    return sum(1 for a, b in partner.items()
+               if (a.strand, a.index + 1) != b
+               and partner.get(BaseRef(a.strand, a.index + 1)) == (b.strand, b.index - 1)) // 2
 
 
-def energy_bps(system: StrandSystem, structure: SecondaryStructure,
-               ordering: Optional[Sequence[int]] = None) -> int:
-    return -stack_count(system, structure, ordering)
+def energy_bps(structure: SecondaryStructure) -> int:
+    return -stack_count(structure)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +173,7 @@ def decompose_loops(system: StrandSystem, ordering: Sequence[int],
     further face.  Requires a valid, crossing-free, connected input.
     """
     check_structure(system, structure)
-    flat = Flattening(system, ordering)
+    flat = flattening(system, ordering)
     pairs = flat.flat_pairs(structure)
     if not _crossing_free(pairs):
         raise DecompositionError("structure is pseudoknotted under this ordering")
@@ -262,7 +260,7 @@ def rotational_symmetry(system: StrandSystem, ordering: Sequence[int],
     ordering = tuple(ordering)
     c = len(ordering)
     v = max_symmetry_order(system, ordering)
-    flat = Flattening(system, ordering)
+    flat = flattening(system, ordering)
     pairs = {tuple(sorted(p)) for p in flat.flat_pairs(structure)}
     starts = {}
     pos = 1
@@ -348,7 +346,7 @@ def loop_energy(loop: Loop, flat: Flattening, params: NNParams) -> int:
 
 def energy_nn_detail(system: StrandSystem, ordering: Sequence[int],
                      structure: SecondaryStructure, params: NNParams) -> NNEnergyDetail:
-    flat = Flattening(system, ordering)
+    flat = flattening(system, ordering)
     loops = decompose_loops(system, ordering, structure)
     loop_sum = sum(loop_energy(loop, flat, params) for loop in loops)
     assoc = (system.c - 1) * params.assoc
@@ -387,9 +385,6 @@ class EnergyModel:
     def magnified(self, alpha) -> "EnergyModel":
         return replace(self, magnification=self.magnification * Fraction(alpha))
 
-    def temperature_independent(self) -> bool:
-        return self.kind in ("bpm", "bps")
-
 
 BPM = EnergyModel("bpm")
 BPS = EnergyModel("bps")
@@ -407,7 +402,7 @@ def energy(model: EnergyModel, system: StrandSystem,
     if model.kind == "bpm":
         base = energy_bpm(structure)
     elif model.kind == "bps":
-        base = energy_bps(system, structure, ordering)
+        base = energy_bps(structure)
     else:
         if ordering is None:
             from .strands import is_unpseudoknotted_multi

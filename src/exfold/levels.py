@@ -22,10 +22,10 @@ from typing import Optional, Sequence
 
 from .exactmath import rat_from_str, rat_to_str
 from .strands import (
-    Flattening,
     InvalidInput,
     StrandSystem,
     complementary,
+    flattening,
 )
 from .energy import (
     NNParams,
@@ -208,7 +208,7 @@ def levels_nn_dp(system: StrandSystem, ordering: Sequence[int],
                least one pair.
     Phi (None) marks impossible shapes; the base cells g[i, i-1] hold {0}.
     """
-    flat = Flattening(system, ordering)
+    flat = flattening(system, ordering)
     n, c = system.n, system.c
     eta = flat.nick_count
     nick_after = lambda p: 1 if p in flat.nicks else 0

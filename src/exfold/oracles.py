@@ -115,13 +115,13 @@ def dpf_brute(system, space, model, base: Fraction, threshold: Fraction,
 
 
 def pf_decimal(value: Fraction, digits: int = 12) -> str:
-    """Display-only decimal approximation of an exact rational."""
+    """Display-only decimal approximation of an exact rational, truncated
+    toward zero."""
     if digits < 1:
         raise InvalidInput("need at least one digit")
-    scaled = value * 10**digits
+    scaled = abs(value) * 10**digits
     whole = scaled.numerator // scaled.denominator
-    sign = "-" if whole < 0 else ""
-    whole = abs(whole)
+    sign = "-" if value < 0 and whole else ""
     return f"{sign}{whole // 10**digits}.{whole % 10**digits:0{digits}d}"
 
 

@@ -200,12 +200,17 @@ def dos_via_pf(oracle, levels, base: Fraction) -> tuple[dict, ReductionTranscrip
     The j-magnified PF is sum_i c_i * (base**(-g_i))**j, so the counts c_i
     solve a Vandermonde moment system with nodes base**(-g_i); the nodes are
     pairwise distinct because base != 1 and the levels are distinct.
+    ``base`` must be the oracle's own base, the one its pf calls use.
     """
+    base = Fraction(base)
+    if base != oracle.base:
+        raise InvalidInput(
+            f"base {rat_to_str(base)} differs from the oracle's base "
+            f"{rat_to_str(oracle.base)}")
     lv = _levels_tuple(levels)
     n_levels = len(lv)
     t = ReductionTranscript("ssel-via-pf", budget=n_levels)
     rec = _Recorder(oracle, t)
-    base = Fraction(base)
     rhs = tuple(rec.pf(j) for j in range(1, n_levels + 1))
     nodes = tuple(rat_pow(base, -g) for g in lv)
     solution = solve_vandermonde(VandermondeSystem(nodes, rhs))

@@ -10,10 +10,16 @@ Conventions used throughout the package:
   1-based *flat* index in the concatenation of the strands.
 * Nicks sit between consecutive strands of a flattening: "nick after flat
   position p" is stored as the integer p (conceptually p + 1/2).
+* ``flattening(system, ordering)`` returns one shared, cached ``Flattening``
+  per (system, ordering); callers must not mutate it.
+
+The enumerator tests crossings incrementally, as each pair is pushed, and
+yields structures in lexicographic order of their sorted flat pair tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -27,6 +33,7 @@ _COMPLEMENTARY = {
 }
 
 DEFAULT_PAIR_BUDGET = 64
+FLATTENING_CACHE_SIZE = 128
 
 
 class BudgetExceeded(RuntimeError):
@@ -136,7 +143,7 @@ class Flattening:
         self.sequence = "".join(system.strand_by_id(t).sequence for t in ordering)
         self._flat_of: dict[BaseRef, int] = {}
         self._ref_of: list[BaseRef] = []
-        self.nicks: set[int] = set()
+        nicks = set()
         pos = 0
         for t in ordering:
             strand = system.strand_by_id(t)
@@ -146,11 +153,8 @@ class Flattening:
                 self._flat_of[ref] = pos
                 self._ref_of.append(ref)
             if pos < system.n:
-                self.nicks.add(pos)  # nick between pos and pos + 1
-
-    @property
-    def n(self) -> int:
-        return self.system.n
+                nicks.add(pos)  # nick between pos and pos + 1
+        self.nicks: frozenset[int] = frozenset(nicks)
 
     def flat(self, ref: BaseRef) -> int:
         return self._flat_of[ref]
@@ -177,6 +181,15 @@ class Flattening:
         return sum(1 for p in self.nicks if lo <= p <= hi)
 
 
+_cached_flattening = functools.lru_cache(maxsize=FLATTENING_CACHE_SIZE)(Flattening)
+
+
+def flattening(system: StrandSystem, ordering: Optional[Sequence[int]] = None) -> Flattening:
+    """The shared ``Flattening`` of ``system`` under ``ordering`` (identity
+    when None), built once per (system, ordering) while it stays cached."""
+    return _cached_flattening(system, system.ids if ordering is None else tuple(ordering))
+
+
 @dataclass(frozen=True)
 class SecondaryStructure:
     """A set of base pairs; each pair is a frozenset-free canonical 2-tuple of
@@ -186,7 +199,7 @@ class SecondaryStructure:
 
     @classmethod
     def from_refs(cls, system: StrandSystem, pairs) -> "SecondaryStructure":
-        flat = Flattening(system)
+        flat = flattening(system)
         canon = []
         for a, b in pairs:
             a, b = BaseRef(*a), BaseRef(*b)
@@ -197,7 +210,7 @@ class SecondaryStructure:
 
     @classmethod
     def from_flat(cls, system: StrandSystem, flat_pairs) -> "SecondaryStructure":
-        flat = Flattening(system)
+        flat = flattening(system)
         return cls(frozenset(
             (flat.ref(min(i, j)), flat.ref(max(i, j))) for i, j in flat_pairs
         ))
@@ -206,7 +219,7 @@ class SecondaryStructure:
         return len(self.pairs)
 
     def sorted_flat(self, system: StrandSystem, ordering: Optional[Sequence[int]] = None):
-        return Flattening(system, ordering).flat_pairs(self)
+        return flattening(system, ordering).flat_pairs(self)
 
 
 EMPTY_STRUCTURE = SecondaryStructure(frozenset())
@@ -237,10 +250,6 @@ def bpm_space(allow_pseudoknots: bool = True) -> StructureSpace:
     return StructureSpace(allow_pseudoknots=allow_pseudoknots)
 
 
-def bps_space(allow_pseudoknots: bool = True) -> StructureSpace:
-    return StructureSpace(allow_pseudoknots=allow_pseudoknots)
-
-
 def nn_space() -> StructureSpace:
     return StructureSpace(allow_pseudoknots=False, require_connected=True, min_hairpin=3)
 
@@ -263,7 +272,7 @@ def validate_structure(system: StrandSystem, structure: SecondaryStructure) -> O
             if not 1 <= ref.index <= len(system.strand_by_id(ref.strand)):
                 return f"base {ref} out of range"
     seen: set[BaseRef] = set()
-    flat = Flattening(system)
+    flat = flattening(system)
     ordered = sorted(structure.pairs, key=lambda p: (flat.flat(p[0]), flat.flat(p[1])))
     for a, b in ordered:
         if a == b:
@@ -308,7 +317,7 @@ def is_unpseudoknotted_multi(
     Returns (True, witness ordering) or (False, None).
     """
     for ordering in system.circular_orderings():
-        if _crossing_free(Flattening(system, ordering).flat_pairs(structure)):
+        if _crossing_free(flattening(system, ordering).flat_pairs(structure)):
             return True, ordering
     return False, None
 
@@ -316,7 +325,7 @@ def is_unpseudoknotted_multi(
 def is_unpseudoknotted_under(
     system: StrandSystem, structure: SecondaryStructure, ordering: Sequence[int]
 ) -> bool:
-    return _crossing_free(Flattening(system, ordering).flat_pairs(structure))
+    return _crossing_free(flattening(system, ordering).flat_pairs(structure))
 
 
 def is_connected(system: StrandSystem, structure: SecondaryStructure) -> bool:
@@ -363,7 +372,7 @@ def min_hairpin_ok(system: StrandSystem, structure: SecondaryStructure, min_hair
 
 def candidate_pairs(system: StrandSystem, space: StructureSpace) -> list[tuple[int, int]]:
     """All admissible flat pairs (i < j) under the space's pairing rule."""
-    flat = Flattening(system)
+    flat = flattening(system)
     n = system.n
     out = []
     for i in range(1, n + 1):
@@ -371,24 +380,6 @@ def candidate_pairs(system: StrandSystem, space: StructureSpace) -> list[tuple[i
             if space.pairing == "all" or complementary(flat.base(i), flat.base(j)):
                 out.append((i, j))
     return out
-
-
-def _space_admits(system, flat, structure_pairs, space: StructureSpace,
-                  fixed_ordering: Optional[Sequence[int]]) -> bool:
-    structure = SecondaryStructure(frozenset(
-        (flat.ref(i), flat.ref(j)) for i, j in structure_pairs
-    ))
-    if not space.allow_pseudoknots:
-        if fixed_ordering is not None:
-            if not _crossing_free(Flattening(system, fixed_ordering).flat_pairs(structure)):
-                return False
-        elif not is_unpseudoknotted_multi(system, structure)[0]:
-            return False
-    if space.require_connected and not is_connected(system, structure):
-        return False
-    if not min_hairpin_ok(system, structure, space.min_hairpin):
-        return False
-    return True
 
 
 def enumerate_structures(
@@ -400,46 +391,64 @@ def enumerate_structures(
     """Yield every structure of the space exactly once, empty structure first,
     in lexicographic order of the sorted flat pair tuples.
 
-    ``fixed_ordering`` restricts the pseudoknot check of a knot-free space to
-    one flattening instead of the existential search over all orderings.
+    A knot-free space is pruned incrementally: a pushed pair is tested only
+    against the chosen pairs, under the orderings that still leave them
+    crossing-free (the circular ones, or ``fixed_ordering`` alone), and the
+    branch ends when none is left.  Connectivity and the minimum hairpin are
+    checked per yielded structure, since adding a pair can make or break them.
     """
     cands = candidate_pairs(system, space)
     if len(cands) > budget:
         raise BudgetExceeded(
             f"{len(cands)} candidate pairs exceed the enumeration budget {budget}")
-    flat = Flattening(system)
-    prune_knots = not space.allow_pseudoknots
+    flat = flattening(system)
+    cand_refs = [(flat.ref(i), flat.ref(j)) for i, j in cands]
+    if fixed_ordering is not None:
+        flattening(system, fixed_ordering)  # raises unless it permutes the strand ids
+    if space.allow_pseudoknots:
+        orderings = []
+    elif fixed_ordering is not None:
+        orderings = [fixed_ordering]
+    else:
+        orderings = list(system.circular_orderings())
+    # placed[k][idx]: candidate idx as a sorted flat pair under ordering k
+    placed = []
+    for ordering in orderings:
+        under = flattening(system, ordering)
+        position = [0] + [under.flat(flat.ref(p)) for p in range(1, system.n + 1)]
+        placed.append([tuple(sorted((position[i], position[j]))) for i, j in cands])
 
-    chosen: list[tuple[int, int]] = []
+    chosen: list[int] = []  # candidate indices, increasing
     occupied: set[int] = set()
 
-    def admissible() -> bool:
-        return _space_admits(system, flat, chosen, space, fixed_ordering)
+    def crossing_free_under(k: int, idx: int) -> bool:
+        at = placed[k]
+        a, b = at[idx]
+        for m in chosen:
+            c, d = at[m]
+            if (a < c < b) != (a < d < b):
+                return False
+        return True
 
-    def partial_knot_ok() -> bool:
-        # crossings never disappear when pairs are added, so prune early
-        structure = SecondaryStructure(frozenset(
-            (flat.ref(i), flat.ref(j)) for i, j in chosen))
-        if fixed_ordering is not None:
-            return _crossing_free(Flattening(system, fixed_ordering).flat_pairs(structure))
-        return is_unpseudoknotted_multi(system, structure)[0]
-
-    def rec(start: int) -> Iterator[SecondaryStructure]:
-        if admissible():
-            yield SecondaryStructure(frozenset(
-                (flat.ref(i), flat.ref(j)) for i, j in chosen))
+    def rec(start: int, alive: Sequence[int]) -> Iterator[SecondaryStructure]:
+        structure = SecondaryStructure(frozenset(cand_refs[m] for m in chosen))
+        if ((not space.require_connected or is_connected(system, structure))
+                and min_hairpin_ok(system, structure, space.min_hairpin)):
+            yield structure
         for idx in range(start, len(cands)):
             i, j = cands[idx]
             if i in occupied or j in occupied:
                 continue
-            chosen.append((i, j))
+            still = [k for k in alive if crossing_free_under(k, idx)]
+            if orderings and not still:
+                continue
+            chosen.append(idx)
             occupied.update((i, j))
-            if not prune_knots or partial_knot_ok():
-                yield from rec(idx + 1)
+            yield from rec(idx + 1, still)
             chosen.pop()
             occupied.difference_update((i, j))
 
-    yield from rec(0)
+    yield from rec(0, range(len(orderings)))
 
 
 def count_structures(

@@ -57,20 +57,23 @@ class TestPairCountModels:
 
     def test_bps_stacked(self):
         s = sys_of("GGCC")
-        assert energy_bps(s, flat(s, [(1, 4), (2, 3)])) == -1
+        assert energy_bps(flat(s, [(1, 4), (2, 3)])) == -1
+        reversed_pairs = SecondaryStructure(frozenset(
+            (b, a) for a, b in flat(s, [(1, 4), (2, 3)]).pairs))
+        assert energy_bps(reversed_pairs) == -1
 
     def test_bps_crossed_pairs_do_not_stack(self):
         s = sys_of("GGCC")
-        assert energy_bps(s, flat(s, [(1, 3), (2, 4)])) == 0
+        assert energy_bps(flat(s, [(1, 3), (2, 4)])) == 0
 
     def test_bps_empty(self):
-        assert energy_bps(sys_of("GGCC"), EMPTY_STRUCTURE) == 0
+        assert energy_bps(EMPTY_STRUCTURE) == 0
 
     def test_bps_no_stack_across_nick(self):
         s = sys_of("GG", "CC")
-        assert energy_bps(s, flat(s, [(1, 4), (2, 3)])) == -1
+        assert energy_bps(flat(s, [(1, 4), (2, 3)])) == -1
         split = sys_of("G", "GCC")
-        assert energy_bps(split, flat(split, [(1, 4), (2, 3)])) == 0
+        assert energy_bps(flat(split, [(1, 4), (2, 3)])) == 0
 
 
 class TestDecomposition:

@@ -157,3 +157,6 @@ def test_pf_decimal_display():
     assert pf_decimal(F(1, 3), 6) == "0.333333"
     assert pf_decimal(F(625), 2) == "625.00"
     assert pf_decimal(F(-9, 2), 3) == "-4.500"
+    # truncated toward zero for both signs, with no negative zero
+    assert pf_decimal(F(-1, 3), 3) == "-0.333"
+    assert pf_decimal(F(-1, 10000), 3) == "0.000"

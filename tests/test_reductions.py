@@ -102,6 +102,14 @@ class TestCountReconstruction:
         counts, _ = dos_via_pf(oracle, levels_bpm(4), F(1, 2))
         assert counts == {0: 1, -1: 2, -2: 1}
 
+    def test_base_must_match_oracle(self):
+        oracle = make_oracle(sys_of("GGCC"), PK, BPM, F(2))
+        for run in (lambda: dos_via_pf(oracle, levels_bpm(4), F(3, 2)),
+                    lambda: ssel_via_pf(oracle, levels_bpm(4), F(3, 2), -2)):
+            with pytest.raises(InvalidInput, match="3/2.*2"):
+                run()
+        assert oracle.calls == 0
+
 
 class TestHugeMagnification:
     def test_dmfe_via_dpf_examples(self):

@@ -6,18 +6,22 @@ import pytest
 from exfold.strands import (
     BudgetExceeded,
     EMPTY_STRUCTURE,
+    Flattening,
     InvalidInput,
     SecondaryStructure,
     StrandSystem,
     StructureSpace,
     all_pairs_space,
+    candidate_pairs,
     complementary,
     count_structures,
     enumerate_structures,
     is_connected,
     is_unpseudoknotted_multi,
     is_unpseudoknotted_single,
+    is_unpseudoknotted_under,
     min_hairpin_ok,
+    nn_space,
     parse_strands,
     validate_structure,
 )
@@ -155,20 +159,55 @@ class TestEnumeration:
             assert validate_structure(s, st) is None
 
     def test_filter_equals_restricted_space(self):
-        # knot-free enumeration == unrestricted enumeration filtered afterwards
+        # pruned enumeration == unrestricted enumeration filtered afterwards by
+        # the reference predicates, in the same order; c >= 3 has several
+        # circular orderings to prune across
         rng = random.Random(5)
-        for _ in range(12):
-            c = rng.choice((1, 2))
-            seqs = ["".join(rng.choice("ACGU") for _ in range(rng.randint(1, 4)))
-                    for _ in range(c)]
-            s = sys_of(*seqs)
-            unrestricted = set()
-            for st in enumerate_structures(s, StructureSpace(allow_pseudoknots=True)):
-                if is_unpseudoknotted_multi(s, st)[0]:
-                    unrestricted.add(st.pairs)
-            restricted = {st.pairs for st in
-                          enumerate_structures(s, StructureSpace(allow_pseudoknots=False))}
-            assert unrestricted == restricted
+        for c in (1, 2, 3, 4):
+            for _ in range(8):
+                s = None
+                while s is None or len(candidate_pairs(s, StructureSpace())) > 26:
+                    s = sys_of(*("".join(rng.choice("ACGU") for _ in range(rng.randint(1, 5)))
+                                 for _ in range(c)))
+                everything = list(enumerate_structures(s, StructureSpace(allow_pseudoknots=True)))
+                knot_free = StructureSpace(allow_pseudoknots=False)
+                assert [st.pairs for st in enumerate_structures(s, knot_free)] == \
+                    [st.pairs for st in everything if is_unpseudoknotted_multi(s, st)[0]]
+                ordering = tuple(rng.sample(s.ids, c))
+                assert [st.pairs for st in
+                        enumerate_structures(s, knot_free, fixed_ordering=ordering)] == \
+                    [st.pairs for st in everything
+                     if is_unpseudoknotted_under(s, st, ordering)]
+                assert [st.pairs for st in enumerate_structures(s, nn_space())] == \
+                    [st.pairs for st in everything
+                     if is_unpseudoknotted_multi(s, st)[0] and is_connected(s, st)
+                     and min_hairpin_ok(s, st, 3)]
+
+    def test_fixed_ordering_must_permute_the_strands(self):
+        s = sys_of("GC", "GC")
+        for space in (StructureSpace(allow_pseudoknots=True),
+                      StructureSpace(allow_pseudoknots=False)):
+            with pytest.raises(InvalidInput):
+                list(enumerate_structures(s, space, fixed_ordering=(1, 3)))
+
+    def test_cached_flattenings_equal_fresh_ones(self):
+        # every Flattening the search and the energies leave in the shared
+        # cache is still field-for-field what a fresh construction gives
+        from exfold import strands
+        from exfold.energy import BPS, nn_model, toy_params_a
+        from exfold.oracles import dos_brute
+        s = sys_of("GCAU", "GC", "AUGC")
+        strands._cached_flattening.cache_clear()
+        dos_brute(s, StructureSpace(allow_pseudoknots=False), BPS)
+        dos_brute(s, nn_space(), nn_model(toy_params_a(s.n)))
+        orderings = {s.ids, *s.circular_orderings()}
+        info = strands._cached_flattening.cache_info()
+        assert info.currsize == len(orderings)
+        for ordering in orderings:
+            cached = strands.flattening(s, ordering)
+            assert isinstance(cached.nicks, frozenset)
+            assert vars(cached) == vars(Flattening(s, ordering))
+        assert strands._cached_flattening.cache_info().misses == info.misses
 
     def test_multi_agrees_with_single_on_one_strand(self):
         s = sys_of("GCAUGC")
