@@ -10,7 +10,6 @@ parsimonious-counting verifiers.
 
 from .exactmath import (
     DuplicateNodes,
-    Rational,
     VandermondeSystem,
     factorial,
     rat_from_str,
@@ -29,7 +28,6 @@ from .strands import (
     StrandSystem,
     StructureSpace,
     all_pairs_space,
-    bpm_space,
     candidate_pairs,
     canonical_ordering,
     complementary,
@@ -66,7 +64,6 @@ from .energy import (
     parse_nn_params,
     rotational_symmetry,
     stack_count,
-    temp_magnify,
     toy_params_a,
     toy_params_b,
     toy_params_file,
@@ -75,17 +72,11 @@ from .oracles import (
     DensityOfStates,
     OracleHandle,
     check_base,
-    dmfe_brute,
     dos_brute,
-    dpf_brute,
     make_oracle,
-    mfe_brute,
     pf_decimal,
-    pf_exact,
-    ssel_brute,
 )
 from .levels import (
-    PHI,
     LevelSet,
     augment_symmetry,
     levels_bpm,
@@ -93,7 +84,6 @@ from .levels import (
     levels_nn_dp,
     levels_nn_grid,
     min_gap,
-    sumset,
 )
 from .reductions import (
     BudgetViolation,

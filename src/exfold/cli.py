@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import hardness, levels as levels_mod, oracles, reductions
-from .energy import BPM, BPS, load_nn_params, nn_model
+from .energy import BPM, BPS, finalize_params, load_nn_params, nn_model
 from .exactmath import rat_to_str
 from .oracles import pf_decimal
 from .strands import (
@@ -66,7 +66,13 @@ def _space_from_args(args) -> StructureSpace:
     )
 
 
-def _model_from_args(args):
+def _nn_params(path, system: StrandSystem):
+    """A parameter file's tables, extended to the sizes reachable in the
+    system: the shipped files stop at loop size 16."""
+    return finalize_params(load_nn_params(path), system.n)
+
+
+def _model_from_args(args, system: StrandSystem):
     if args.model == "bpm":
         return BPM
     if args.model == "bps":
@@ -74,7 +80,7 @@ def _model_from_args(args):
     if args.model == "nn":
         if not getattr(args, "params", None):
             raise InvalidInput("--model nn needs --params FILE")
-        return nn_model(load_nn_params(args.params))
+        return nn_model(_nn_params(args.params, system))
     raise InvalidInput(f"unknown model {args.model}")
 
 
@@ -107,7 +113,7 @@ def cmd_enumerate(args) -> int:
 def cmd_solve(args) -> int:
     system = _load_system(args.strands)
     space = _space_from_args(args)
-    model = _model_from_args(args)
+    model = _model_from_args(args, system)
     dos = oracles.dos_brute(system, space, model, args.budget)
     payload = {
         "delta": rat_to_str(model.delta),
@@ -137,7 +143,7 @@ def cmd_reduce(args) -> int:
                            "use the library API for nn")
     system = _load_system(args.strands)
     space = _space_from_args(args)
-    model = _model_from_args(args)
+    model = _model_from_args(args, system)
     base = Fraction(args.base)
     oracle = oracles.make_oracle(system, space, model, base)
     lv = levels_mod.levels_bpm(system.n) if args.model == "bpm" \
@@ -203,7 +209,7 @@ def cmd_levels(args) -> int:
     if args.strands is None or args.params is None:
         raise InvalidInput("--model nn needs strands and --params FILE")
     system = _load_system(args.strands)
-    params = load_nn_params(args.params)
+    params = _nn_params(args.params, system)
     ordering = system.identity_ordering()
     if args.dp:
         lv = levels_mod.levels_nn_dp(system, ordering, params)

@@ -1,10 +1,11 @@
 """The three energy functions (BPM, BPS, NN), loop decomposition, rotational
-symmetry, and the magnification wrapper.
+symmetry, and NN parameter files.
 
 Energies are integers counting quanta of a global granularity ``delta``
 (a positive rational): BPM and BPS use delta = 1, NN parameter sets declare
 their own.  Keeping energies integral makes every downstream comparison and
-partition-function identity exact.
+partition-function identity exact.  Magnification is not a property of a
+model: the oracles in ``exfold.oracles`` apply it to the density of states.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .strands import (
     check_structure,
     flattening,
     is_connected,
+    is_unpseudoknotted_multi,
     _crossing_free,
 )
 
@@ -361,29 +363,23 @@ def energy_nn(system: StrandSystem, ordering: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# model wrapper and magnification
+# model wrapper
 
 
 @dataclass(frozen=True)
 class EnergyModel:
     kind: str
     params: Optional[NNParams] = None
-    magnification: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise InvalidInput(f"unknown energy model kind {self.kind!r}")
         if self.kind == "nn" and self.params is None:
             raise InvalidInput("the nn model needs a parameter set")
-        if self.magnification <= 0:
-            raise InvalidInput("magnification must be positive")
 
     @property
     def delta(self) -> Fraction:
         return self.params.delta if self.kind == "nn" else Fraction(1)
-
-    def magnified(self, alpha) -> "EnergyModel":
-        return replace(self, magnification=self.magnification * Fraction(alpha))
 
 
 BPM = EnergyModel("bpm")
@@ -397,33 +393,18 @@ def nn_model(params: NNParams) -> EnergyModel:
 def energy(model: EnergyModel, system: StrandSystem,
            structure: SecondaryStructure,
            ordering: Optional[Sequence[int]] = None) -> int:
-    """Magnified energy in quanta; raises when magnification breaks
-    integrality."""
+    """Energy in quanta of ``model.delta``.  NN needs a crossing-free
+    ordering; without one the first circular ordering that has no crossing
+    is used."""
     if model.kind == "bpm":
-        base = energy_bpm(structure)
-    elif model.kind == "bps":
-        base = energy_bps(structure)
-    else:
-        if ordering is None:
-            from .strands import is_unpseudoknotted_multi
-            ok, ordering = is_unpseudoknotted_multi(system, structure)
-            if not ok:
-                raise DecompositionError("structure admits no crossing-free ordering")
-        base = energy_nn(system, ordering, structure, model.params)
-    scaled = Fraction(base) * model.magnification
-    if scaled.denominator != 1:
-        raise InvalidInput(
-            f"magnification {model.magnification} makes energy {base} non-integral")
-    return int(scaled)
-
-
-def temp_magnify(temperature: Fraction, alpha: Fraction) -> Fraction:
-    """The reduced temperature T' = T / alpha realizing magnification by
-    alpha for temperature-independent models."""
-    temperature, alpha = Fraction(temperature), Fraction(alpha)
-    if temperature <= 0 or alpha <= 0:
-        raise InvalidInput("temperature and magnification must be positive")
-    return temperature / alpha
+        return energy_bpm(structure)
+    if model.kind == "bps":
+        return energy_bps(structure)
+    if ordering is None:
+        ok, ordering = is_unpseudoknotted_multi(system, structure)
+        if not ok:
+            raise DecompositionError("structure admits no crossing-free ordering")
+    return energy_nn(system, ordering, structure, model.params)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial as _factorial, lcm
 
-Rational = Fraction
-
 
 class DuplicateNodes(ValueError):
     """Vandermonde nodes must be pairwise distinct."""

@@ -9,8 +9,9 @@ ordering.
 
 The DP mirrors a multistranded partition-function recursion with its algebra
 swapped from (+, *) to (union, sumset).  Cells hold either a set of integer
-quanta or the absorbing marker Phi ("no structure of this shape exists"):
-Phi absorbs sumsets and is the identity of unions.
+quanta or None, which plays the marker Phi ("no structure of this shape
+exists"): None absorbs sumsets and shifts and is the identity of unions
+(``_sum``, ``_shift``, ``_union``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactmath import rat_from_str, rat_to_str
 from .strands import (
@@ -33,23 +34,6 @@ from .energy import (
     max_symmetry_order,
     round_log_multiple,
 )
-
-
-class _Phi:
-    """Absorbing 'no structure' marker for sumsets over level sets."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "PHI"
-
-
-PHI = _Phi()
 
 
 @dataclass(frozen=True)
@@ -105,15 +89,6 @@ def min_gap(levels: LevelSet) -> Fraction:
         return levels.delta
     gaps = (b - a for a, b in zip(levels.levels, levels.levels[1:]))
     return min(gaps) * levels.delta
-
-
-def sumset(a, b):
-    """Elementwise sums of two level sets; PHI absorbs."""
-    if a is PHI or b is PHI:
-        return PHI
-    if a.delta != b.delta:
-        raise InvalidInput(f"sumset over mismatched quanta {a.delta} vs {b.delta}")
-    return LevelSet(a.delta, tuple(x + y for x in a.levels for y in b.levels))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
 """Brute-force reference oracles for the five thermodynamic problems.
 
+``dos_brute`` enumerates the ensemble once into a ``DensityOfStates``, which
+answers MFE, PF, SSEL and their decision versions; ``OracleHandle`` wraps it
+as the oracle the reductions call.  This module is the one place where
+magnification is applied: the j-magnified model only scales each level of
+the density of states by j, so no energy function is ever rescaled.
+
 The partition function is kept exact by replacing the transcendental
 Boltzmann factor per quantum, e**(delta/kT), with a positive rational base
 b != 1: a structure at g quanta contributes b**(-g).  Every identity the
@@ -18,7 +24,6 @@ from .exactmath import rat_from_str, rat_pow, rat_to_str
 from .strands import (
     DEFAULT_PAIR_BUDGET,
     InvalidInput,
-    SecondaryStructure,
     StrandSystem,
     StructureSpace,
     enumerate_structures,
@@ -60,12 +65,6 @@ class DensityOfStates:
             Fraction(0),
         )
 
-    def magnified(self, j: int) -> "DensityOfStates":
-        if j <= 0:
-            raise InvalidInput("magnification must be a positive integer")
-        return DensityOfStates({g * j: c for g, c in self.counts.items()},
-                               self.delta, self.space)
-
     def to_json(self) -> str:
         payload = {
             "delta": rat_to_str(self.delta),
@@ -92,28 +91,6 @@ def dos_brute(system: StrandSystem, space: StructureSpace, model: EnergyModel,
     return DensityOfStates(counts, model.delta, space)
 
 
-def mfe_brute(system, space, model, budget: int = DEFAULT_PAIR_BUDGET) -> int:
-    return dos_brute(system, space, model, budget).mfe()
-
-
-def pf_exact(dos: DensityOfStates, base: Fraction) -> Fraction:
-    return dos.pf(base)
-
-
-def ssel_brute(system, space, model, level_quanta, budget: int = DEFAULT_PAIR_BUDGET) -> int:
-    return dos_brute(system, space, model, budget).ssel(level_quanta)
-
-
-def dmfe_brute(system, space, model, threshold_quanta,
-               budget: int = DEFAULT_PAIR_BUDGET) -> bool:
-    return mfe_brute(system, space, model, budget) <= threshold_quanta
-
-
-def dpf_brute(system, space, model, base: Fraction, threshold: Fraction,
-              budget: int = DEFAULT_PAIR_BUDGET) -> bool:
-    return pf_exact(dos_brute(system, space, model, budget), base) >= threshold
-
-
 def pf_decimal(value: Fraction, digits: int = 12) -> str:
     """Display-only decimal approximation of an exact rational, truncated
     toward zero."""
@@ -128,12 +105,12 @@ def pf_decimal(value: Fraction, digits: int = 12) -> str:
 @dataclass
 class OracleHandle:
     """Magnification-aware oracle facade over one brute-force density of
-    states.
+    states, and the only magnification mechanism in the package.
 
-    Every query accepts an integer magnification j (the j-magnified model
-    scales each level's quanta by j).  pf and dpf additionally accept a
-    ``base`` override, which realizes the huge symbolic magnifications whose
-    per-quantum weight is a different rational (n! in the threshold
+    Every query accepts an integer magnification j >= 0 (the j-magnified
+    model scales each level's quanta by j).  pf and dpf additionally accept
+    a ``base`` override, which realizes the huge symbolic magnifications
+    whose per-quantum weight is a different rational (n! in the threshold
     reductions) rather than a power of the handle's own base.
     """
 

@@ -246,10 +246,6 @@ class StructureSpace:
             raise InvalidInput("min_hairpin must be >= 0")
 
 
-def bpm_space(allow_pseudoknots: bool = True) -> StructureSpace:
-    return StructureSpace(allow_pseudoknots=allow_pseudoknots)
-
-
 def nn_space() -> StructureSpace:
     return StructureSpace(allow_pseudoknots=False, require_connected=True, min_hairpin=3)
 
@@ -277,6 +273,8 @@ def validate_structure(system: StrandSystem, structure: SecondaryStructure) -> O
     for a, b in ordered:
         if a == b:
             return f"pair ({a}, {b}) joins a base to itself"
+        if flat.flat(a) > flat.flat(b):
+            return f"pair ({a}, {b}) is reversed: {a} comes after {b} in the flat order"
         for ref in (a, b):
             if ref in seen:
                 return f"base {ref} appears in more than one pair"

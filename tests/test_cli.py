@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
-from exfold.energy import toy_params_file
+from exfold.energy import nn_model, toy_params_a, toy_params_file
+from exfold.levels import levels_nn_dp
+from exfold.oracles import dos_brute
+from exfold.strands import StrandSystem, nn_space
 
 RUN = [sys.executable, "-m", "exfold.cli"]
 
@@ -82,6 +85,17 @@ class TestSolve:
         assert payload["delta"] == "1/1"
         assert int(payload["mfe"]) <= 0
 
+    def test_nn_loop_longer_than_the_shipped_tables(self):
+        # toy_nn_a.txt stops at loop size 16; this hairpin has 18 bases
+        seq = "GAAAAAAAAAAAAAAAAAAC"
+        out = run_cli("solve", seq, "--model", "nn",
+                      "--params", toy_params_file("toy_nn_a")).stdout
+        assert out == ('{"count": "2", "delta": "1/1", "dos": {"0": "1", "6": "1"}, '
+                       '"mfe": "0"}\n')
+        system = StrandSystem.from_sequences(seq)
+        dos = dos_brute(system, nn_space(), nn_model(toy_params_a(system.n)))
+        assert json.loads(out)["dos"] == {str(g): str(c) for g, c in dos.counts.items()}
+
 
 class TestReduce:
     def test_ssel_via_pf(self):
@@ -127,6 +141,13 @@ class TestLevels:
             "levels", "GGGAAAACCC", "--model", "nn", "--dp",
             "--params", toy_params_file("toy_nn_a")).stdout)
         assert "-4" in payload["levels"] and payload["delta"] == "1/1"
+
+    def test_nn_dp_loop_longer_than_the_shipped_tables(self):
+        seq = "GGG" + "A" * 18 + "CCC"
+        out = run_cli("levels", seq, "--model", "nn", "--dp",
+                      "--params", toy_params_file("toy_nn_a")).stdout
+        system = StrandSystem.from_sequences(seq)
+        assert out == levels_nn_dp(system, system.ids, toy_params_a(system.n)).to_json() + "\n"
 
     def test_nn_dp_symmetry_superset(self):
         base = json.loads(run_cli(

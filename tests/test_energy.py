@@ -10,6 +10,7 @@ from exfold.strands import (
     StrandSystem,
     StructureSpace,
     enumerate_structures,
+    nn_space,
 )
 from exfold.energy import (
     BPM,
@@ -29,11 +30,10 @@ from exfold.energy import (
     parse_nn_params,
     rotational_symmetry,
     round_log_multiple,
-    temp_magnify,
     toy_params_a,
     toy_params_b,
 )
-from exfold.oracles import dos_brute
+from exfold.oracles import make_oracle
 
 
 def sys_of(*seqs):
@@ -218,10 +218,16 @@ class TestNNEnergy:
 
 
 class TestModelWrapper:
+    """Magnification lives in the oracle: the j-magnified model scales each
+    level of the density of states by j."""
+
     def test_magnified_bpm(self):
         s = sys_of("ACGT")
         st = flat(s, [(1, 4), (2, 3)])
-        assert energy(BPM.magnified(3), s, st) == -6
+        assert energy(BPM, s, st) == -2
+        oracle = make_oracle(s, StructureSpace(allow_pseudoknots=True), BPM, F(2))
+        assert oracle.mfe(3) == -6
+        assert oracle.ssel(-6, 3) == 1
 
     def test_bps_passthrough(self):
         s = sys_of("GGCC")
@@ -229,44 +235,30 @@ class TestModelWrapper:
 
     def test_magnified_nn(self):
         s = sys_of("GGGAAAACCC")
-        params = toy_params_a(10)
-        st = flat(s, [(1, 10), (2, 9), (3, 8)])
-        base = energy(nn_model(params), s, st)
-        assert energy(nn_model(params).magnified(2), s, st) == 2 * base
+        model = nn_model(toy_params_a(10))
+        base = energy(model, s, flat(s, [(1, 10), (2, 9), (3, 8)]))
+        oracle = make_oracle(s, nn_space(), model, F(2))
+        assert oracle.ssel(2 * base, 2) == oracle.ssel(base) >= 1
 
     def test_fractional_magnification_integrality(self):
-        s = sys_of("ACGT")
-        st = flat(s, [(1, 4)])
-        with pytest.raises(InvalidInput):
-            energy(BPM.magnified(F(1, 2)), s, st)  # -1/2 quanta is not integral
-        assert energy(BPM.magnified(F(1, 2)), s, flat(s, [(1, 4), (2, 3)])) == -1
+        oracle = make_oracle(sys_of("ACGT"), StructureSpace(allow_pseudoknots=True),
+                             BPM, F(2))
+        for j in (F(1, 2), 0.5, -1):
+            with pytest.raises(InvalidInput):
+                oracle.mfe(j)
+            with pytest.raises(InvalidInput):
+                oracle.pf(j)
 
     def test_magnification_preserves_argmin_and_counts(self):
         rng = random.Random(3)
         for _ in range(10):
             seq = "".join(rng.choice("ACGT") for _ in range(rng.randint(3, 7)))
-            s = sys_of(seq)
-            space = StructureSpace(allow_pseudoknots=True)
-            dos1 = dos_brute(s, space, BPM)
-            dos3 = dos_brute(s, space, BPM.magnified(3))
-            assert dos3.counts == {3 * g: c for g, c in dos1.counts.items()}
-            assert dos3.mfe() == 3 * dos1.mfe()
-
-    def test_temp_magnify(self):
-        assert temp_magnify(F(310), F(2)) == 155
-        assert temp_magnify(F(310), F(1)) == 310
-        with pytest.raises(InvalidInput):
-            temp_magnify(F(-1), F(2))
-
-    def test_temp_magnify_pf_contract(self):
-        # for a temperature-independent model, PF at the reduced temperature
-        # equals PF of the magnified model: base per quantum b -> b**alpha
-        s = sys_of("ACGT")
-        space = StructureSpace(allow_pseudoknots=True)
-        dos = dos_brute(s, space, BPM)
-        dos_mag = dos_brute(s, space, BPM.magnified(3))
-        b = F(2)
-        assert dos.pf(b ** 3) == dos_mag.pf(b)
+            oracle = make_oracle(sys_of(seq), StructureSpace(allow_pseudoknots=True),
+                                 BPM, F(2))
+            dos = oracle.dos
+            assert all(oracle.ssel(3 * g, 3) == c for g, c in dos.counts.items())
+            assert sum(oracle.ssel(g, 3) for g in range(3 * dos.mfe(), 1)) == dos.total()
+            assert oracle.mfe(3) == 3 * dos.mfe()
 
 
 class TestParamsIO:

@@ -4,15 +4,16 @@ from fractions import Fraction as F
 import pytest
 
 from exfold.strands import (
-    InvalidInput,
     StrandSystem,
     StructureSpace,
     enumerate_structures,
 )
 from exfold.energy import energy_nn_detail, toy_params_a, toy_params_b
 from exfold.levels import (
-    PHI,
     LevelSet,
+    _shift,
+    _sum,
+    _union,
     augment_symmetry,
     grid_slope,
     levels_bpm,
@@ -20,7 +21,6 @@ from exfold.levels import (
     levels_nn_dp,
     levels_nn_grid,
     min_gap,
-    sumset,
 )
 
 PARAMS = (toy_params_a(16), toy_params_b(16))
@@ -78,24 +78,25 @@ class TestMinGap:
 
 
 class TestSumset:
+    """The DP cell algebra; None plays Phi, "no structure of this shape"."""
+
     def test_plain(self):
-        a = LevelSet(F(1), (0, -1))
-        b = LevelSet(F(1), (0, -2))
-        assert sumset(a, b).levels == (-3, -2, -1, 0)
+        assert _sum({0, -1}, {0, -2}) == {-3, -2, -1, 0}
+        assert _union({0, -1}, {-2}) == {-2, -1, 0}
+        assert _shift({0, -1}, 3) == {3, 2}
 
     def test_identity(self):
-        a = LevelSet(F(1), (4, -7))
-        assert sumset(a, LevelSet(F(1), (0,))).levels == a.levels
+        a = {4, -7}
+        assert _sum(a, {0}) == a
+        assert _union(a, None) == a and _union(None, a) == a
 
     def test_phi_absorbs(self):
-        a = LevelSet(F(1), (0, 1))
-        assert sumset(a, PHI) is PHI
-        assert sumset(PHI, a) is PHI
-        assert sumset(PHI, PHI) is PHI
-
-    def test_delta_mismatch(self):
-        with pytest.raises(InvalidInput):
-            sumset(LevelSet(F(1), (0,)), LevelSet(F(1, 2), (0,)))
+        a = {0, 1}
+        assert _sum(a, None) is None
+        assert _sum(None, a) is None
+        assert _sum(None, None) is None
+        assert _shift(None, 2) is None
+        assert _union(None, None) is None
 
 
 class TestGrid:

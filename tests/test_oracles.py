@@ -3,7 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from exfold.levels import levels_bpm
+from exfold.reductions import dos_via_pf, pf_via_ssel
 from exfold.strands import (
     InvalidInput,
     StrandSystem,
@@ -14,14 +17,9 @@ from exfold.energy import BPM, BPS, energy
 from exfold.oracles import (
     DensityOfStates,
     check_base,
-    dmfe_brute,
     dos_brute,
-    dpf_brute,
     make_oracle,
-    mfe_brute,
     pf_decimal,
-    pf_exact,
-    ssel_brute,
 )
 
 PK = StructureSpace(allow_pseudoknots=True)
@@ -58,15 +56,15 @@ class TestDos:
 
 class TestScalars:
     def test_mfe(self):
-        assert mfe_brute(sys_of("ACGT"), PK, BPM) == -2
-        assert mfe_brute(sys_of("AAAA"), PK, BPM) == 0
-        assert mfe_brute(sys_of("GGCC"), PK, BPS) == -1
+        assert dos_brute(sys_of("ACGT"), PK, BPM).mfe() == -2
+        assert dos_brute(sys_of("AAAA"), PK, BPM).mfe() == 0
+        assert dos_brute(sys_of("GGCC"), PK, BPS).mfe() == -1
 
     def test_pf_values(self):
         dos = dos_brute(sys_of("ACGT"), PK, BPM)
-        assert pf_exact(dos, F(2)) == 9
-        assert pf_exact(dos, F(24)) == 625
-        assert pf_exact(DensityOfStates({0: 1}, F(1)), F(7, 3)) == 1
+        assert dos.pf(F(2)) == 9
+        assert dos.pf(F(24)) == 625
+        assert DensityOfStates({0: 1}, F(1)).pf(F(7, 3)) == 1
 
     def test_pf_two_routes_agree(self):
         rng = random.Random(17)
@@ -79,32 +77,32 @@ class TestScalars:
             direct = sum(
                 (base ** -energy(model, s, st) for st in enumerate_structures(s, PK)),
                 F(0))
-            assert pf_exact(dos, base) == direct
+            assert dos.pf(base) == direct
 
     def test_ssel(self):
-        s = sys_of("ACGT")
-        assert ssel_brute(s, PK, BPM, -1) == 2
-        assert ssel_brute(s, PK, BPM, -3) == 0
-        assert ssel_brute(sys_of("GGCC"), PK, BPS, 0) == 6
+        dos = dos_brute(sys_of("ACGT"), PK, BPM)
+        assert dos.ssel(-1) == 2
+        assert dos.ssel(-3) == 0
+        assert dos_brute(sys_of("GGCC"), PK, BPS).ssel(0) == 6
 
     def test_dmfe(self):
-        s = sys_of("ACGT")
-        assert dmfe_brute(s, PK, BPM, -1) is True
-        assert dmfe_brute(s, PK, BPM, -3) is False
-        assert dmfe_brute(sys_of("AAAA"), PK, BPM, 0) is True
+        oracle = make_oracle(sys_of("ACGT"), PK, BPM, F(2))
+        assert oracle.dmfe(-1) is True
+        assert oracle.dmfe(-3) is False
+        assert make_oracle(sys_of("AAAA"), PK, BPM, F(2)).dmfe(0) is True
 
     def test_dpf(self):
-        s = sys_of("ACGT")
-        assert dpf_brute(s, PK, BPM, F(24), F(24)) is True  # PF = 625
-        assert dpf_brute(s, PK, BPM, F(24), F(626)) is False
-        assert dpf_brute(sys_of("AAAA"), PK, BPM, F(2), F(0)) is True
+        oracle = make_oracle(sys_of("ACGT"), PK, BPM, F(24))
+        assert oracle.dpf(F(24)) is True  # PF = 625
+        assert oracle.dpf(F(626)) is False
+        assert make_oracle(sys_of("AAAA"), PK, BPM, F(2)).dpf(F(0)) is True
 
     def test_pf_at_least_one(self):
         # the empty structure always contributes weight 1
         rng = random.Random(2)
         for _ in range(10):
             s = sys_of("".join(rng.choice("ACGT") for _ in range(rng.randint(1, 6))))
-            assert pf_exact(dos_brute(s, PK, BPM), F(3)) >= 1
+            assert dos_brute(s, PK, BPM).pf(F(3)) >= 1
 
 
 class TestOracleHandle:
@@ -123,9 +121,10 @@ class TestOracleHandle:
             s = sys_of("".join(rng.choice("ACGT") for _ in range(n)))
             base = rng.choice((F(1, 2), F(2), F(3)))
             oracle = make_oracle(s, PK, BPM, base)
+            structures = list(enumerate_structures(s, PK))
             for j in (1, 2, 3):
-                magnified = dos_brute(s, PK, BPM.magnified(j))
-                assert oracle.pf(j) == magnified.pf(base)
+                direct = sum((base ** (-j * energy(BPM, s, st)) for st in structures), F(0))
+                assert oracle.pf(j) == direct
 
     def test_dmfe_scaling(self):
         oracle = make_oracle(sys_of("ACGT"), PK, BPM, F(2))
@@ -151,6 +150,42 @@ class TestOracleHandle:
             check_base(F(-2))
         with pytest.raises(InvalidInput):
             make_oracle(sys_of("ACGT"), PK, BPM, F(0))
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                             database=None)
+ORACLES = st.builds(
+    lambda seq, model, base: make_oracle(sys_of(seq), PK, model, base),
+    st.text("ACGU", min_size=1, max_size=7),
+    st.sampled_from((BPM, BPS)),
+    st.sampled_from((F(1, 2), F(2), F(3), F(5, 2))),
+)
+
+
+class TestMagnificationProperties:
+    """The oracle's j is the only magnification: level g of the j-magnified
+    model is j*g, so its per-quantum weight is base**j."""
+
+    @PROPERTY_SETTINGS
+    @given(ORACLES)
+    def test_magnified_queries_rescale_the_dos(self, oracle):
+        dos = oracle.dos
+        assert oracle.pf(0) == dos.total()
+        assert oracle.ssel(0, 0) == dos.total()
+        for j in range(0, 5):
+            assert oracle.mfe(j) == j * dos.mfe()
+        for j in range(1, 5):
+            assert oracle.pf(j) == dos.pf(oracle.base ** j)
+            for g in range(dos.mfe() - 1, 2):
+                assert oracle.ssel(j * g, j) == dos.ssel(g)
+
+    @PROPERTY_SETTINGS
+    @given(ORACLES)
+    def test_reductions_recover_the_dos(self, oracle):
+        dos, lv = oracle.dos, levels_bpm(oracle.n)
+        assert pf_via_ssel(oracle, lv, oracle.base)[0] == dos.pf(oracle.base)
+        counts = dos_via_pf(oracle, lv, oracle.base)[0]
+        assert {g: c for g, c in counts.items() if c} == dos.counts
 
 
 def test_pf_decimal_display():

@@ -67,6 +67,16 @@ class TestValidation:
         msg = validate_structure(s, out)
         assert msg is not None and "out of range" in msg
 
+    def test_reversed_pair(self):
+        # one pair set, two orientations: only the canonical one is valid
+        for s, canon in ((sys_of("GGCC"), [(1, 4)]), (sys_of("GG", "CC"), [(2, 3)])):
+            ok = flat(s, canon)
+            rev = SecondaryStructure(frozenset((b, a) for a, b in ok.pairs))
+            assert ok != rev and validate_structure(s, ok) is None
+            (a, b), = ok.pairs
+            msg = validate_structure(s, rev)
+            assert msg is not None and "reversed" in msg and f"({b}, {a})" in msg
+
 
 class TestPseudoknots:
     def test_nested_ok(self):
