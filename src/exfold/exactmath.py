@@ -3,9 +3,9 @@
 Everything in this package that carries a numeric answer is either a Python
 int or a ``fractions.Fraction``; floats never enter a computed result.  This
 module adds the few pieces the rest of the code needs on top of the stdlib:
-"num/den" serialization, exponentiation with sign checks, and a fraction-free
-solver for the Vandermonde systems produced by the count-reconstruction
-reduction.
+"num/den" serialization, exponentiation with sign checks, and an O(N**2)
+integer solver for the transposed Vandermonde systems produced by the
+count-reconstruction reduction.
 """
 
 from __future__ import annotations
@@ -65,35 +65,45 @@ class VandermondeSystem:
 def solve_vandermonde(system: VandermondeSystem) -> tuple[Fraction, ...]:
     """Solve the system exactly; returns the unique solution vector.
 
-    Rows are scaled to integers and eliminated with Bareiss' fraction-free
-    scheme, so every intermediate value stays an integer (minors of the
-    scaled matrix) instead of a fraction with compounding denominators.
+    The matrix is the transpose (dual) of a Vandermonde matrix, which the
+    master polynomial inverts in O(N**2) operations (Bjorck & Pereyra,
+    Math. Comp. 24, 1970).  With P(z) = prod_i (z - v_i) and
+    q_i(z) = P(z) / (z - v_i) = sum_k q_ik z**k, the sum
+    sum_k q_ik rhs_(k+1) = sum_l x_l v_l q_i(v_l) keeps only l = i, since
+    q_i vanishes at every other node; so x_i is that sum over q_i(v_i) v_i.
+
+    Exactness: the nodes are scaled by the lcm d of their denominators to
+    integers a_i = v_i d, and the right-hand side to integers
+    r_j = rhs_j d**j D, with D the lcm of the rhs denominators; the scaled
+    system sum_i (D x_i) a_i**j = r_j has the same form.  P is built once
+    in ints, and one Horner pass per node yields the synthetic-division
+    coefficients of q_i, the integer numerator sum_k q_ik r_(k+1) and the
+    integer denominator q_i(a_i) a_i, which is nonzero because the nodes
+    are distinct and positive.  Only the final x_i = num / (D den) is a
+    Fraction, normalised once per unknown.
     """
     n = len(system.nodes)
-    if n == 0:
-        return ()
-    rows: list[list[int]] = []
-    for j in range(1, n + 1):
-        row_q = [rat_pow(x, j) for x in system.nodes] + [system.rhs[j - 1]]
-        scale = lcm(*(q.denominator for q in row_q))
-        rows.append([int(q * scale) for q in row_q])
+    d = lcm(*(v.denominator for v in system.nodes))
+    big_d = lcm(*(q.denominator for q in system.rhs))
+    nodes = [v.numerator * (d // v.denominator) for v in system.nodes]
+    rhs = [q.numerator * (big_d // q.denominator) * d**j
+           for j, q in enumerate(system.rhs, start=1)]
 
-    prev_pivot = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            # cannot happen: leading minors of a positive-node Vandermonde
-            # matrix are nonzero
-            raise ArithmeticError("zero pivot in fraction-free elimination")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev_pivot
-            rows[i][k] = 0
-        prev_pivot = rows[k][k]
+    # P(z) = prod (z - a_i), p[k] the coefficient of z**k
+    p = [1]
+    for a in nodes:
+        p = [0] + p
+        for k in range(len(p) - 1):
+            p[k] -= a * p[k + 1]
 
-    sol: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(rows[i][n])
-        for j in range(i + 1, n):
-            acc -= rows[i][j] * sol[j]
-        sol[i] = acc / rows[i][i]
+    sol = []
+    for a in nodes:
+        # q_(N-1) = 1, q_(k-1) = p_k + a q_k; h accumulates q(a) by Horner
+        q = h = 1
+        num = rhs[n - 1]
+        for k in range(n - 1, 0, -1):
+            q = p[k] + a * q
+            h = h * a + q
+            num += q * rhs[k - 1]
+        sol.append(Fraction(num, big_d * h * a))
     return tuple(sol)

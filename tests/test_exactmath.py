@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exfold.exactmath import (
     DuplicateNodes,
@@ -88,3 +90,38 @@ def test_vandermonde_roundtrip_random():
         # substitute back: bit-exact reproduction of the right-hand side
         for j in range(1, n + 1):
             assert sum(sol[i] * nodes[i] ** j for i in range(n)) == rhs[j - 1]
+
+
+@st.composite
+def dual_systems(draw):
+    """Distinct positive rational nodes on both sides of 1 and a rational
+    solution of any sign."""
+    n = draw(st.integers(1, 24))
+    nodes = draw(st.lists(st.builds(F, st.integers(1, 40), st.integers(1, 12)),
+                          min_size=n, max_size=n, unique=True))
+    x = draw(st.lists(st.builds(F, st.integers(-50, 50), st.integers(1, 9)),
+                      min_size=n, max_size=n))
+    return tuple(nodes), tuple(x)
+
+
+class TestDualVandermondeProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dual_systems())
+    def test_roundtrip(self, case):
+        nodes, x = case
+        n = len(nodes)
+        rhs = tuple(sum(x[i] * nodes[i] ** j for i in range(n)) for j in range(1, n + 1))
+        sol = solve_vandermonde(VandermondeSystem(nodes, rhs))
+        assert sol == x
+        for j in range(1, n + 1):
+            assert sum(sol[i] * nodes[i] ** j for i in range(n)) == rhs[j - 1]
+
+    @pytest.mark.parametrize("base", [F(2), F(1, 2), F(3), F(3, 2)])
+    def test_n80_ladder(self, base):
+        # the count-reconstruction shape: nodes base**-g on 80 consecutive
+        # levels, counts of the partial matchings of 79 C with 79 G
+        levels = range(0, -80, -1)
+        counts = [comb(79, -g) ** 2 * factorial(-g) for g in levels]
+        nodes = [base ** -g for g in levels]
+        rhs = tuple(sum(c * v ** j for c, v in zip(counts, nodes)) for j in range(1, 81))
+        assert solve_vandermonde(VandermondeSystem(tuple(nodes), rhs)) == tuple(counts)

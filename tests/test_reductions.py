@@ -8,7 +8,7 @@ import pytest
 from exfold.strands import InvalidInput, StrandSystem, StructureSpace
 from exfold.energy import BPM, BPS
 from exfold.levels import levels_bpm, levels_bps
-from exfold.oracles import make_oracle
+from exfold.oracles import DensityOfStates, make_oracle
 from exfold.reductions import (
     OracleInconsistency,
     dmfe_via_dpf,
@@ -101,6 +101,21 @@ class TestCountReconstruction:
         oracle = acgt_oracle(F(1, 2))
         counts, _ = dos_via_pf(oracle, levels_bpm(4), F(1, 2))
         assert counts == {0: 1, -1: 2, -2: 1}
+
+    def test_eighty_levels(self):
+        # 79 C + 79 G under PK BPM: p pairs are a partial matching, so the
+        # closed-form DoS stands in for an enumeration of 158 bases
+        class ClosedFormOracle:
+            base = F(2)
+            dos = DensityOfStates(
+                {-p: math.comb(79, p) ** 2 * math.factorial(p) for p in range(80)}, F(1))
+
+            def pf(self, j=1, base=None):
+                return self.dos.pf(self.base if base is None else base, j)
+
+        counts, t = dos_via_pf(ClosedFormOracle(), levels_bpm(158), F(2))
+        assert counts == ClosedFormOracle.dos.counts
+        assert t.call_count == 80
 
     def test_base_must_match_oracle(self):
         oracle = make_oracle(sys_of("GGCC"), PK, BPM, F(2))
@@ -236,3 +251,18 @@ class TestTranscripts:
             mfe_via_dmfe(Liar(), levels_bpm(4))
         with pytest.raises(OracleInconsistency):
             mfe_via_ssel(Liar(), levels_bpm(4))
+
+    @pytest.mark.parametrize("counts,message", [
+        ({0: F(1, 2), -1: 1}, "level 0 is 1/2"),
+        ({0: -1, -1: 3}, "level 0 is -1"),
+    ])
+    def test_reconstruction_must_give_natural_counts(self, counts, message):
+        # positive PF values that no density of states produces
+        class Liar:
+            base = F(2)
+
+            def pf(self, j=1, base=None):
+                return sum(c * self.base ** (-g * j) for g, c in counts.items())
+
+        with pytest.raises(OracleInconsistency, match=message):
+            dos_via_pf(Liar(), levels_bpm(2), F(2))
