@@ -4,7 +4,13 @@ strands, plus the multi-strand pair-count verifier.
 
 The 3DM -> 4-PARTITION step uses a carry-free radix encoding; the element
 weights are never trusted on their own, the parsimony verifiers recount both
-sides exhaustively and check the predicted multiplicative factor.
+sides exactly and check the predicted multiplicative factor.  The recounts
+are exhaustive searches memoised on what the rest of the search depends on:
+``count_4part_brute`` on the multiset of the remaining weights, and
+``count_bps_brute`` on the next C, the used G's and the partners of the
+positions a later stack test reads.  A memo hit stands for the very
+completions the plain search would walk again, so every count is the one
+the plain search gives.
 """
 
 from __future__ import annotations
@@ -134,28 +140,35 @@ class FourPartitionInstance:
 
 
 def count_4part_brute(inst: FourPartitionInstance, budget: int = 20) -> int:
-    """Partitions into unordered 4-tuples, each summing to the bound; the
-    lowest-index unplaced element anchors each tuple so every partition is
-    counted once."""
+    """Partitions into unordered 4-tuples, each summing to the bound.
+
+    The search is memoised on the sorted tuple of the remaining weights: the
+    number of partitions of a set of labelled elements depends only on the
+    multiset of their weights.  The lowest remaining weight anchors each
+    tuple, so every partition is counted once, and its three partners are
+    chosen by position among the rest, so equal weights still count as
+    distinct elements.  The count is therefore the same as that of a plain
+    exhaustive search over the elements."""
     k = inst.k
     if k > budget:
         raise BudgetExceeded(f"k = {k} exceeds the 4-PARTITION budget {budget}")
     if not inst.balanced():
         return 0
-    weights = inst.weights
+    memo: dict[tuple, int] = {(): 1}
 
     def rec(remaining: tuple) -> int:
-        if not remaining:
-            return 1
-        first, rest = remaining[0], remaining[1:]
+        hit = memo.get(remaining)
+        if hit is not None:
+            return hit
+        need, rest = inst.bound - remaining[0], remaining[1:]
         total = 0
         for trio in itertools.combinations(range(len(rest)), 3):
-            if weights[first] + sum(weights[rest[i]] for i in trio) == inst.bound:
-                chosen = set(trio)
-                total += rec(tuple(rest[i] for i in range(len(rest)) if i not in chosen))
+            if sum(rest[i] for i in trio) == need:
+                total += rec(tuple(w for i, w in enumerate(rest) if i not in trio))
+        memo[remaining] = total
         return total
 
-    return rec(tuple(range(k)))
+    return rec(tuple(sorted(inst.weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,42 +299,56 @@ def _cg_positions(strand: str) -> tuple[list, list]:
 def count_bps_brute(strand: str, target: int,
                     budget: int = DEFAULT_BPS_ENUM_BUDGET) -> int:
     """Exact count of structures (pseudoknots allowed) with the given number
-    of stacks, by exhausting C-G matchings with incremental stack tracking."""
+    of stacks, by exhausting C-G matchings with incremental stack tracking.
+
+    The search pairs the C's in order, each with nothing or with any unused
+    G, and is memoised on ``(idx, used-G bitmask, partners of the watched
+    positions)``.  Pairing the C at ``c`` with the G at ``g`` gains one stack
+    if ``c-1`` is paired with ``g+1`` and one if ``c+1`` is paired with
+    ``g-1``, so the watched positions at ``idx`` are the neighbours of the
+    C's from ``cpos[idx]`` on that are a G or a C paired earlier.  Every
+    later stack test reads only the key and later choices, so two searches
+    with equal keys have equal futures.  Each state returns its completions
+    as a histogram by stacks gained, and the count is the histogram's entry
+    at ``target``: the number the plain exhaustive search gives, one
+    completion at a time."""
     cpos, gpos = _cg_positions(strand)
     if len(cpos) + len(gpos) > budget:
         raise BudgetExceeded(
             f"{len(cpos)} + {len(gpos)} pairable bases exceed the budget {budget}")
+    gset = set(gpos)
+    watched = [sorted({p for c in cpos[idx:] for p in (c - 1, c + 1)
+                       if p in gset or p in cpos[:idx]})
+               for idx in range(len(cpos))]
     partner: dict[int, int] = {}
-    gset = list(gpos)
-    used = [False] * len(gset)
+    memo: dict[tuple, list] = {}
 
-    def stacks_gained(c: int, g: int) -> int:
-        gained = 0
-        if partner.get(c - 1) == g + 1:
-            gained += 1
-        if partner.get(c + 1) == g - 1:
-            gained += 1
-        return gained
-
-    def rec(idx: int, stacks: int) -> int:
+    def rec(idx: int, used: int) -> list:
         if idx == len(cpos):
-            return 1 if stacks == target else 0
+            return [1]
+        key = (idx, used, tuple(partner.get(p) for p in watched[idx]))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
         c = cpos[idx]
-        total = rec(idx + 1, stacks)  # c stays unpaired
-        for gi, g in enumerate(gset):
-            if used[gi]:
+        hist = list(rec(idx + 1, used))  # c stays unpaired
+        for gi, g in enumerate(gpos):
+            if used >> gi & 1:
                 continue
-            used[gi] = True
-            gained = stacks_gained(c, g)
+            gained = (partner.get(c - 1) == g + 1) + (partner.get(c + 1) == g - 1)
             partner[c] = g
             partner[g] = c
-            total += rec(idx + 1, stacks + gained)
+            sub = rec(idx + 1, used | 1 << gi)
             del partner[c]
             del partner[g]
-            used[gi] = False
-        return total
+            hist.extend([0] * (len(sub) + gained - len(hist)))
+            for stacks, n in enumerate(sub):
+                hist[stacks + gained] += n
+        memo[key] = hist
+        return hist
 
-    return rec(0, 0)
+    hist = rec(0, 0)
+    return hist[target] if 0 <= target < len(hist) else 0
 
 
 def _runs(strand: str, letter: str) -> tuple[int, ...]:

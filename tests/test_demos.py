@@ -1,0 +1,30 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_demo(path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_all_four_demos_are_found():
+    assert [p.name for p in DEMOS] == ["demo_hardness.py", "demo_levels.py",
+                                       "demo_oracles.py", "demo_reductions.py"]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path):
+    proc = run_demo(path)
+    assert proc.returncode == 0, proc.stderr
+    if path.name == "demo_hardness.py":
+        lines = proc.stdout.splitlines()
+        assert "structures at target, by enumeration:   24" in lines
+        assert "structures at target, by chain counting: 24" in lines

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -30,6 +31,70 @@ def tdm(q, triples):
 
 
 ALL8 = tuple(itertools.product((1, 2), (1, 2), (1, 2)))
+
+
+def plain_4part_count(weights, bound):
+    """Reference: the exhaustive search over element indices, unmemoised."""
+    if sum(weights) != bound * (len(weights) // 4):
+        return 0
+
+    def rec(remaining):
+        if not remaining:
+            return 1
+        first, rest = remaining[0], remaining[1:]
+        total = 0
+        for trio in itertools.combinations(range(len(rest)), 3):
+            if weights[first] + sum(weights[rest[i]] for i in trio) == bound:
+                chosen = set(trio)
+                total += rec(tuple(rest[i] for i in range(len(rest)) if i not in chosen))
+        return total
+
+    return rec(tuple(range(len(weights))))
+
+
+def plain_bps_count(strand, target):
+    """Reference: every C-G matching one at a time, unmemoised."""
+    cpos = [i for i, b in enumerate(strand, 1) if b == "C"]
+    gset = [i for i, b in enumerate(strand, 1) if b == "G"]
+    partner = {}
+    used = [False] * len(gset)
+
+    def stacks_gained(c, g):
+        gained = 0
+        if partner.get(c - 1) == g + 1:
+            gained += 1
+        if partner.get(c + 1) == g - 1:
+            gained += 1
+        return gained
+
+    def rec(idx, stacks):
+        if idx == len(cpos):
+            return 1 if stacks == target else 0
+        c = cpos[idx]
+        total = rec(idx + 1, stacks)
+        for gi, g in enumerate(gset):
+            if used[gi]:
+                continue
+            used[gi] = True
+            gained = stacks_gained(c, g)
+            partner[c] = g
+            partner[g] = c
+            total += rec(idx + 1, stacks + gained)
+            del partner[c]
+            del partner[g]
+            used[gi] = False
+        return total
+
+    return rec(0, 0)
+
+
+def random_strands(rng, alphabet, count, max_pairable):
+    out = []
+    while len(out) < count:
+        strand = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14)))
+        if strand.count("C") + strand.count("G") <= max_pairable:
+            out.append(strand)
+    return out
 
 
 class TestThreeDM:
@@ -77,6 +142,29 @@ class TestFourPartition:
     def test_json_roundtrip(self):
         inst = FourPartitionInstance((2, 2, 2, 2), 8)
         assert FourPartitionInstance.from_json(inst.to_json()) == inst
+
+    def test_memo_matches_plain_search(self):
+        # few distinct weights, so that equal weights and many partitions occur
+        rng = random.Random(23)
+        nonzero = 0
+        for k in (4, 8, 12):
+            for _ in range(40):
+                bound = rng.randint(11, 24)
+                lo, hi = bound // 5 + 1, -(-bound // 3) - 1
+                palette = [rng.randint(lo, hi) for _ in range(3)]
+                weights = [rng.choice(palette) for _ in range(k)]
+                if rng.random() < 0.7:  # move the total towards bound * k/4
+                    gap = bound * (k // 4) - sum(weights)
+                    for i in range(k):
+                        step = max(lo - weights[i], min(hi - weights[i], gap))
+                        weights[i] += step
+                        gap -= step
+                rng.shuffle(weights)
+                want = plain_4part_count(weights, bound)
+                assert count_4part_brute(FourPartitionInstance(weights, bound)) == want, \
+                    (weights, bound)
+                nonzero += want > 0
+        assert nonzero >= 30
 
 
 class TestGen4Part:
@@ -162,13 +250,36 @@ class TestStackCounting:
         with pytest.raises(InvalidInput):
             count_bps_chains("CGCG", 1)
 
+    def test_memo_matches_plain_search(self):
+        # directly adjacent C/G runs let a stack read a G's partner
+        rng = random.Random(31)
+        strands = ["CGCGGGGCC", "GCCG", "CCGG", "GGCGCC"]
+        strands += random_strands(rng, "CG", 30, 12)
+        strands += random_strands(rng, "ACG", 30, 12)
+        for strand in strands:
+            top = strand.count("C") + strand.count("G")
+            for k in range(-1, top + 2):
+                assert count_bps_brute(strand, k) == plain_bps_count(strand, k), \
+                    (strand, k)
+
+    def test_counts_sum_to_all_matchings(self):
+        rng = random.Random(37)
+        for strand in random_strands(rng, "ACG", 40, 14):
+            c, g = strand.count("C"), strand.count("G")
+            matchings = sum(comb(c, p) * comb(g, p) * factorial(p)
+                            for p in range(min(c, g) + 1))
+            assert sum(count_bps_brute(strand, k) for k in range(c + g + 1)) == matchings, strand
+
     def test_matches_energy_model_histogram(self):
         # independent route: stack counts via the BPS density of states
-        strand = "GGACC"
-        system = StrandSystem.from_sequences(strand)
-        dos = dos_brute(system, StructureSpace(allow_pseudoknots=True), BPS)
-        for k in range(0, 3):
-            assert count_bps_brute(strand, k) == dos.counts.get(-k, 0)
+        rng = random.Random(41)
+        strands = ["GGACC"] + ["".join(rng.choice("ACG") for _ in range(rng.randint(1, 9)))
+                               for _ in range(25)]
+        for strand in strands:
+            system = StrandSystem.from_sequences(strand)
+            dos = dos_brute(system, StructureSpace(allow_pseudoknots=True), BPS)
+            for k in range(-1, len(strand) + 1):
+                assert count_bps_brute(strand, k) == dos.counts.get(-k, 0), (strand, k)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
