@@ -53,9 +53,6 @@ from .energy import (
     decompose_loops,
     dump_nn_params,
     energy,
-    energy_bpm,
-    energy_bps,
-    energy_nn,
     energy_nn_detail,
     finalize_params,
     load_nn_params,
@@ -63,7 +60,6 @@ from .energy import (
     nn_model,
     parse_nn_params,
     rotational_symmetry,
-    stack_count,
     toy_params_a,
     toy_params_b,
     toy_params_file,

@@ -1,6 +1,12 @@
 """The three energy functions (BPM, BPS, NN), loop decomposition, rotational
 symmetry, and NN parameter files.
 
+The stack count, the face walk and the rotational symmetry are computed on
+sorted flat pairs under one ``Flattening`` (``_stacks``, ``_faces``,
+``_symmetry``).  The public functions are the ``BaseRef`` edge: each checks
+the ``SecondaryStructure`` it receives and converts it once, then calls
+these cores.
+
 Energies are integers counting quanta of a global granularity ``delta``
 (a positive rational): BPM and BPS use delta = 1, NN parameter sets declare
 their own.  Keeping energies integral makes every downstream comparison and
@@ -10,27 +16,25 @@ model: the oracles in ``exfold.oracles`` apply it to the density of states.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-import mpmath
-
 from .strands import (
-    BaseRef,
     Flattening,
     InvalidInput,
     SecondaryStructure,
     StrandSystem,
     check_structure,
     flattening,
-    is_connected,
-    is_unpseudoknotted_multi,
-    _crossing_free,
+    is_unpseudoknotted_single,
 )
 
 VALID_KINDS = ("bpm", "bps", "nn")
+LOG_ROUND_CACHE_SIZE = 1024
 
 
 class DecompositionError(InvalidInput):
@@ -38,28 +42,37 @@ class DecompositionError(InvalidInput):
 
 
 # ---------------------------------------------------------------------------
-# BPM / BPS
+# the BaseRef edge, and BPS stacks
 
 
-def energy_bpm(structure: SecondaryStructure) -> int:
-    return -len(structure.pairs)
+def _checked_pairs(system: StrandSystem, ordering: Optional[Sequence[int]],
+                   structure: SecondaryStructure) -> tuple[Flattening, list[tuple[int, int]]]:
+    """Check ``structure``; convert it under ``ordering``, or when that is
+    None under each circular ordering in turn until one leaves it
+    crossing-free; then check that it is connected.  Returns the flattening
+    and the sorted flat pairs under it."""
+    check_structure(system, structure)
+    for tried in system.circular_orderings() if ordering is None else [ordering]:
+        flat = flattening(system, tried)
+        pairs = flat.flat_pairs(structure)
+        if is_unpseudoknotted_single(pairs):
+            break
+    else:
+        raise DecompositionError("structure admits no crossing-free ordering"
+                                 if ordering is None
+                                 else "structure is pseudoknotted under this ordering")
+    if not flat.connected(pairs):
+        raise DecompositionError("structure is disconnected")
+    return flat, pairs
 
 
-def stack_count(structure: SecondaryStructure) -> int:
-    """Stacked couples: (s,x)-(t,y) with (s,x+1)-(t,y-1), which is the flat
-    test (i,j),(i+1,j-1) with no nick inside (i, i+1) or (j-1, j).  Each
-    couple counts once under every ordering, so it takes none.  Walking both
-    orientations of every pair finds each couple twice."""
-    partner = {}
-    for a, b in structure.pairs:
-        partner[a], partner[b] = b, a
-    return sum(1 for a, b in partner.items()
-               if (a.strand, a.index + 1) != b
-               and partner.get(BaseRef(a.strand, a.index + 1)) == (b.strand, b.index - 1)) // 2
-
-
-def energy_bps(structure: SecondaryStructure) -> int:
-    return -stack_count(structure)
+def _stacks(flat: Flattening, pairs: list[tuple[int, int]]) -> int:
+    """Stacked couples: (i,j) and (i+1,j-1) both pairs, with no nick inside
+    (i, i+1) or (j-1, j).  Strands stay contiguous under every ordering, so
+    the count takes none."""
+    have = set(pairs)
+    return sum(1 for i, j in pairs
+               if (i + 1, j - 1) in have and i not in flat.nicks and j - 1 not in flat.nicks)
 
 
 # ---------------------------------------------------------------------------
@@ -108,21 +121,28 @@ class NNParams:
             raise InvalidInput(f"missing {what} parameter entry for {key!r}") from None
 
 
+@functools.lru_cache(maxsize=LOG_ROUND_CACHE_SIZE)
 def round_log_multiple(coef: Fraction, arg: int, delta: Fraction) -> int:
-    """Nearest-integer quanta for coef * ln(arg), an irrational for arg >= 2.
+    """Nearest-integer quanta for coef * ln(arg) / delta, an irrational for
+    arg >= 2 and coef != 0.
 
-    60 decimal digits of working precision; ties cannot occur because the
-    value is irrational whenever it is not exactly zero.
+    Computed with 60 significant decimal digits.  A value within 1e-40 of a
+    half-integer is refused, not rounded: at that distance the working
+    precision no longer decides the side.
     """
     if arg < 1:
         raise InvalidInput("logarithm argument must be >= 1")
     if arg == 1 or coef == 0:
         return 0
-    with mpmath.workdps(60):
-        t = mpmath.mpf(coef.numerator) / mpmath.mpf(coef.denominator)
-        d = mpmath.mpf(delta.numerator) / mpmath.mpf(delta.denominator)
-        value = t * mpmath.log(arg) / d
-        return int(mpmath.nint(value))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        value = (Decimal(coef.numerator * delta.denominator) * Decimal(arg).ln()
+                 / Decimal(coef.denominator * delta.numerator))
+        nearest = value.to_integral_value()
+        if abs(abs(value - nearest) - Decimal("0.5")) < Decimal("1e-40"):
+            raise InvalidInput(f"{coef} * ln({arg}) / {delta} is too close to a "
+                               "half-integer to round")
+        return int(nearest)
 
 
 def fill_size_table(table: dict, max_size: int, js_coef: Fraction, delta: Fraction) -> dict:
@@ -154,8 +174,6 @@ def finalize_params(params: NNParams, n: int, js_coef: Optional[Fraction] = None
 # ---------------------------------------------------------------------------
 # loop decomposition
 
-LOOP_KINDS = ("hairpin", "stack", "bulge", "interior", "multiloop", "exterior")
-
 
 @dataclass(frozen=True)
 class Loop:
@@ -174,37 +192,27 @@ def decompose_loops(system: StrandSystem, ordering: Sequence[int],
     circular layout) and is an exterior loop; every pair owns exactly one
     further face.  Requires a valid, crossing-free, connected input.
     """
-    check_structure(system, structure)
-    flat = flattening(system, ordering)
-    pairs = flat.flat_pairs(structure)
-    if not _crossing_free(pairs):
-        raise DecompositionError("structure is pseudoknotted under this ordering")
-    if not is_connected(system, structure):
-        raise DecompositionError("structure is disconnected")
+    return _faces(*_checked_pairs(system, ordering, structure))
 
+
+def _faces(flat: Flattening, pairs: list[tuple[int, int]]) -> list[Loop]:
+    """Faces of crossing-free sorted flat pairs: the root, then one per pair."""
     children: dict[Optional[tuple[int, int]], list[tuple[int, int]]] = {None: []}
-    stack: list[tuple[int, int]] = []
+    open_pairs: list[tuple[int, int]] = []
     for pair in pairs:  # sorted; nesting resolved with a sweep
-        while stack and stack[-1][1] < pair[0]:
-            stack.pop()
-        parent = stack[-1] if stack else None
-        children.setdefault(parent, []).append(pair)
-        children.setdefault(pair, [])
-        stack.append(pair)
-
-    paired_positions = {p for pair in pairs for p in pair}
+        while open_pairs and open_pairs[-1][1] < pair[0]:
+            open_pairs.pop()
+        children[open_pairs[-1] if open_pairs else None].append(pair)
+        children[pair] = []
+        open_pairs.append(pair)
+    n = len(flat.sequence)
 
     def face(closing: Optional[tuple[int, int]]) -> Loop:
-        kids = tuple(children.get(closing, []))
-        lo, hi = (closing[0], closing[1]) if closing else (0, system.n + 1)
-        spans = []
-        prev = lo
-        for d, e in kids:
-            spans.append((prev + 1, d - 1))
-            prev = e
-        spans.append((prev + 1, hi - 1))
-        free = sum(max(0, b - a + 1) for a, b in spans)
-        nicks = _face_nicks(flat, lo, hi, kids)
+        kids = tuple(children[closing])
+        lo, hi = closing or (0, n + 1)
+        free = hi - lo - 1 - sum(e - d + 1 for d, e in kids)
+        # nicks bordering the face: inside the closing span, outside every child's
+        nicks = flat.nick_count(lo, hi - 1) - sum(flat.nick_count(d, e - 1) for d, e in kids)
         if closing is None:
             return Loop("exterior", None, kids, free, nicks + 1)  # +1: wrap gap
         if nicks:
@@ -222,22 +230,8 @@ def decompose_loops(system: StrandSystem, ordering: Sequence[int],
         return Loop("multiloop", closing, kids, free, 0)
 
     faces = [face(None)] + [face(pair) for pair in pairs]
-    total_free = sum(f.free_bases for f in faces)
-    assert total_free == system.n - len(paired_positions)
+    assert sum(f.free_bases for f in faces) == n - 2 * len(pairs)
     return faces
-
-
-def _face_nicks(flat: Flattening, lo: int, hi: int, kids) -> int:
-    """Nicks whose gap borders the face of (lo, hi) directly: inside the
-    closing span but not inside any child span."""
-    count = 0
-    for p in flat.nicks:
-        if not (lo <= p <= hi - 1):
-            continue
-        if any(d <= p < e for d, e in kids):
-            continue
-        count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -259,36 +253,27 @@ def max_symmetry_order(system: StrandSystem, ordering: Sequence[int]) -> int:
 def rotational_symmetry(system: StrandSystem, ordering: Sequence[int],
                         structure: SecondaryStructure) -> int:
     """Largest divisor R of v(pi) whose strand rotation fixes the pair set."""
-    ordering = tuple(ordering)
-    c = len(ordering)
-    v = max_symmetry_order(system, ordering)
+    check_structure(system, structure)
     flat = flattening(system, ordering)
-    pairs = {tuple(sorted(p)) for p in flat.flat_pairs(structure)}
-    starts = {}
-    pos = 1
-    for t in ordering:
-        starts[t] = pos
-        pos += len(system.strand_by_id(t))
+    return _symmetry(flat, flat.flat_pairs(structure))
 
+
+def _symmetry(flat: Flattening, pairs: list[tuple[int, int]]) -> int:
+    """Rotating by c/R strand slots, for R dividing v(pi), maps strands onto
+    strands with equal sequences, so it shifts every flat position by n/R
+    (mod n)."""
+    n = len(flat.sequence)
+    v = max_symmetry_order(flat.system, flat.ordering)
+    have = set(pairs)
     best = 1
     for r in range(2, v + 1):
-        if v % r != 0 or c % r != 0:
+        if v % r:
             continue
-        shift = c // r
-        mapping = {}
-        ok = True
-        for slot, t in enumerate(ordering):
-            u = ordering[(slot + shift) % c]
-            if system.strand_by_id(t).sequence != system.strand_by_id(u).sequence:
-                ok = False
-                break
-            for i in range(len(system.strand_by_id(t))):
-                mapping[starts[t] + i] = starts[u] + i
-        if not ok:
-            continue
-        rotated = {tuple(sorted((mapping[i], mapping[j]))) for i, j in pairs}
-        if rotated == pairs:
-            best = max(best, r)
+        k = n // r
+        rotated = {tuple(sorted(((i + k - 1) % n + 1, (j + k - 1) % n + 1)))
+                   for i, j in pairs}
+        if rotated == have:
+            best = r
     return best
 
 
@@ -348,18 +333,16 @@ def loop_energy(loop: Loop, flat: Flattening, params: NNParams) -> int:
 
 def energy_nn_detail(system: StrandSystem, ordering: Sequence[int],
                      structure: SecondaryStructure, params: NNParams) -> NNEnergyDetail:
-    flat = flattening(system, ordering)
-    loops = decompose_loops(system, ordering, structure)
-    loop_sum = sum(loop_energy(loop, flat, params) for loop in loops)
-    assoc = (system.c - 1) * params.assoc
-    r = rotational_symmetry(system, ordering, structure)
+    return _nn_detail(*_checked_pairs(system, ordering, structure), params)
+
+
+def _nn_detail(flat: Flattening, pairs: list[tuple[int, int]],
+               params: NNParams) -> NNEnergyDetail:
+    loop_sum = sum(loop_energy(loop, flat, params) for loop in _faces(flat, pairs))
+    assoc = (len(flat.ordering) - 1) * params.assoc
+    r = _symmetry(flat, pairs)
     sym = round_log_multiple(params.kbt, r, params.delta)
     return NNEnergyDetail(loop_sum, assoc, r, sym, r > 1)
-
-
-def energy_nn(system: StrandSystem, ordering: Sequence[int],
-              structure: SecondaryStructure, params: NNParams) -> int:
-    return energy_nn_detail(system, ordering, structure, params).total
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +376,16 @@ def nn_model(params: NNParams) -> EnergyModel:
 def energy(model: EnergyModel, system: StrandSystem,
            structure: SecondaryStructure,
            ordering: Optional[Sequence[int]] = None) -> int:
-    """Energy in quanta of ``model.delta``.  NN needs a crossing-free
+    """Energy in quanta of ``model.delta``: minus the pair count (BPM), minus
+    the stack count (BPS), or the NN energy.  NN needs a crossing-free
     ordering; without one the first circular ordering that has no crossing
     is used."""
     if model.kind == "bpm":
-        return energy_bpm(structure)
+        return -len(structure.pairs)
     if model.kind == "bps":
-        return energy_bps(structure)
-    if ordering is None:
-        ok, ordering = is_unpseudoknotted_multi(system, structure)
-        if not ok:
-            raise DecompositionError("structure admits no crossing-free ordering")
-    return energy_nn(system, ordering, structure, model.params)
+        flat = flattening(system)
+        return -_stacks(flat, flat.flat_pairs(structure))
+    return _nn_detail(*_checked_pairs(system, ordering, structure), model.params).total
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ returns exactly the occupied, symmetry-free levels for a fixed strand
 ordering.
 
 The DP mirrors a multistranded partition-function recursion with its algebra
-swapped from (+, *) to (union, sumset).  Cells hold either a set of integer
-quanta or None, which plays the marker Phi ("no structure of this shape
-exists"): None absorbs sumsets and shifts and is the identity of unions
-(``_sum``, ``_shift``, ``_union``).
+swapped from (+, *) to (union, sumset).  Cells hold sets of integer quanta;
+the empty set plays the marker Phi ("no structure of this shape exists"):
+it absorbs sumsets and shifts (``_sum``, ``_shift``) and is the identity of
+unions, which join cells in place with ``|=``.
 """
 
 from __future__ import annotations
@@ -151,23 +151,11 @@ def levels_nn_grid(system: StrandSystem, params: NNParams) -> LevelSet:
 # sumset dynamic program (occupied levels, symmetry ignored)
 
 
-def _union(a, b):
-    if a is None:
-        return None if b is None else set(b)
-    if b is None:
-        return a
-    return a | b
-
-
-def _sum(a, b):
-    if a is None or b is None:
-        return None
+def _sum(a, b) -> set:
     return {x + y for x in a for y in b}
 
 
-def _shift(a, k: int):
-    if a is None:
-        return None
+def _shift(a, k: int) -> set:
     return {x + k for x in a}
 
 
@@ -181,7 +169,8 @@ def levels_nn_dp(system: StrandSystem, ordering: Sequence[int],
       gb[i,j]  levels given that (i, j) is a pair,
       gm[i,j]  levels given that [i, j] lies inside a multiloop and holds at
                least one pair.
-    Phi (None) marks impossible shapes; the base cells g[i, i-1] hold {0}.
+    Phi (the empty set) marks impossible shapes; the base cells g[i, i-1]
+    hold {0} and gm[i, i-1] hold Phi.
     """
     flat = flattening(system, ordering)
     n, c = system.n, system.c
@@ -192,36 +181,27 @@ def levels_nn_dp(system: StrandSystem, ordering: Sequence[int],
     gb: dict = {}
     gm: dict = {}
     for i in range(1, n + 2):
-        g[(i, i - 1)] = {0}
-
-    def hairpin_levels(i: int, j: int):
-        m = j - i - 1
-        if m < params.min_hairpin:
-            return None
-        return {params.table_entry(params.hairpin, m, "hairpin")}
+        g[(i, i - 1)], gm[(i, i - 1)] = {0}, set()
 
     for l in range(1, n + 1):
         for i in range(1, n - l + 2):
             j = i + l - 1
-            cb = None
+            cb = set()
             if complementary(flat.base(i), flat.base(j)):
-                if eta(i, j - 1) == 0:
-                    cb = _union(cb, hairpin_levels(i, j))
+                if eta(i, j - 1) == 0 and j - i - 1 >= params.min_hairpin:
+                    cb.add(params.table_entry(params.hairpin, j - i - 1, "hairpin"))
                 for d in range(i + 1, j - 1):
                     for e in range(d + 1, j):
-                        if gb.get((d, e)) is None:
+                        if not gb[(d, e)]:
                             continue
                         if eta(i, d - 1) == 0 and eta(e, j - 1) == 0:
-                            cb = _union(cb, _shift(
-                                gb[(d, e)],
-                                interior_like_energy(flat, i, d, e, j, params)))
+                            cb |= _shift(gb[(d, e)],
+                                         interior_like_energy(flat, i, d, e, j, params))
                         if (eta(e, j - 1) == 0 and nick_after(i) == 0
                                 and nick_after(d - 1) == 0):
-                            inner = _sum(gm.get((i + 1, d - 1)), gb[(d, e)])
-                            cb = _union(cb, _shift(
-                                inner,
-                                params.multi_init + 2 * params.multi_bp
-                                + (j - e - 1) * params.multi_nt))
+                            cb |= _shift(_sum(gm[(i + 1, d - 1)], gb[(d, e)]),
+                                         params.multi_init + 2 * params.multi_bp
+                                         + (j - e - 1) * params.multi_nt)
                 for x in range(i, j):
                     if nick_after(x) != 1:
                         continue
@@ -229,33 +209,28 @@ def levels_nn_dp(system: StrandSystem, ordering: Sequence[int],
                             or i == j - 1
                             or (x == i and nick_after(j - 1) == 0)
                             or (x == j - 1 and nick_after(i) == 0)):
-                        cb = _union(cb, _sum(g.get((i + 1, x)), g.get((x + 1, j - 1))))
+                        cb |= _sum(g[(i + 1, x)], g[(x + 1, j - 1)])
             gb[(i, j)] = cb
 
-            cg = {0} if eta(i, j - 1) == 0 else None
-            cm = None
+            cg = {0} if eta(i, j - 1) == 0 else set()
+            cm = set()
             for d in range(i, j):
                 for e in range(d + 1, j + 1):
-                    if gb.get((d, e)) is None or eta(e, j - 1) != 0:
+                    if not gb[(d, e)] or eta(e, j - 1) != 0:
                         continue
                     if nick_after(d - 1) == 0 or d == i:
-                        cg = _union(cg, _sum(g.get((i, d - 1)), gb[(d, e)]))
+                        cg |= _sum(g[(i, d - 1)], gb[(d, e)])
                     if eta(i, d - 1) == 0:
-                        cm = _union(cm, _shift(
-                            gb[(d, e)],
-                            params.multi_bp + (d - i + j - e) * params.multi_nt))
+                        cm |= _shift(gb[(d, e)],
+                                     params.multi_bp + (d - i + j - e) * params.multi_nt)
                     if nick_after(d - 1) == 0:
-                        cm = _union(cm, _shift(
-                            _sum(gm.get((i, d - 1)), gb[(d, e)]),
-                            params.multi_bp + (j - e) * params.multi_nt))
+                        cm |= _shift(_sum(gm[(i, d - 1)], gb[(d, e)]),
+                                     params.multi_bp + (j - e) * params.multi_nt)
             g[(i, j)] = cg
             gm[(i, j)] = cm
 
-    top = g[(1, n)]
-    if top is None:
-        return LevelSet(params.delta, ())
     assoc = (c - 1) * params.assoc
-    return LevelSet(params.delta, tuple(v + assoc for v in top))
+    return LevelSet(params.delta, tuple(v + assoc for v in g[(1, n)]))
 
 
 def augment_symmetry(levels: LevelSet, system: StrandSystem,

@@ -13,6 +13,12 @@ Conventions used throughout the package:
 * ``flattening(system, ordering)`` returns one shared, cached ``Flattening``
   per (system, ordering); callers must not mutate it.
 
+Sorted flat pairs ``(i, j)``, i < j, under one ``Flattening`` are the form
+every predicate, enumerator and energy model computes on.  A
+``SecondaryStructure`` of ``BaseRef`` pairs exists at the edge: a public
+function that receives one converts it once, with ``Flattening.flat_pairs``,
+and the enumerator builds one only for a structure it yields.
+
 The enumerator tests crossings incrementally, as each pair is pushed, and
 yields structures in lexicographic order of their sorted flat pair tuples.
 """
@@ -157,7 +163,10 @@ class Flattening:
         self.nicks: frozenset[int] = frozenset(nicks)
 
     def flat(self, ref: BaseRef) -> int:
-        return self._flat_of[ref]
+        try:
+            return self._flat_of[ref]
+        except KeyError:
+            raise InvalidInput(f"base {ref} is not in the system") from None
 
     def ref(self, pos: int) -> BaseRef:
         return self._ref_of[pos - 1]
@@ -179,6 +188,37 @@ class Flattening:
         if hi < lo:
             return 0
         return sum(1 for p in self.nicks if lo <= p <= hi)
+
+    def connected(self, pairs) -> bool:
+        """Connectivity of the strand graph with one edge per inter-strand
+        pair, for flat pairs under this flattening."""
+        if len(self.ordering) == 1:
+            return True
+        root = {sid: sid for sid in self.ordering}
+
+        def find(x):
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        parts = len(root)
+        for i, j in pairs:
+            a, b = find(self.ref(i).strand), find(self.ref(j).strand)
+            if a != b:
+                root[a] = b
+                parts -= 1
+        return parts == 1
+
+    def hairpins_ok(self, pairs, min_hairpin: int) -> bool:
+        """Every same-strand flat pair (i, j) (no nick between i and j) that
+        encloses only unpaired bases encloses at least ``min_hairpin``."""
+        if min_hairpin <= 0:
+            return True
+        paired = {p for pair in pairs for p in pair}
+        return not any(j - i - 1 < min_hairpin and self.nick_count(i, j - 1) == 0
+                       and paired.isdisjoint(range(i + 1, j))
+                       for i, j in pairs)
 
 
 _cached_flattening = functools.lru_cache(maxsize=FLATTENING_CACHE_SIZE)(Flattening)
@@ -294,17 +334,11 @@ def check_structure(system: StrandSystem, structure: SecondaryStructure) -> None
         raise InvalidInput(msg)
 
 
-def _crossing_free(flat_pairs: Sequence[tuple[int, int]]) -> bool:
-    pairs = sorted(flat_pairs)
-    for (i, j), (k, l) in itertools.combinations(pairs, 2):
-        if i < k < j < l:
-            return False
-    return True
-
-
 def is_unpseudoknotted_single(flat_pairs) -> bool:
     """No two pairs cross under the flattened order."""
-    return _crossing_free(list(flat_pairs))
+    pairs = sorted(flat_pairs)
+    return not any(i < k < j < l
+                   for (i, j), (k, l) in itertools.combinations(pairs, 2))
 
 
 def is_unpseudoknotted_multi(
@@ -315,7 +349,7 @@ def is_unpseudoknotted_multi(
     Returns (True, witness ordering) or (False, None).
     """
     for ordering in system.circular_orderings():
-        if _crossing_free(flattening(system, ordering).flat_pairs(structure)):
+        if is_unpseudoknotted_single(flattening(system, ordering).flat_pairs(structure)):
             return True, ordering
     return False, None
 
@@ -323,45 +357,20 @@ def is_unpseudoknotted_multi(
 def is_unpseudoknotted_under(
     system: StrandSystem, structure: SecondaryStructure, ordering: Sequence[int]
 ) -> bool:
-    return _crossing_free(flattening(system, ordering).flat_pairs(structure))
+    return is_unpseudoknotted_single(flattening(system, ordering).flat_pairs(structure))
 
 
 def is_connected(system: StrandSystem, structure: SecondaryStructure) -> bool:
     """Connectivity of the strand graph with one edge per inter-strand pair."""
-    if system.c == 1:
-        return True
-    parent = {sid: sid for sid in system.ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in structure.pairs:
-        parent[find(a.strand)] = find(b.strand)
-    roots = {find(sid) for sid in system.ids}
-    return len(roots) == 1
+    flat = flattening(system)
+    return flat.connected(flat.flat_pairs(structure))
 
 
 def min_hairpin_ok(system: StrandSystem, structure: SecondaryStructure, min_hairpin: int) -> bool:
     """Every same-strand pair enclosing only unpaired bases of that strand
     must enclose at least ``min_hairpin`` of them."""
-    if min_hairpin <= 0:
-        return True
-    paired: set[BaseRef] = set()
-    for a, b in structure.pairs:
-        paired.add(a)
-        paired.add(b)
-    for a, b in structure.pairs:
-        if a.strand != b.strand:
-            continue
-        lo, hi = sorted((a.index, b.index))
-        if hi - lo - 1 >= min_hairpin:
-            continue
-        if all(BaseRef(a.strand, i) not in paired for i in range(lo + 1, hi)):
-            return False
-    return True
+    flat = flattening(system)
+    return flat.hairpins_ok(flat.flat_pairs(structure), min_hairpin)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +426,7 @@ def enumerate_structures(
         placed.append([tuple(sorted((position[i], position[j]))) for i, j in cands])
 
     chosen: list[int] = []  # candidate indices, increasing
+    pairs: list[tuple[int, int]] = []  # the chosen candidates' flat pairs
     occupied: set[int] = set()
 
     def crossing_free_under(k: int, idx: int) -> bool:
@@ -429,10 +439,9 @@ def enumerate_structures(
         return True
 
     def rec(start: int, alive: Sequence[int]) -> Iterator[SecondaryStructure]:
-        structure = SecondaryStructure(frozenset(cand_refs[m] for m in chosen))
-        if ((not space.require_connected or is_connected(system, structure))
-                and min_hairpin_ok(system, structure, space.min_hairpin)):
-            yield structure
+        if ((not space.require_connected or flat.connected(pairs))
+                and flat.hairpins_ok(pairs, space.min_hairpin)):
+            yield SecondaryStructure(frozenset(cand_refs[m] for m in chosen))
         for idx in range(start, len(cands)):
             i, j = cands[idx]
             if i in occupied or j in occupied:
@@ -441,9 +450,11 @@ def enumerate_structures(
             if orderings and not still:
                 continue
             chosen.append(idx)
+            pairs.append((i, j))
             occupied.update((i, j))
             yield from rec(idx + 1, still)
             chosen.pop()
+            pairs.pop()
             occupied.difference_update((i, j))
 
     yield from rec(0, range(len(orderings)))

@@ -20,9 +20,6 @@ from exfold.energy import (
     decompose_loops,
     dump_nn_params,
     energy,
-    energy_bpm,
-    energy_bps,
-    energy_nn,
     energy_nn_detail,
     finalize_params,
     max_symmetry_order,
@@ -47,33 +44,33 @@ def flat(system, pairs):
 class TestPairCountModels:
     def test_bpm(self):
         s = sys_of("ACGT")
-        assert energy_bpm(EMPTY_STRUCTURE) == 0
-        assert energy_bpm(flat(s, [(1, 4), (2, 3)])) == -2
+        assert energy(BPM, s, EMPTY_STRUCTURE) == 0
+        assert energy(BPM, s, flat(s, [(1, 4), (2, 3)])) == -2
 
     def test_bpm_matches_size_on_enumeration(self):
         s = sys_of("GCGCAU")
         for st in enumerate_structures(s, StructureSpace(allow_pseudoknots=True)):
-            assert energy_bpm(st) == -len(st.pairs)
+            assert energy(BPM, s, st) == -len(st.pairs)
 
     def test_bps_stacked(self):
         s = sys_of("GGCC")
-        assert energy_bps(flat(s, [(1, 4), (2, 3)])) == -1
+        assert energy(BPS, s, flat(s, [(1, 4), (2, 3)])) == -1
         reversed_pairs = SecondaryStructure(frozenset(
             (b, a) for a, b in flat(s, [(1, 4), (2, 3)]).pairs))
-        assert energy_bps(reversed_pairs) == -1
+        assert energy(BPS, s, reversed_pairs) == -1
 
     def test_bps_crossed_pairs_do_not_stack(self):
         s = sys_of("GGCC")
-        assert energy_bps(flat(s, [(1, 3), (2, 4)])) == 0
+        assert energy(BPS, s, flat(s, [(1, 3), (2, 4)])) == 0
 
     def test_bps_empty(self):
-        assert energy_bps(EMPTY_STRUCTURE) == 0
+        assert energy(BPS, sys_of("GGCC"), EMPTY_STRUCTURE) == 0
 
     def test_bps_no_stack_across_nick(self):
         s = sys_of("GG", "CC")
-        assert energy_bps(flat(s, [(1, 4), (2, 3)])) == -1
+        assert energy(BPS, s, flat(s, [(1, 4), (2, 3)])) == -1
         split = sys_of("G", "GCC")
-        assert energy_bps(flat(split, [(1, 4), (2, 3)])) == 0
+        assert energy(BPS, split, flat(split, [(1, 4), (2, 3)])) == 0
 
 
 class TestDecomposition:
@@ -171,7 +168,7 @@ class TestNNEnergy:
     def test_empty_structure_zero(self):
         s = sys_of("ACGT")
         params = toy_params_a(4)
-        assert energy_nn(s, s.ids, EMPTY_STRUCTURE, params) == 0
+        assert energy(nn_model(params), s, EMPTY_STRUCTURE, s.ids) == 0
 
     def test_stem_loop_sum(self):
         s = sys_of("GGGAAAACCC")
@@ -192,7 +189,7 @@ class TestNNEnergy:
             interior_asym={0: 0}, mismatch={k: 0 for k in toy_params_a(10).mismatch},
         ), 10, js_coef=F(0))
         st = flat(s, [(1, 10), (2, 9), (3, 8)])
-        assert energy_nn(s, s.ids, st, unit) == -1
+        assert energy(nn_model(unit), s, st, s.ids) == -1
 
     def test_symmetry_term_rounded(self):
         s = sys_of("AT", "AT")
@@ -214,7 +211,7 @@ class TestNNEnergy:
         space = StructureSpace(allow_pseudoknots=False, require_connected=True,
                                min_hairpin=3)
         for st in enumerate_structures(s, space):
-            assert energy_nn(s, s.ids, st, zero) == 0
+            assert energy(nn_model(zero), s, st, s.ids) == 0
 
 
 class TestModelWrapper:
@@ -271,7 +268,7 @@ class TestParamsIO:
         sparse = NNParams(hairpin={3: 1}, bulge={1: 0}, interior_size={2: 0},
                           interior_asym={0: 0})
         with pytest.raises(InvalidInput):
-            energy_nn(s, s.ids, flat(s, [(1, 10), (2, 9), (3, 8)]), sparse)
+            energy(nn_model(sparse), s, flat(s, [(1, 10), (2, 9), (3, 8)]), s.ids)
 
     def test_bad_section_line(self):
         with pytest.raises(InvalidInput):

@@ -1,0 +1,236 @@
+"""The flat-pair cores against BaseRef reference implementations.
+
+The reference functions below compute on ``BaseRef`` pairs (or, for the face
+nicks, scan every nick of the flattening), the way the library did before
+its predicates and energy models moved to sorted flat pairs.  Random
+systems go beyond the acceptance range: up to four strands, repeated
+strands, both toy parameter sets and random strand orderings.
+"""
+
+from decimal import Decimal, localcontext
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from exfold.strands import (
+    BaseRef,
+    InvalidInput,
+    SecondaryStructure,
+    StrandSystem,
+    StructureSpace,
+    enumerate_structures,
+    flattening,
+    is_connected,
+    is_unpseudoknotted_multi,
+    min_hairpin_ok,
+    nn_space,
+)
+from exfold.energy import (
+    BPS,
+    decompose_loops,
+    energy,
+    energy_nn_detail,
+    loop_energy,
+    max_symmetry_order,
+    nn_model,
+    rotational_symmetry,
+    round_log_multiple,
+    toy_params_a,
+    toy_params_b,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                             database=None)
+PARAMS = {"a": toy_params_a(16), "b": toy_params_b(16)}
+
+
+@st.composite
+def systems(draw, max_n=10):
+    """One to four strands drawn from a pool of at most three sequences, so
+    repeated strands are common."""
+    pool = draw(st.lists(st.text(alphabet="GCAU", min_size=1, max_size=5),
+                         min_size=1, max_size=3))
+    seqs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    assume(sum(map(len, seqs)) <= max_n)
+    return StrandSystem.from_sequences(*seqs)
+
+
+# ---------------------------------------------------------------------------
+# BaseRef references
+
+
+def ref_stack_count(structure):
+    partner = {}
+    for a, b in structure.pairs:
+        partner[a], partner[b] = b, a
+    return sum(1 for a, b in partner.items()
+               if (a.strand, a.index + 1) != b
+               and partner.get(BaseRef(a.strand, a.index + 1)) == (b.strand, b.index - 1)) // 2
+
+
+def ref_face(flat, loop):
+    """(free bases, nicks) of a face: a scan of its spans and of every nick."""
+    lo, hi = loop.closing or (0, len(flat.sequence) + 1)
+    spans, prev = [], lo
+    for d, e in loop.children:
+        spans.append((prev + 1, d - 1))
+        prev = e
+    spans.append((prev + 1, hi - 1))
+    free = sum(max(0, b - a + 1) for a, b in spans)
+    nicks = sum(1 for p in flat.nicks
+                if lo <= p <= hi - 1 and not any(d <= p < e for d, e in loop.children))
+    return free, nicks + (loop.closing is None)
+
+
+def ref_symmetry(system, ordering, structure):
+    """Map each strand slot onto the slot c/R further on, base by base."""
+    ordering = tuple(ordering)
+    c = len(ordering)
+    v = max_symmetry_order(system, ordering)
+    pairs = set(flattening(system, ordering).flat_pairs(structure))
+    starts, pos = {}, 1
+    for t in ordering:
+        starts[t] = pos
+        pos += len(system.strand_by_id(t))
+    best = 1
+    for r in range(2, v + 1):
+        if v % r or c % r:
+            continue
+        mapping = {}
+        for slot, t in enumerate(ordering):
+            u = ordering[(slot + c // r) % c]
+            if system.strand_by_id(t).sequence != system.strand_by_id(u).sequence:
+                break
+            for i in range(len(system.strand_by_id(t))):
+                mapping[starts[t] + i] = starts[u] + i
+        else:
+            if {tuple(sorted((mapping[i], mapping[j]))) for i, j in pairs} == pairs:
+                best = r
+    return best
+
+
+def ref_connected(system, structure):
+    parent = {sid: sid for sid in system.ids}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in structure.pairs:
+        parent[find(a.strand)] = find(b.strand)
+    return len({find(sid) for sid in system.ids}) == 1
+
+
+def ref_min_hairpin_ok(system, structure, min_hairpin):
+    paired = {ref for pair in structure.pairs for ref in pair}
+    for a, b in structure.pairs:
+        if a.strand != b.strand:
+            continue
+        lo, hi = sorted((a.index, b.index))
+        if hi - lo - 1 < min_hairpin and all(
+                BaseRef(a.strand, i) not in paired for i in range(lo + 1, hi)):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# energies, faces and symmetry
+
+
+class TestAgainstBaseRefReferences:
+    @PROPERTY_SETTINGS
+    @given(systems(max_n=12))
+    def test_bps_energy_is_minus_the_stack_count(self, s):
+        for structure in enumerate_structures(s, StructureSpace(allow_pseudoknots=True)):
+            assert energy(BPS, s, structure) == -ref_stack_count(structure)
+
+    @PROPERTY_SETTINGS
+    @given(systems(), st.randoms(use_true_random=False), st.sampled_from("ab"))
+    def test_faces_symmetry_and_nn_energy(self, s, rng, name):
+        params = PARAMS[name]
+        ordering = tuple(rng.sample(s.ids, s.c))
+        space = StructureSpace(allow_pseudoknots=False, require_connected=True,
+                               min_hairpin=params.min_hairpin)
+        for structure in enumerate_structures(s, space, fixed_ordering=ordering):
+            flat = flattening(s, ordering)
+            loops = decompose_loops(s, ordering, structure)
+            assert [ref_face(flat, loop) for loop in loops] == \
+                [(loop.free_bases, loop.nick_count) for loop in loops]
+            r = ref_symmetry(s, ordering, structure)
+            assert rotational_symmetry(s, ordering, structure) == r
+            detail = energy_nn_detail(s, ordering, structure, params)
+            assert detail.symmetry_order == r
+            assert detail.loops_quanta == sum(loop_energy(loop, flat, params)
+                                              for loop in loops)
+            assert energy(nn_model(params), s, structure, ordering) == detail.total
+
+    @PROPERTY_SETTINGS
+    @given(systems(), st.sampled_from("ab"))
+    def test_nn_energy_without_ordering_uses_the_first_crossing_free_one(self, s, name):
+        model = nn_model(PARAMS[name])
+        for structure in enumerate_structures(s, nn_space()):
+            witness = is_unpseudoknotted_multi(s, structure)[1]
+            assert energy(model, s, structure) == \
+                energy_nn_detail(s, witness, structure, model.params).total
+
+
+# ---------------------------------------------------------------------------
+# enumeration
+
+
+class TestPseudoknottedEnumeration:
+    @PROPERTY_SETTINGS
+    @given(systems(), st.sampled_from((1, 3)), st.booleans())
+    def test_filters_all_matchings(self, s, min_hairpin, connected):
+        everything = list(enumerate_structures(s, StructureSpace(allow_pseudoknots=True)))
+        space = StructureSpace(allow_pseudoknots=True, require_connected=connected,
+                               min_hairpin=min_hairpin)
+        expected = [structure.pairs for structure in everything
+                    if (not connected or ref_connected(s, structure))
+                    and ref_min_hairpin_ok(s, structure, min_hairpin)]
+        assert [structure.pairs for structure in enumerate_structures(s, space)] == expected
+        for structure in everything:
+            assert is_connected(s, structure) == ref_connected(s, structure)
+            assert min_hairpin_ok(s, structure, min_hairpin) == \
+                ref_min_hairpin_ok(s, structure, min_hairpin)
+
+
+# ---------------------------------------------------------------------------
+# the BaseRef edge
+
+
+class TestUnknownBase:
+    """A pair naming a base past the end of its strand is caller input error."""
+
+    def test_flat_names_the_base(self):
+        s = StrandSystem.from_sequences("GGGAAACCC")
+        with pytest.raises(InvalidInput, match="index=99"):
+            flattening(s).flat(BaseRef(1, 99))
+
+    @pytest.mark.parametrize("call", [
+        lambda s, st: energy(nn_model(toy_params_a(9)), s, st),
+        lambda s, st: energy(nn_model(toy_params_a(9)), s, st, (1,)),
+        lambda s, st: energy(BPS, s, st),
+        lambda s, st: rotational_symmetry(s, (1,), st),
+        lambda s, st: decompose_loops(s, (1,), st),
+        lambda s, st: is_connected(s, st),
+        lambda s, st: min_hairpin_ok(s, st, 3),
+    ])
+    def test_edges_raise_invalid_input(self, call):
+        s = StrandSystem.from_sequences("GGGAAACCC")
+        structure = SecondaryStructure(frozenset({(BaseRef(1, 1), BaseRef(1, 99))}))
+        with pytest.raises(InvalidInput, match="index=99"):
+            call(s, structure)
+
+
+class TestLogRounding:
+    def test_near_half_integer_is_refused(self):
+        with localcontext() as ctx:
+            ctx.prec = 80
+            coef = F(Decimal(5) / (2 * Decimal(2).ln()))  # coef * ln 2 = 2.5 + O(1e-79)
+        with pytest.raises(InvalidInput, match="half-integer"):
+            round_log_multiple(coef, 2, F(1))
+        assert round_log_multiple(coef + F(1, 10**30), 2, F(1)) == 3
+        assert round_log_multiple(coef - F(1, 10**30), 2, F(1)) == 2

@@ -13,7 +13,6 @@ from exfold.levels import (
     LevelSet,
     _shift,
     _sum,
-    _union,
     augment_symmetry,
     grid_slope,
     levels_bpm,
@@ -78,25 +77,26 @@ class TestMinGap:
 
 
 class TestSumset:
-    """The DP cell algebra; None plays Phi, "no structure of this shape"."""
+    """The DP cell algebra; the empty set plays Phi, "no structure of this
+    shape"."""
 
     def test_plain(self):
         assert _sum({0, -1}, {0, -2}) == {-3, -2, -1, 0}
-        assert _union({0, -1}, {-2}) == {-2, -1, 0}
         assert _shift({0, -1}, 3) == {3, 2}
 
     def test_identity(self):
         a = {4, -7}
         assert _sum(a, {0}) == a
-        assert _union(a, None) == a and _union(None, a) == a
+        cell = set(a)
+        cell |= set()
+        assert cell == a
 
     def test_phi_absorbs(self):
         a = {0, 1}
-        assert _sum(a, None) is None
-        assert _sum(None, a) is None
-        assert _sum(None, None) is None
-        assert _shift(None, 2) is None
-        assert _union(None, None) is None
+        assert _sum(a, set()) == set()
+        assert _sum(set(), a) == set()
+        assert _sum(set(), set()) == set()
+        assert _shift(set(), 2) == set()
 
 
 class TestGrid:
