@@ -1,12 +1,17 @@
-"""Batch command-line surface.
+"""Batch command-line surface, a thin edge over the library.
 
 Subcommands: enumerate, solve, reduce, levels, hardgen.  All numeric output
 is exact ("num/den" rationals, integer quanta); --decimal adds a display
 approximation and never replaces the exact field.  Identical inputs produce
 byte-identical output.
 
+``_setup`` builds the strand system, structure space and energy model from
+the library's own constructors.  The NN space is knot-free, connected and
+takes ``min_hairpin`` from the --params file, so the space and the energy
+model read one value; the bpm/bps spaces come from the space flags.
+
 Exit codes: 0 ok, 2 invariant/parsimony mismatch, 3 budget exceeded,
-4 bad input.
+4 bad input, a malformed command line included.
 """
 
 from __future__ import annotations
@@ -15,19 +20,20 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import hardness, levels as levels_mod, oracles, reductions
 from .energy import BPM, BPS, finalize_params, load_nn_params, nn_model
 from .exactmath import rat_to_str
 from .oracles import pf_decimal
 from .strands import (
+    DEFAULT_PAIR_BUDGET,
     BudgetExceeded,
     InvalidInput,
     StrandSystem,
     StructureSpace,
     count_structures,
     enumerate_structures,
-    parse_strands,
     read_strand_file,
 )
 
@@ -36,10 +42,8 @@ EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
 EXIT_BAD_INPUT = 4
 
-REDUCTION_NAMES = (
-    "dmfe-via-mfe", "dpf-via-pf", "mfe-via-dmfe", "mfe-via-ssel",
-    "pf-via-ssel", "ssel-via-pf", "dmfe-via-dpf", "pf-via-dpf",
-)
+REPORT_EXIT = {"ok": EXIT_OK, "mismatch": EXIT_MISMATCH,
+               "skipped": EXIT_BUDGET, "invalid": EXIT_BAD_INPUT}
 
 
 def _emit(payload: dict) -> None:
@@ -54,34 +58,25 @@ def _load_system(token: str) -> StrandSystem:
     return read_strand_file(token)
 
 
-def _space_from_args(args) -> StructureSpace:
-    if getattr(args, "model", "bpm") == "nn":
-        return StructureSpace(allow_pseudoknots=False, require_connected=True,
-                              min_hairpin=3)
-    return StructureSpace(
+def _setup(args):
+    """(system, space, model) from the strands, --model and the space flags;
+    an NN parameter file's tables are extended to the system length, since
+    the shipped files stop at loop size 16."""
+    system = _load_system(args.strands)
+    if args.model == "nn":
+        if not args.params:
+            raise InvalidInput("--model nn needs --params FILE")
+        params = finalize_params(load_nn_params(args.params), system.n)
+        space = StructureSpace(allow_pseudoknots=False, require_connected=True,
+                               min_hairpin=params.min_hairpin)
+        return system, space, nn_model(params)
+    space = StructureSpace(
         allow_pseudoknots=args.pseudoknots,
         require_connected=args.connected,
         min_hairpin=args.min_hairpin,
         pairing="all" if getattr(args, "all_pairs", False) else "complementary",
     )
-
-
-def _nn_params(path, system: StrandSystem):
-    """A parameter file's tables, extended to the sizes reachable in the
-    system: the shipped files stop at loop size 16."""
-    return finalize_params(load_nn_params(path), system.n)
-
-
-def _model_from_args(args, system: StrandSystem):
-    if args.model == "bpm":
-        return BPM
-    if args.model == "bps":
-        return BPS
-    if args.model == "nn":
-        if not getattr(args, "params", None):
-            raise InvalidInput("--model nn needs --params FILE")
-        return nn_model(_nn_params(args.params, system))
-    raise InvalidInput(f"unknown model {args.model}")
+    return system, space, BPM if args.model == "bpm" else BPS
 
 
 def _add_space_flags(p: argparse.ArgumentParser):
@@ -90,13 +85,15 @@ def _add_space_flags(p: argparse.ArgumentParser):
     p.add_argument("--connected", action="store_true",
                    help="require the strand graph to be connected")
     p.add_argument("--min-hairpin", type=int, default=0, dest="min_hairpin")
-    p.add_argument("--budget", type=int, default=64,
+
+
+def _add_budget_flag(p: argparse.ArgumentParser):
+    p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET,
                    help="maximum number of candidate pairs to enumerate over")
 
 
 def cmd_enumerate(args) -> int:
-    system = _load_system(args.strands)
-    space = _space_from_args(args)
+    system, space, _ = _setup(args)
     if args.dump:
         structures = list(enumerate_structures(system, space, args.budget))
         payload = {
@@ -111,9 +108,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    system = _load_system(args.strands)
-    space = _space_from_args(args)
-    model = _model_from_args(args, system)
+    system, space, model = _setup(args)
     dos = oracles.dos_brute(system, space, model, args.budget)
     payload = {
         "delta": rat_to_str(model.delta),
@@ -137,57 +132,43 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _k(name: str, k, integer: bool = False):
+    """The -k argument of reduction ``name``, checked to be given (and, for
+    an SSEL level, to be an integer)."""
+    if integer:
+        if k is None or k.denominator != 1:
+            raise InvalidInput(f"{name} needs an integer -k level")
+        return int(k)
+    if k is None:
+        raise InvalidInput(f"{name} needs -k")
+    return k
+
+
+# name -> call(oracle, levels, base, k); k() returns the checked -k argument
+REDUCTIONS = {
+    "dmfe-via-mfe": lambda o, lv, base, k: reductions.dmfe_via_mfe(o, k()),
+    "dpf-via-pf": lambda o, lv, base, k: reductions.dpf_via_pf(o, k()),
+    "mfe-via-dmfe": lambda o, lv, base, k: reductions.mfe_via_dmfe(o, lv),
+    "mfe-via-ssel": lambda o, lv, base, k: reductions.mfe_via_ssel(o, lv),
+    "pf-via-ssel": lambda o, lv, base, k: reductions.pf_via_ssel(o, lv, base),
+    "ssel-via-pf": lambda o, lv, base, k: reductions.ssel_via_pf(o, lv, base, k(integer=True)),
+    "dmfe-via-dpf": lambda o, lv, base, k: reductions.dmfe_via_dpf(o, lv, k()),
+    "pf-via-dpf": lambda o, lv, base, k: reductions.pf_via_dpf(o, lv, base),
+}
+
+
 def cmd_reduce(args) -> int:
-    if args.model == "nn":
-        raise InvalidInput("reduce drives the temperature-independent models; "
-                           "use the library API for nn")
-    system = _load_system(args.strands)
-    space = _space_from_args(args)
-    model = _model_from_args(args, system)
+    system, space, model = _setup(args)
     base = Fraction(args.base)
     oracle = oracles.make_oracle(system, space, model, base)
-    lv = levels_mod.levels_bpm(system.n) if args.model == "bpm" \
-        else levels_mod.levels_bps(system.n)
-
-    name = args.reduction
-    k_int = None
-    if args.k is not None:
-        k_frac = Fraction(args.k)
-        k_int = int(k_frac) if k_frac.denominator == 1 else None
-
-    if name == "dmfe-via-mfe":
-        if args.k is None:
-            raise InvalidInput("dmfe-via-mfe needs -k")
-        answer, transcript = reductions.dmfe_via_mfe(oracle, Fraction(args.k))
-    elif name == "dpf-via-pf":
-        if args.k is None:
-            raise InvalidInput("dpf-via-pf needs -k")
-        answer, transcript = reductions.dpf_via_pf(oracle, Fraction(args.k))
-    elif name == "mfe-via-dmfe":
-        answer, transcript = reductions.mfe_via_dmfe(oracle, lv)
-    elif name == "mfe-via-ssel":
-        answer, transcript = reductions.mfe_via_ssel(oracle, lv)
-    elif name == "pf-via-ssel":
-        answer, transcript = reductions.pf_via_ssel(oracle, lv, base)
-    elif name == "ssel-via-pf":
-        if k_int is None:
-            raise InvalidInput("ssel-via-pf needs an integer -k level")
-        answer, transcript = reductions.ssel_via_pf(oracle, lv, base, k_int)
-    elif name == "dmfe-via-dpf":
-        if args.k is None:
-            raise InvalidInput("dmfe-via-dpf needs -k")
-        answer, transcript = reductions.dmfe_via_dpf(oracle, lv, Fraction(args.k))
-    elif name == "pf-via-dpf":
-        answer, transcript = reductions.pf_via_dpf(oracle, lv, base)
-    else:
-        raise InvalidInput(f"unknown reduction {name}")
-
-    if isinstance(answer, Fraction):
-        shown = rat_to_str(answer)
-    else:
-        shown = answer
-    payload = {"reduction": name, "answer": shown, "calls": transcript.call_count}
-    if args.decimal and isinstance(answer, Fraction):
+    k = None if args.k is None else Fraction(args.k)
+    answer, transcript = REDUCTIONS[args.reduction](
+        oracle, levels_mod.levels_bpm(system.n), base, partial(_k, args.reduction, k))
+    is_rational = isinstance(answer, Fraction)
+    payload = {"reduction": args.reduction,
+               "answer": rat_to_str(answer) if is_rational else answer,
+               "calls": transcript.call_count}
+    if args.decimal and is_rational:
         payload["answer_decimal"] = pf_decimal(answer, args.decimal)
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as fh:
@@ -197,35 +178,29 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_levels(args) -> int:
-    if args.model in ("bpm", "bps"):
-        if args.n is None:
-            if args.strands is None:
-                raise InvalidInput("need -n or strands")
-            args.n = _load_system(args.strands).n
-        lv = levels_mod.levels_bpm(args.n) if args.model == "bpm" \
-            else levels_mod.levels_bps(args.n)
-        print(lv.to_json())
+    if args.model != "nn":
+        if args.n is None and args.strands is None:
+            raise InvalidInput("need -n or strands")
+        n = args.n if args.n is not None else _load_system(args.strands).n
+        print(levels_mod.levels_bpm(n).to_json())
         return EXIT_OK
     if args.strands is None or args.params is None:
         raise InvalidInput("--model nn needs strands and --params FILE")
-    system = _load_system(args.strands)
-    params = _nn_params(args.params, system)
-    ordering = system.identity_ordering()
+    system, _, model = _setup(args)
     if args.dp:
-        lv = levels_mod.levels_nn_dp(system, ordering, params)
+        lv = levels_mod.levels_nn_dp(system, system.ids, model.params)
     else:
-        lv = levels_mod.levels_nn_grid(system, params)
+        lv = levels_mod.levels_nn_grid(system, model.params)
     if args.symmetry:
-        lv = levels_mod.augment_symmetry(lv, system, ordering, params)
+        lv = levels_mod.augment_symmetry(lv, system, system.ids, model.params)
     print(lv.to_json())
     return EXIT_OK
 
 
 def cmd_hardgen(args) -> int:
-    action = args.action
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if action == "4part-from-3dm":
+    if args.action == "4part-from-3dm":
         built = hardness.gen_4part_from_3dm(hardness.ThreeDMInstance.from_json(text))
         _emit({
             "instance": json.loads(built.instance.to_json()),
@@ -233,36 +208,30 @@ def cmd_hardgen(args) -> int:
             "degenerate": built.degenerate,
         })
         return EXIT_OK
-    if action == "bps-from-4part":
-        inst = hardness.FourPartitionInstance.from_json(text)
-        bps = hardness.gen_bps_from_4part(inst)
+    if args.action == "bps-from-4part":
+        bps = hardness.gen_bps_from_4part(hardness.FourPartitionInstance.from_json(text))
         _emit({"strand": bps.strand, "target_stacks": bps.target_stacks})
         return EXIT_OK
-    if action == "verify-bps":
-        inst = hardness.FourPartitionInstance.from_json(text)
-        report = hardness.verify_parsimony_bps(inst, enum_budget=args.budget)
-        print(report.to_json())
-        if report.status == "mismatch":
-            return EXIT_MISMATCH
-        if report.status == "skipped":
-            return EXIT_BUDGET
-        if report.status == "invalid":
-            return EXIT_BAD_INPUT
-        return EXIT_OK
-    if action == "verify-4part":
-        inst = hardness.ThreeDMInstance.from_json(text)
-        report = hardness.verify_parsimony_4part(inst)
-        print(report.to_json())
-        if report.status == "mismatch":
-            return EXIT_MISMATCH
-        if report.status == "skipped":
-            return EXIT_BUDGET
-        return EXIT_OK
-    raise InvalidInput(f"unknown hardgen action {action}")
+    if args.action == "verify-bps":
+        report = hardness.verify_parsimony_bps(
+            hardness.FourPartitionInstance.from_json(text), enum_budget=args.budget)
+    else:
+        report = hardness.verify_parsimony_4part(hardness.ThreeDMInstance.from_json(text))
+    print(report.to_json())
+    return REPORT_EXIT[report.status]
+
+
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line exits EXIT_BAD_INPUT: argparse's own 2 is
+    this program's mismatch code.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="exfold",
         description="exact secondary-structure thermodynamics toolkit")
     parser.add_argument("--decimal", type=int, default=0,
@@ -277,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignore complementarity (calibration mode)")
     p.add_argument("--dump", action="store_true")
     _add_space_flags(p)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("solve", help="exact MFE/DoS/PF answers via the brute oracle")
@@ -288,10 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pf-threshold", dest="pf_threshold",
                    help="rational threshold for dpf")
     _add_space_flags(p)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reduce", help="run one arrow of the reduction map")
-    p.add_argument("reduction", choices=REDUCTION_NAMES)
+    p.add_argument("reduction", choices=REDUCTIONS)
     p.add_argument("strands")
     p.add_argument("--model", choices=("bpm", "bps"), default="bpm")
     p.add_argument("--base", default="2")

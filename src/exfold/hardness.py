@@ -34,6 +34,35 @@ from .strands import (
 DEFAULT_BPS_ENUM_BUDGET = 16  # pairable bases (C's plus G's)
 
 
+def _json_fields(text: str, kind: str, names: tuple[str, ...]) -> list:
+    """The named fields of a JSON object, in order; ``InvalidInput`` names
+    the first missing field."""
+    d = json.loads(text)
+    if not isinstance(d, dict):
+        raise InvalidInput(f"a {kind} instance is a JSON object, not a {type(d).__name__}")
+    for name in names:
+        if name not in d:
+            raise InvalidInput(f"{kind} instance has no field {name!r}")
+    return [d[name] for name in names]
+
+
+def _json_list(value, kind: str, name: str, item_ok, items: str) -> list:
+    if not isinstance(value, list) or not all(item_ok(v) for v in value):
+        raise InvalidInput(f"{kind} field {name!r} must be a list of {items}")
+    return value
+
+
+def _scalar(value) -> bool:
+    return not isinstance(value, (list, dict))
+
+
+def _json_int(value, kind: str, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{kind} field {name!r} holds {value!r}, not an integer") from None
+
+
 # ---------------------------------------------------------------------------
 # #3DM
 
@@ -73,9 +102,14 @@ class ThreeDMInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "ThreeDMInstance":
-        d = json.loads(text)
-        return cls(tuple(d["x"]), tuple(d["y"]), tuple(d["z"]),
-                   tuple(tuple(t) for t in d["triples"]))
+        names = ("x", "y", "z", "triples")
+        *axes, triples = _json_fields(text, "3DM", names)
+        x, y, z = (tuple(_json_list(v, "3DM", name, _scalar, "scalars"))
+                   for name, v in zip(names, axes))
+        _json_list(triples, "3DM", "triples",
+                   lambda t: isinstance(t, list) and all(map(_scalar, t)),
+                   "lists of scalars")
+        return cls(x, y, z, tuple(tuple(t) for t in triples))
 
 
 def count_3dm_brute(inst: ThreeDMInstance, budget: int = 6) -> int:
@@ -135,8 +169,11 @@ class FourPartitionInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "FourPartitionInstance":
-        d = json.loads(text)
-        return cls(tuple(int(w) for w in d["weights"]), int(d["bound"]))
+        kind = "4-PARTITION"
+        weights, bound = _json_fields(text, kind, ("weights", "bound"))
+        return cls(tuple(_json_int(w, kind, "weights")
+                         for w in _json_list(weights, kind, "weights", _scalar, "scalars")),
+                   _json_int(bound, kind, "bound"))
 
 
 def count_4part_brute(inst: FourPartitionInstance, budget: int = 20) -> int:

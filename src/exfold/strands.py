@@ -112,15 +112,6 @@ class StrandSystem:
                 return s
         raise InvalidInput(f"no strand with id {sid}")
 
-    def base_at(self, ref: BaseRef) -> str:
-        strand = self.strand_by_id(ref.strand)
-        if not 1 <= ref.index <= len(strand):
-            raise InvalidInput(f"base index {ref} out of range")
-        return strand.sequence[ref.index - 1]
-
-    def identity_ordering(self) -> tuple[int, ...]:
-        return self.ids
-
     def circular_orderings(self) -> Iterator[tuple[int, ...]]:
         """All (c-1)! circular orderings, first strand pinned, deterministic."""
         first, rest = self.ids[0], sorted(self.ids[1:])
@@ -300,31 +291,29 @@ def all_pairs_space() -> StructureSpace:
 
 def validate_structure(system: StrandSystem, structure: SecondaryStructure) -> Optional[str]:
     """None when valid, else a message naming the first offending pair/base."""
-    ids = set(system.ids)
+    flat = flattening(system)
+    pos = flat._flat_of
     for a, b in structure.pairs:
         for ref in (a, b):
-            if ref.strand not in ids:
-                return f"base {ref} names an unknown strand"
-            if not 1 <= ref.index <= len(system.strand_by_id(ref.strand)):
+            if ref not in pos:
+                if ref.strand not in system.ids:
+                    return f"base {ref} names an unknown strand"
                 return f"base {ref} out of range"
     seen: set[BaseRef] = set()
-    flat = flattening(system)
-    ordered = sorted(structure.pairs, key=lambda p: (flat.flat(p[0]), flat.flat(p[1])))
+    ordered = sorted(structure.pairs, key=lambda p: (pos[p[0]], pos[p[1]]))
     for a, b in ordered:
         if a == b:
             return f"pair ({a}, {b}) joins a base to itself"
-        if flat.flat(a) > flat.flat(b):
+        if pos[a] > pos[b]:
             return f"pair ({a}, {b}) is reversed: {a} comes after {b} in the flat order"
         for ref in (a, b):
             if ref in seen:
                 return f"base {ref} appears in more than one pair"
             seen.add(ref)
     for a, b in ordered:
-        if not complementary(system.base_at(a), system.base_at(b)):
-            return (f"pair ({a}, {b}) is not complementary: "
-                    f"{system.base_at(a)}-{system.base_at(b)}")
-    if len(structure.pairs) > system.n // 2:
-        return "more pairs than floor(n/2)"
+        x, y = flat.base(pos[a]), flat.base(pos[b])
+        if not complementary(x, y):
+            return f"pair ({a}, {b}) is not complementary: {x}-{y}"
     return None
 
 

@@ -1,14 +1,18 @@
 import json
+import os
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from exfold.energy import nn_model, toy_params_a, toy_params_file
+from exfold.energy import dump_nn_params, nn_model, toy_params_a, toy_params_file
 from exfold.levels import levels_nn_dp
 from exfold.oracles import dos_brute
-from exfold.strands import StrandSystem, nn_space
+from exfold.strands import StrandSystem, StructureSpace, nn_space
 
+ROOT = Path(__file__).resolve().parent.parent
 RUN = [sys.executable, "-m", "exfold.cli"]
 
 
@@ -47,6 +51,11 @@ class TestEnumerate:
     def test_bad_input_exit_code(self):
         proc = run_cli("enumerate", "/nonexistent/file.txt", check=False)
         assert proc.returncode == 4
+
+    def test_nn_needs_params(self):
+        proc = run_cli("enumerate", "ACGT", "--model", "nn", check=False)
+        assert proc.returncode == 4
+        assert "--model nn needs --params FILE" in proc.stderr
 
 
 class TestSolve:
@@ -97,6 +106,33 @@ class TestSolve:
         assert json.loads(out)["dos"] == {str(g): str(c) for g, c in dos.counts.items()}
 
 
+class TestNNSpaceFromParams:
+    """The NN space takes min_hairpin from the parameter file, as the energy
+    model and the sumset DP do."""
+
+    @pytest.mark.parametrize("min_hairpin", [4, 2])
+    def test_solve_and_levels_agree_with_the_library(self, tmp_path, min_hairpin):
+        seq = "GGGAAAACCCAGGGAAACCC" if min_hairpin == 4 else "GGGAACCCAGGGAACCC"
+        system = StrandSystem.from_sequences(seq)
+        params = replace(toy_params_a(system.n), min_hairpin=min_hairpin)
+        if min_hairpin == 2:  # the toy tables start at size 3
+            params = replace(params, hairpin={**params.hairpin, 2: params.hairpin[3] + 1})
+        path = tmp_path / "params.txt"
+        path.write_text(dump_nn_params(params))
+
+        solved = json.loads(run_cli("solve", seq, "--model", "nn",
+                                    "--params", str(path)).stdout)
+        dos = dos_brute(system, StructureSpace(False, True, min_hairpin), nn_model(params))
+        assert solved["dos"] == {str(g): str(c) for g, c in sorted(dos.counts.items())}
+        assert solved["count"] == str(dos.total())
+
+        levels = json.loads(run_cli("levels", seq, "--model", "nn", "--dp",
+                                    "--params", str(path)).stdout)
+        assert levels["levels"] == [str(g) for g in
+                                    levels_nn_dp(system, system.ids, params).levels]
+        assert set(levels["levels"]) == set(solved["dos"])
+
+
 class TestReduce:
     def test_ssel_via_pf(self):
         payload = json.loads(run_cli(
@@ -129,6 +165,23 @@ class TestReduce:
             if name in ("dmfe-via-mfe", "dpf-via-pf", "ssel-via-pf", "dmfe-via-dpf"):
                 args += ["-k", "-1"]
             assert run_cli(*args).returncode == 0
+
+    @pytest.mark.parametrize("name", ["dmfe-via-mfe", "dpf-via-pf", "dmfe-via-dpf"])
+    def test_missing_k(self, name):
+        proc = run_cli("reduce", name, "GCAU", "--pseudoknots", check=False)
+        assert proc.returncode == 4
+        assert f"{name} needs -k" in proc.stderr
+
+    @pytest.mark.parametrize("k", [None, "1/2"])
+    def test_ssel_needs_an_integer_level(self, k):
+        args = ["reduce", "ssel-via-pf", "GCAU", "--pseudoknots"]
+        proc = run_cli(*args, *([] if k is None else ["-k", k]), check=False)
+        assert proc.returncode == 4
+        assert "ssel-via-pf needs an integer -k level" in proc.stderr
+
+    def test_k_is_parsed_where_it_is_ignored(self):
+        proc = run_cli("reduce", "mfe-via-ssel", "GCAU", "-k", "abc", check=False)
+        assert proc.returncode == 4 and "bad input" in proc.stderr
 
 
 class TestLevels:
@@ -207,6 +260,57 @@ class TestHardgen:
         path.write_text('{"weights": ["2", "2", "2", "2"], "bound": "9"}')
         proc = run_cli("hardgen", "verify-bps", str(path), check=False)
         assert proc.returncode == 4
+
+    @pytest.mark.parametrize("action, body, field", [
+        ("verify-bps", '{"weights": ["2", "2", "2", "2"]}', "'bound'"),
+        ("bps-from-4part", '[2, 2, 2, 2]', "JSON object"),
+        ("4part-from-3dm", '{"x": [[1]], "y": [1], "z": [1], "triples": []}', "'x'"),
+        ("verify-4part", '{"x": [1], "y": [1], "z": [1], "triples": [5]}', "'triples'"),
+    ])
+    def test_malformed_instance_exit_code(self, tmp_path, action, body, field):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        proc = run_cli("hardgen", action, str(path), check=False)
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr and field in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("levels", "--model", "bpm", "-n", "x"),
+    ("enumerate", "ACGT", "--bogus"),
+    ("enumerate",),
+    ("reduce", "mfe-via-ssel", "GCAU", "--budget", "100"),
+    ("frobnicate",),
+    (),
+], ids=lambda a: " ".join(a) or "no-args")
+def test_usage_error_exit_code(args):
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 4
+    assert "usage: exfold" in proc.stderr
+
+
+def test_help_exit_code():
+    assert "usage: exfold" in run_cli("--help").stdout
+    assert "usage: exfold reduce" in run_cli("reduce", "--help").stdout
+
+
+def readme_commands():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("exfold ")]
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_block_runs(tmp_path, line):
+    command, _, comment = line.partition("#")
+    w_json = tmp_path / "w.json"
+    w_json.write_text('{"weights": ["3", "3", "3", "3"], "bound": "12"}')
+    argv = [str(w_json) if a == "w.json" else a for a in command.split()[1:]]
+    proc = subprocess.run(RUN + argv, cwd=ROOT, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    if comment.strip().startswith("{"):
+        assert proc.stdout == comment.strip() + "\n"
 
 
 GOLDEN_CASES = [
