@@ -4,7 +4,7 @@ thermodynamics.
 Brute-force reference oracles for MFE / PF / dMFE / dPF / level counting
 under three energy models, the oracle-reduction map between those problems
 in exact rational arithmetic, candidate energy-level algorithms including a
-multistranded sumset dynamic program, and hardness-instance generators with
+multistranded count dynamic program, and hardness-instance generators with
 parsimonious-counting verifiers.
 """
 
@@ -80,6 +80,7 @@ from .levels import (
     levels_nn_dp,
     levels_nn_grid,
     min_gap,
+    nn_level_counts,
 )
 from .reductions import (
     BudgetViolation,

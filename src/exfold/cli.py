@@ -58,6 +58,14 @@ def _load_system(token: str) -> StrandSystem:
     return read_strand_file(token)
 
 
+def _rational(text: str) -> Fraction:
+    """A --base, -k or --pf-threshold value; a zero denominator is bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidInput(f"zero denominator in {text!r}") from None
+
+
 def _setup(args):
     """(system, space, model) from the strands, --model and the space flags;
     an NN parameter file's tables are extended to the system length, since
@@ -117,14 +125,14 @@ def cmd_solve(args) -> int:
         "count": str(dos.total()),
     }
     if args.base is not None:
-        base = Fraction(args.base)
+        base = _rational(args.base)
         pf = dos.pf(base)
         payload["base"] = rat_to_str(base)
         payload["pf"] = rat_to_str(pf)
         if args.decimal:
             payload["pf_decimal"] = pf_decimal(pf, args.decimal)
         if args.pf_threshold is not None:
-            payload["dpf"] = pf >= Fraction(args.pf_threshold)
+            payload["dpf"] = pf >= _rational(args.pf_threshold)
     if args.level is not None:
         payload["ssel"] = str(dos.ssel(args.level))
         payload["dmfe"] = dos.mfe() <= args.level
@@ -159,9 +167,9 @@ REDUCTIONS = {
 
 def cmd_reduce(args) -> int:
     system, space, model = _setup(args)
-    base = Fraction(args.base)
+    base = _rational(args.base)
     oracle = oracles.make_oracle(system, space, model, base)
-    k = None if args.k is None else Fraction(args.k)
+    k = None if args.k is None else _rational(args.k)
     answer, transcript = REDUCTIONS[args.reduction](
         oracle, levels_mod.levels_bpm(system.n), base, partial(_k, args.reduction, k))
     is_rational = isinstance(answer, Fraction)
@@ -266,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("strands")
     p.add_argument("--model", choices=("bpm", "bps"), default="bpm")
     p.add_argument("--base", default="2")
-    p.add_argument("-k", help="threshold/level argument where applicable")
+    p.add_argument("-k", help="threshold/level argument where applicable; write a "
+                              "negative non-integer as -k=-1/2")
     p.add_argument("--transcript", help="write the oracle-call transcript here")
     _add_space_flags(p)
     p.set_defaults(func=cmd_reduce)
@@ -277,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, help="base count for bpm/bps closed forms")
     p.add_argument("--params", help="nn parameter file")
     p.add_argument("--dp", action="store_true",
-                   help="nn: exact occupied levels (symmetry-free) via the sumset DP")
+                   help="nn: exact occupied levels (symmetry-free) via the count DP")
     p.add_argument("--symmetry", action="store_true",
                    help="augment with rotational-symmetry penalty levels")
     p.set_defaults(func=cmd_levels)

@@ -32,6 +32,7 @@ from .strands import (
 )
 
 DEFAULT_BPS_ENUM_BUDGET = 16  # pairable bases (C's plus G's)
+CHAIN_CACHE_SIZE = 64  # run-length profiles whose chain packings are kept
 
 
 def _json_fields(text: str, kind: str, names: tuple[str, ...]) -> list:
@@ -414,17 +415,29 @@ def count_bps_chains(strand: str, target: int) -> int:
         raise InvalidInput(
             "chain counting is exact only with at most one adjacent C/G "
             f"run boundary; this strand has {mixed}")
-    c_runs, g_runs = _runs(strand, "C"), _runs(strand, "G")
+    q = _chain_packings(_runs(strand, "C"), _runs(strand, "G"))
+    if target < 0:
+        return 0
+    return sum((-1) ** (s - target) * comb(s, target) * qs
+               for s, qs in q if s >= target)
+
+
+@lru_cache(maxsize=CHAIN_CACHE_SIZE)
+def _chain_packings(c_runs: tuple, g_runs: tuple) -> tuple[tuple[int, int], ...]:
+    """(s, number of chain packings with s glued adjacencies) pairs.
+
+    Kept for the last CHAIN_CACHE_SIZE run-length profiles, so that every
+    stack target of one strand shares them; the (runs, lam) memo lives for
+    one call, so a process that counts many strands holds bounded memory."""
     max_len = min(max(c_runs), max(g_runs))
     max_total = min(sum(c_runs), sum(g_runs))
-
-    # q[s] = number of chain packings with s glued adjacencies
+    memo: dict[tuple, int] = {}
     q: dict[int, int] = {0: 1}  # the empty packing
     for lam in _length_multisets(max_len, max_total):
-        n_c = _placements(c_runs, lam)
+        n_c = _placements(c_runs, lam, memo)
         if n_c == 0:
             continue
-        n_g = _placements(g_runs, lam)
+        n_g = _placements(g_runs, lam, memo)
         if n_g == 0:
             continue
         pairing = 1
@@ -432,23 +445,22 @@ def count_bps_chains(strand: str, target: int) -> int:
             pairing *= factorial(len(list(mult)))
         s = sum(lam) - len(lam)
         q[s] = q.get(s, 0) + n_c * n_g * pairing
-    if target < 0:
-        return 0
-    return sum((-1) ** (s - target) * comb(s, target) * qs
-               for s, qs in q.items() if s >= target)
+    return tuple(q.items())
 
 
-@lru_cache(maxsize=None)
-def _placements(runs: tuple, lam: tuple) -> int:
+def _placements(runs: tuple, lam: tuple, memo: dict) -> int:
     """Ways to choose disjoint intervals with length-multiset ``lam`` across
-    the given runs."""
+    the given runs, memoised in ``memo`` on (runs, lam)."""
     if not lam:
         return 1
     if not runs:
         return 0
-    total = 0
-    for sub in _sub_multisets(lam, runs[0]):
-        total += _ways_in_run(runs[0], sub) * _placements(runs[1:], _multiset_minus(lam, sub))
+    total = memo.get((runs, lam))
+    if total is None:
+        total = sum(_ways_in_run(runs[0], sub)
+                    * _placements(runs[1:], _multiset_minus(lam, sub), memo)
+                    for sub in _sub_multisets(lam, runs[0]))
+        memo[(runs, lam)] = total
     return total
 
 

@@ -3,15 +3,27 @@
 A candidate set is a finite superset of the energies occupied by a system's
 ensemble, computable without solving the MFE problem.  The base-pair models
 have closed forms; the nearest-neighbour model gets two constructions: a
-coarse grid from per-loop bounds, and a dynamic program over sumsets that
-returns exactly the occupied, symmetry-free levels for a fixed strand
-ordering.
+coarse grid from per-loop bounds, and a count dynamic program that returns
+exactly the occupied, symmetry-free levels for a fixed strand ordering,
+with the number of structures at each.
 
-The DP mirrors a multistranded partition-function recursion with its algebra
-swapped from (+, *) to (union, sumset).  Cells hold sets of integer quanta;
-the empty set plays the marker Phi ("no structure of this shape exists"):
-it absorbs sumsets and shifts (``_sum``, ``_shift``) and is the identity of
-unions, which join cells in place with ``|=``.
+The count DP is a multistranded partition-function recursion (McCaskill
+1990; Dirks, Bois, Schaeffer, Winfree & Pierce 2007) over exact integers.
+Each cell is a count polynomial sum_k c_k x**(lo + k), stored as the pair
+(lo, packed) with packed = sum_k c_k * 2**(W*k) (Kronecker substitution):
+union is +, after shifting the operand with the higher lo up by whole
+slots; the product of two cells (the sumset of their levels) is one integer
+multiplication, with the lows added; an energy shift only moves lo.  None is
+Phi, "no structure of this shape".  Every coefficient counts distinct
+crossing-free structures on at most n flat bases, fewer than Motzkin(n) <
+3**n, so slots of W = (3**n).bit_length() + 1 bits never carry into each
+other and the unpacked counts are exact.
+
+The exterior, multiloop-contents and multiloop-closing branches are split on
+the rightmost pair, so they cost O(n) per cell; the stack, bulge and
+interior branch scans every inner pair (d, e), O(n**2) per cell.  In all:
+O(n**3) big-integer products and O(n**4) interior-loop terms at most, each
+on integers of (level span) * W bits.
 """
 
 from __future__ import annotations
@@ -148,15 +160,121 @@ def levels_nn_grid(system: StrandSystem, params: NNParams) -> LevelSet:
 
 
 # ---------------------------------------------------------------------------
-# sumset dynamic program (occupied levels, symmetry ignored)
+# count dynamic program (occupied levels with multiplicities, symmetry ignored)
 
 
-def _sum(a, b) -> set:
-    return {x + y for x in a for y in b}
+def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
+                    params: NNParams) -> dict[int, int]:
+    """{level: number of structures} over the connected, crossing-free
+    structures under ``ordering``, with symmetry-free energies in quanta of
+    params.delta.
 
+    Cells over the flat subsequence [i, j], each a packed count polynomial
+    (see the module docstring) or None for Phi, "no structure of this shape":
+      gb[i][j]  given that (i, j) is a pair;
+      g[i][j]   exterior-loop contents, no nick outside a pair; g[i][i-1] = 1;
+      gm[i][j]  multiloop contents with at least one pair; each pair carries
+                multi_bp, each unpaired base multi_nt, and no nick lies
+                outside a pair;
+      gm2[i][j] the same with at least two pairs;
+      s1[i][j]  multiloop contents with one pair, which ends at j.
+    g, gm and gm2 are trails over the rightmost pair (d, e): with A[i, e] the
+    contents whose last pair ends at e,
+      T[i, j] = A[i, j] + [no nick at j-1] * shift(T[i, j-1], unpaired cost),
+    so each cell sums over d only.  The interior branch of gb scans the
+    non-empty gb[d][e] with nick-free flanks in (d, e) order, so a missing
+    table entry raises at the first loop that needs it, with cells taken by
+    length, then by i.
+    """
+    flat = flattening(system, ordering)
+    n = system.n
+    width = (3 ** n).bit_length() + 1
+    nick = [p in flat.nicks for p in range(n + 1)]  # nick[p]: between p and p+1
+    next_nick = [n] * (n + 1)  # first nick at or after p, n when none
+    for p in range(n - 1, 0, -1):
+        next_nick[p] = p if nick[p] else next_nick[p + 1]
+    last_nick = [0] * (n + 1)  # last nick at or before p, 0 when none
+    for p in range(1, n + 1):
+        last_nick[p] = p if nick[p] else last_nick[p - 1]
+    bp, nt = params.multi_bp, params.multi_nt
 
-def _shift(a, k: int) -> set:
-    return {x + k for x in a}
+    def add(a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        if a[0] > b[0]:
+            a, b = b, a
+        return a[0], a[1] + (b[1] << width * (b[0] - a[0]))
+
+    def mul(a, b):
+        return None if a is None or b is None else (a[0] + b[0], a[1] * b[1])
+
+    def shift(a, k):
+        return None if a is None else (a[0] + k, a[1])
+
+    g, gb, gm, gm2, s1 = ([[None] * (n + 2) for _ in range(n + 2)] for _ in range(5))
+    for i in range(1, n + 2):
+        g[i][i - 1] = (0, 1)
+    ends = [[] for _ in range(n + 2)]    # ends[d]: e with gb[d][e] non-empty, ascending
+    starts = [[] for _ in range(n + 2)]  # starts[e]: d with gb[d][e] non-empty
+
+    for l in range(1, n + 1):
+        for i in range(1, n - l + 2):
+            j = i + l - 1
+            cb = None
+            if complementary(flat.base(i), flat.base(j)):
+                if next_nick[i] >= j and j - i - 1 >= params.min_hairpin:
+                    cb = (params.table_entry(params.hairpin, j - i - 1, "hairpin"), 1)
+                e_min = last_nick[j - 1] + 1  # with d <= next_nick[i]: nick-free flanks
+                for d in range(i + 1, min(j - 2, next_nick[i]) + 1):
+                    for e in ends[d]:
+                        if e >= j:
+                            break
+                        if e < e_min:
+                            continue
+                        lo, packed = gb[d][e]
+                        cb = add(cb, (lo + interior_like_energy(flat, i, d, e, j, params),
+                                      packed))
+                if not nick[i] and not nick[j - 1]:
+                    cb = add(cb, shift(gm2[i + 1][j - 1], params.multi_init + bp))
+                for x in range(i, j):
+                    if not nick[x]:
+                        continue
+                    if ((not nick[i] and not nick[j - 1]) or i == j - 1
+                            or (x == i and not nick[j - 1])
+                            or (x == j - 1 and not nick[i])):
+                        cb = add(cb, mul(g[i + 1][x], g[x + 1][j - 1]))
+            if cb is not None:
+                gb[i][j] = cb
+                ends[i].append(j)
+                starts[j].append(i)
+            s1[i][j] = add(shift(cb, bp), None if nick[i] else shift(s1[i + 1][j], nt))
+
+            exterior = multi = None  # contents whose last pair is (d, j)
+            for d in starts[j]:
+                if d == i or not nick[d - 1]:
+                    exterior = add(exterior, mul(g[i][d - 1], gb[d][j]))
+                if not nick[d - 1]:
+                    multi = add(multi, mul(gm[i][d - 1], gb[d][j]))
+            multi = shift(multi, bp)
+            trail = j == i or not nick[j - 1]
+            g[i][j] = add(exterior, g[i][j - 1] if trail else None)
+            gm[i][j] = add(add(s1[i][j], multi), shift(gm[i][j - 1], nt) if trail else None)
+            gm2[i][j] = add(multi, shift(gm2[i][j - 1], nt) if trail else None)
+
+    counts: dict[int, int] = {}
+    if g[1][n] is None:
+        return counts
+    level, packed = g[1][n]
+    level += (system.c - 1) * params.assoc
+    mask = (1 << width) - 1
+    while packed:
+        if packed & mask:
+            counts[level] = packed & mask
+        packed >>= width
+        level += 1
+    return counts
 
 
 def levels_nn_dp(system: StrandSystem, ordering: Sequence[int],
@@ -164,73 +282,15 @@ def levels_nn_dp(system: StrandSystem, ordering: Sequence[int],
     """Exactly the occupied symmetry-free levels of the connected,
     crossing-free ensemble under ``ordering``, as quanta of params.delta.
 
-    Cell meanings over the flat subsequence [i, j]:
-      g[i,j]   levels of exterior-loop contents,
-      gb[i,j]  levels given that (i, j) is a pair,
-      gm[i,j]  levels given that [i, j] lies inside a multiloop and holds at
-               least one pair.
-    Phi (the empty set) marks impossible shapes; the base cells g[i, i-1]
-    hold {0} and gm[i, i-1] hold Phi.
+    This is the support of ``nn_level_counts``.  Its cells hold per-level
+    structure counts packed into one integer each, in slots of
+    (3**n).bit_length() + 1 bits: no count over n flat bases reaches 3**n,
+    so no slot carries.  Besides the pair, exterior and multiloop cells it
+    keeps auxiliary "one pair, ending at j" and "at least two pairs" multiloop
+    cells, so the exterior and multiloop branches take O(n) products per
+    cell and only the interior-loop scan takes O(n**2) terms per cell.
     """
-    flat = flattening(system, ordering)
-    n, c = system.n, system.c
-    eta = flat.nick_count
-    nick_after = lambda p: 1 if p in flat.nicks else 0
-
-    g: dict = {}
-    gb: dict = {}
-    gm: dict = {}
-    for i in range(1, n + 2):
-        g[(i, i - 1)], gm[(i, i - 1)] = {0}, set()
-
-    for l in range(1, n + 1):
-        for i in range(1, n - l + 2):
-            j = i + l - 1
-            cb = set()
-            if complementary(flat.base(i), flat.base(j)):
-                if eta(i, j - 1) == 0 and j - i - 1 >= params.min_hairpin:
-                    cb.add(params.table_entry(params.hairpin, j - i - 1, "hairpin"))
-                for d in range(i + 1, j - 1):
-                    for e in range(d + 1, j):
-                        if not gb[(d, e)]:
-                            continue
-                        if eta(i, d - 1) == 0 and eta(e, j - 1) == 0:
-                            cb |= _shift(gb[(d, e)],
-                                         interior_like_energy(flat, i, d, e, j, params))
-                        if (eta(e, j - 1) == 0 and nick_after(i) == 0
-                                and nick_after(d - 1) == 0):
-                            cb |= _shift(_sum(gm[(i + 1, d - 1)], gb[(d, e)]),
-                                         params.multi_init + 2 * params.multi_bp
-                                         + (j - e - 1) * params.multi_nt)
-                for x in range(i, j):
-                    if nick_after(x) != 1:
-                        continue
-                    if ((nick_after(i) == 0 and nick_after(j - 1) == 0)
-                            or i == j - 1
-                            or (x == i and nick_after(j - 1) == 0)
-                            or (x == j - 1 and nick_after(i) == 0)):
-                        cb |= _sum(g[(i + 1, x)], g[(x + 1, j - 1)])
-            gb[(i, j)] = cb
-
-            cg = {0} if eta(i, j - 1) == 0 else set()
-            cm = set()
-            for d in range(i, j):
-                for e in range(d + 1, j + 1):
-                    if not gb[(d, e)] or eta(e, j - 1) != 0:
-                        continue
-                    if nick_after(d - 1) == 0 or d == i:
-                        cg |= _sum(g[(i, d - 1)], gb[(d, e)])
-                    if eta(i, d - 1) == 0:
-                        cm |= _shift(gb[(d, e)],
-                                     params.multi_bp + (d - i + j - e) * params.multi_nt)
-                    if nick_after(d - 1) == 0:
-                        cm |= _shift(_sum(gm[(i, d - 1)], gb[(d, e)]),
-                                     params.multi_bp + (j - e) * params.multi_nt)
-            g[(i, j)] = cg
-            gm[(i, j)] = cm
-
-    assoc = (c - 1) * params.assoc
-    return LevelSet(params.delta, tuple(v + assoc for v in g[(1, n)]))
+    return LevelSet(params.delta, tuple(nn_level_counts(system, ordering, params)))
 
 
 def augment_symmetry(levels: LevelSet, system: StrandSystem,

@@ -183,6 +183,13 @@ class TestReduce:
         proc = run_cli("reduce", "mfe-via-ssel", "GCAU", "-k", "abc", check=False)
         assert proc.returncode == 4 and "bad input" in proc.stderr
 
+    @pytest.mark.parametrize("k,answer", [("-1/2", True), ("-5/2", False)])
+    def test_negative_rational_k(self, k, answer):
+        """The MFE of GCAU is -2 pairs; "-k -1/2" would read as an option."""
+        payload = json.loads(run_cli(
+            "reduce", "dmfe-via-mfe", "GCAU", f"-k={k}", "--pseudoknots").stdout)
+        assert payload["answer"] is answer and payload["calls"] == 1
+
 
 class TestLevels:
     def test_bpm_closed_form(self):
@@ -287,6 +294,18 @@ def test_usage_error_exit_code(args):
     proc = run_cli(*args, check=False)
     assert proc.returncode == 4
     assert "usage: exfold" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "ACGT", "--base", "1/0"),
+    ("solve", "ACGT", "--base", "2", "--pf-threshold", "1/0"),
+    ("reduce", "dmfe-via-mfe", "ACGT", "-k", "1/0"),
+    ("reduce", "pf-via-ssel", "ACGT", "--base", "1/0"),
+], ids=lambda a: " ".join(a))
+def test_zero_denominator_is_bad_input(args):
+    proc = run_cli(*args, "--pseudoknots", check=False)
+    assert proc.returncode == 4
+    assert "bad input: zero denominator in '1/0'" in proc.stderr
 
 
 def test_help_exit_code():
