@@ -8,7 +8,8 @@ byte-identical output.
 ``_setup`` builds the strand system, structure space and energy model from
 the library's own constructors.  The NN space is knot-free, connected and
 takes ``min_hairpin`` from the --params file, so the space and the energy
-model read one value; the bpm/bps spaces come from the space flags.
+model read one value, and a space flag given with it is bad input; the
+bpm/bps spaces come from the space flags.
 
 Exit codes: 0 ok, 2 invariant/parsimony mismatch, 3 budget exceeded,
 4 bad input, a malformed command line included.
@@ -66,6 +67,22 @@ def _rational(text: str) -> Fraction:
         raise InvalidInput(f"zero denominator in {text!r}") from None
 
 
+def _non_negative(text: str) -> int:
+    """A --budget value."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
+# space flag dest -> the flag; each defaults to None, so a given one shows
+SPACE_FLAGS = {"pseudoknots": "--pseudoknots", "connected": "--connected",
+               "min_hairpin": "--min-hairpin", "all_pairs": "--all-pairs"}
+
+
 def _setup(args):
     """(system, space, model) from the strands, --model and the space flags;
     an NN parameter file's tables are extended to the system length, since
@@ -74,29 +91,35 @@ def _setup(args):
     if args.model == "nn":
         if not args.params:
             raise InvalidInput("--model nn needs --params FILE")
+        given = [flag for dest, flag in SPACE_FLAGS.items()
+                 if getattr(args, dest, None) is not None]
+        if given:
+            raise InvalidInput(f"--model nn takes its space from --params; "
+                               f"drop {', '.join(given)}")
         params = finalize_params(load_nn_params(args.params), system.n)
         space = StructureSpace(allow_pseudoknots=False, require_connected=True,
                                min_hairpin=params.min_hairpin)
         return system, space, nn_model(params)
     space = StructureSpace(
-        allow_pseudoknots=args.pseudoknots,
-        require_connected=args.connected,
-        min_hairpin=args.min_hairpin,
-        pairing="all" if getattr(args, "all_pairs", False) else "complementary",
+        allow_pseudoknots=bool(args.pseudoknots),
+        require_connected=bool(args.connected),
+        min_hairpin=args.min_hairpin or 0,
+        pairing="all" if getattr(args, "all_pairs", None) else "complementary",
     )
     return system, space, BPM if args.model == "bpm" else BPS
 
 
 def _add_space_flags(p: argparse.ArgumentParser):
-    p.add_argument("--pseudoknots", action="store_true",
+    p.add_argument("--pseudoknots", action="store_true", default=None,
                    help="admit crossing structures")
-    p.add_argument("--connected", action="store_true",
+    p.add_argument("--connected", action="store_true", default=None,
                    help="require the strand graph to be connected")
-    p.add_argument("--min-hairpin", type=int, default=0, dest="min_hairpin")
+    p.add_argument("--min-hairpin", type=int, dest="min_hairpin",
+                   help="smallest hairpin loop (default 0)")
 
 
 def _add_budget_flag(p: argparse.ArgumentParser):
-    p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET,
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_PAIR_BUDGET,
                    help="maximum number of candidate pairs to enumerate over")
 
 
@@ -250,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("strands")
     p.add_argument("--model", choices=("bpm", "bps", "nn"), default="bpm")
     p.add_argument("--params", help="nn parameter file")
-    p.add_argument("--all-pairs", action="store_true", dest="all_pairs",
+    p.add_argument("--all-pairs", action="store_true", default=None, dest="all_pairs",
                    help="ignore complementarity (calibration mode)")
     p.add_argument("--dump", action="store_true")
     _add_space_flags(p)
@@ -295,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=(
         "4part-from-3dm", "bps-from-4part", "verify-bps", "verify-4part"))
     p.add_argument("file", help="instance JSON file")
-    p.add_argument("--budget", type=int, default=hardness.DEFAULT_BPS_ENUM_BUDGET,
+    p.add_argument("--budget", type=_non_negative, default=hardness.DEFAULT_BPS_ENUM_BUDGET,
                    help="pairable-base budget for the enumeration route")
     p.set_defaults(func=cmd_hardgen)
     return parser

@@ -33,6 +33,7 @@ from .strands import (
 
 DEFAULT_BPS_ENUM_BUDGET = 16  # pairable bases (C's plus G's)
 CHAIN_CACHE_SIZE = 64  # run-length profiles whose chain packings are kept
+BPS_MEMO_STATES = 1 << 18  # matching states count_bps_brute may memoise
 
 
 def _json_fields(text: str, kind: str, names: tuple[str, ...]) -> list:
@@ -349,7 +350,9 @@ def count_bps_brute(strand: str, target: int,
     with equal keys have equal futures.  Each state returns its completions
     as a histogram by stacks gained, and the count is the histogram's entry
     at ``target``: the number the plain exhaustive search gives, one
-    completion at a time."""
+    completion at a time.  Past ``BPS_MEMO_STATES`` states the search stops
+    with ``BudgetExceeded``; the default budget of pairable bases stays far
+    below it."""
     cpos, gpos = _cg_positions(strand)
     if len(cpos) + len(gpos) > budget:
         raise BudgetExceeded(
@@ -382,6 +385,9 @@ def count_bps_brute(strand: str, target: int,
             hist.extend([0] * (len(sub) + gained - len(hist)))
             for stacks, n in enumerate(sub):
                 hist[stacks + gained] += n
+        if len(memo) == BPS_MEMO_STATES:
+            raise BudgetExceeded(
+                f"stack counting needs more than {BPS_MEMO_STATES} matching states")
         memo[key] = hist
         return hist
 

@@ -84,9 +84,9 @@ def dos_brute(system: StrandSystem, space: StructureSpace, model: EnergyModel,
               fixed_ordering: Optional[Sequence[int]] = None) -> DensityOfStates:
     """Exhaustive density of states over the space."""
     counts: dict[int, int] = {}
+    ordering = tuple(fixed_ordering) if fixed_ordering else None
     for structure in enumerate_structures(system, space, budget, fixed_ordering):
-        g = energy(model, system, structure,
-                   ordering=tuple(fixed_ordering) if fixed_ordering else None)
+        g = energy(model, system, structure, ordering=ordering)
         counts[g] = counts.get(g, 0) + 1
     return DensityOfStates(counts, model.delta, space)
 

@@ -387,6 +387,18 @@ def enumerate_structures(
     """Yield every structure of the space exactly once, empty structure first,
     in lexicographic order of the sorted flat pair tuples.
 
+    The search is one loop over an explicit stack: ``chosen`` holds the
+    candidate indices of the current structure, increasing, and ``alive``
+    the orderings still open after each push.  The loop scans the candidates
+    from ``idx`` for one that fits; a push yields the new structure if it is
+    admissible and goes on scanning after the pushed index.  When the scan
+    runs out, the last index ``m`` is popped, with its alive orderings, and
+    the scan resumes at ``m + 1``.  This is the pre-order depth-first walk
+    of a recursion that yields its own structure and then extends it by each
+    later candidate in turn, so a structure comes right before its
+    extensions, and those before any structure whose last index is larger:
+    the lexicographic order.
+
     A knot-free space is pruned incrementally: a pushed pair is tested only
     against the chosen pairs, under the orderings that still leave them
     crossing-free (the circular ones, or ``fixed_ordering`` alone), and the
@@ -414,39 +426,54 @@ def enumerate_structures(
         position = [0] + [under.flat(flat.ref(p)) for p in range(1, system.n + 1)]
         placed.append([tuple(sorted((position[i], position[j]))) for i, j in cands])
 
+    connected = space.require_connected and system.c > 1
+    min_hairpin = space.min_hairpin
+
+    def admissible() -> bool:
+        return ((not connected or flat.connected(pairs))
+                and (not min_hairpin or flat.hairpins_ok(pairs, min_hairpin)))
+
     chosen: list[int] = []  # candidate indices, increasing
     pairs: list[tuple[int, int]] = []  # the chosen candidates' flat pairs
-    occupied: set[int] = set()
-
-    def crossing_free_under(k: int, idx: int) -> bool:
-        at = placed[k]
-        a, b = at[idx]
-        for m in chosen:
-            c, d = at[m]
-            if (a < c < b) != (a < d < b):
-                return False
-        return True
-
-    def rec(start: int, alive: Sequence[int]) -> Iterator[SecondaryStructure]:
-        if ((not space.require_connected or flat.connected(pairs))
-                and flat.hairpins_ok(pairs, space.min_hairpin)):
-            yield SecondaryStructure(frozenset(cand_refs[m] for m in chosen))
-        for idx in range(start, len(cands)):
+    occupied = [False] * (system.n + 1)
+    alive = [range(len(orderings))]  # alive[d]: orderings open after d pushes
+    if admissible():
+        yield EMPTY_STRUCTURE
+    idx = 0
+    while True:
+        for idx in range(idx, len(cands)):
             i, j = cands[idx]
-            if i in occupied or j in occupied:
+            if occupied[i] or occupied[j]:
                 continue
-            still = [k for k in alive if crossing_free_under(k, idx)]
-            if orderings and not still:
-                continue
+            if orderings:
+                still = []
+                for k in alive[-1]:
+                    at = placed[k]
+                    a, b = at[idx]
+                    for m in chosen:
+                        c, d = at[m]
+                        if (a < c < b) != (a < d < b):
+                            break
+                    else:
+                        still.append(k)
+                if not still:
+                    continue
+                alive.append(still)
             chosen.append(idx)
             pairs.append((i, j))
-            occupied.update((i, j))
-            yield from rec(idx + 1, still)
-            chosen.pop()
-            pairs.pop()
-            occupied.difference_update((i, j))
-
-    yield from rec(0, range(len(orderings)))
+            occupied[i] = occupied[j] = True
+            if admissible():
+                yield SecondaryStructure(frozenset([cand_refs[m] for m in chosen]))
+            idx += 1
+            break
+        else:
+            if not chosen:
+                return
+            idx = chosen.pop() + 1
+            i, j = pairs.pop()
+            occupied[i] = occupied[j] = False
+            if orderings:
+                alive.pop()
 
 
 def count_structures(

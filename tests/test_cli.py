@@ -52,6 +52,13 @@ class TestEnumerate:
         proc = run_cli("enumerate", "/nonexistent/file.txt", check=False)
         assert proc.returncode == 4
 
+    @pytest.mark.parametrize("command, budget", [
+        ("enumerate", "-1"), ("enumerate", "x"), ("solve", "-1")])
+    def test_budget_must_be_a_non_negative_integer(self, command, budget):
+        proc = run_cli(command, "ACGT", "--budget", budget, check=False)
+        assert proc.returncode == 4
+        assert f"argument --budget: '{budget}' is not a non-negative integer" in proc.stderr
+
     def test_nn_needs_params(self):
         proc = run_cli("enumerate", "ACGT", "--model", "nn", check=False)
         assert proc.returncode == 4
@@ -104,6 +111,29 @@ class TestSolve:
         system = StrandSystem.from_sequences(seq)
         dos = dos_brute(system, nn_space(), nn_model(toy_params_a(system.n)))
         assert json.loads(out)["dos"] == {str(g): str(c) for g, c in dos.counts.items()}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("enumerate", ("--pseudoknots",)),
+    ("enumerate", ("--connected",)),
+    ("enumerate", ("--min-hairpin", "5")),
+    ("enumerate", ("--all-pairs",)),
+    ("solve", ("--pseudoknots",)),
+    ("solve", ("--connected",)),
+    ("solve", ("--min-hairpin", "3")),
+], ids=lambda a: a if isinstance(a, str) else a[0])
+def test_nn_rejects_space_flags(command, flag):
+    # the NN space comes from --params; a space flag it would ignore is bad input
+    proc = run_cli(command, "GGGAAAACCC", "--model", "nn",
+                   "--params", toy_params_file("toy_nn_a"), *flag, check=False)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.startswith("bad input:") and flag[0] in proc.stderr
+
+
+def test_reduce_has_no_nn_model():
+    proc = run_cli("reduce", "mfe-via-ssel", "GGGAAAACCC", "--model", "nn",
+                   "--min-hairpin", "3", check=False)
+    assert proc.returncode == 4 and "invalid choice: 'nn'" in proc.stderr
 
 
 class TestNNSpaceFromParams:
@@ -255,6 +285,22 @@ class TestHardgen:
     def test_verify_4part(self, t_json):
         payload = json.loads(run_cli("hardgen", "verify-4part", t_json).stdout)
         assert payload["status"] == "ok"
+
+    def test_budget_must_be_a_non_negative_integer(self, w_json):
+        proc = run_cli("hardgen", "verify-bps", w_json, "--budget", "-5", check=False)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "argument --budget: '-5' is not a non-negative integer" in proc.stderr
+
+    def test_oversized_verify_stops_at_the_memo_ceiling(self, tmp_path):
+        # 48 pairable bases let through by --budget 100: the stack count
+        # stops at its state ceiling in seconds instead of growing past 1 GB
+        path = tmp_path / "w8.json"
+        path.write_text(json.dumps({"weights": ["3"] * 8, "bound": "12"}))
+        proc = subprocess.run(RUN + ["hardgen", "verify-bps", str(path), "--budget", "100"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        payload = json.loads(proc.stdout)
+        assert payload["status"] == "skipped" and "matching states" in payload["notes"]
 
     def test_mismatchless_zero_instance(self, tmp_path):
         path = tmp_path / "zero.json"

@@ -285,6 +285,17 @@ class TestStackCounting:
         with pytest.raises(BudgetExceeded):
             count_bps_brute("C" * 12 + "G" * 12, 4, budget=16)
 
+    def test_memo_ceiling(self, monkeypatch):
+        from exfold import hardness
+        # the most memo states found on 16 pairable bases: well under the ceiling
+        assert count_bps_brute("CCCCCCGGCGGCGGCG", 2) == 14386
+        monkeypatch.setattr(hardness, "BPS_MEMO_STATES", 1000)
+        with pytest.raises(BudgetExceeded, match="more than 1000 matching states"):
+            count_bps_brute("CCCCCCGGCGGCGGCG", 0)
+        report = verify_parsimony_bps(FourPartitionInstance((3, 3, 3, 3, 3, 3, 3, 3), 12),
+                                      enum_budget=100)
+        assert report.status == "skipped" and "matching states" in report.notes
+
     def test_auto_route_selection(self):
         n, route = count_bps_auto("GGCC", 1)
         assert n == 1 and route == "enumeration"

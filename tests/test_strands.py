@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from exfold.strands import (
+    DEFAULT_PAIR_BUDGET,
     BudgetExceeded,
     EMPTY_STRUCTURE,
     Flattening,
@@ -16,6 +18,7 @@ from exfold.strands import (
     complementary,
     count_structures,
     enumerate_structures,
+    flattening,
     is_connected,
     is_unpseudoknotted_multi,
     is_unpseudoknotted_single,
@@ -224,6 +227,125 @@ class TestEnumeration:
         for st in enumerate_structures(s, StructureSpace(allow_pseudoknots=True)):
             single = is_unpseudoknotted_single(st.sorted_flat(s))
             assert single == is_unpseudoknotted_multi(s, st)[0]
+
+
+def reference_enumerate(system, space, budget=DEFAULT_PAIR_BUDGET, fixed_ordering=None):
+    """The recursive enumerator the explicit-stack search replaced: a nested
+    generator per pushed pair, re-entered through ``yield from``."""
+    cands = candidate_pairs(system, space)
+    if len(cands) > budget:
+        raise BudgetExceeded(
+            f"{len(cands)} candidate pairs exceed the enumeration budget {budget}")
+    flat = flattening(system)
+    cand_refs = [(flat.ref(i), flat.ref(j)) for i, j in cands]
+    if fixed_ordering is not None:
+        flattening(system, fixed_ordering)
+    if space.allow_pseudoknots:
+        orderings = []
+    elif fixed_ordering is not None:
+        orderings = [fixed_ordering]
+    else:
+        orderings = list(system.circular_orderings())
+    placed = []
+    for ordering in orderings:
+        under = flattening(system, ordering)
+        position = [0] + [under.flat(flat.ref(p)) for p in range(1, system.n + 1)]
+        placed.append([tuple(sorted((position[i], position[j]))) for i, j in cands])
+
+    chosen, pairs, occupied = [], [], set()
+
+    def crossing_free_under(k, idx):
+        at = placed[k]
+        a, b = at[idx]
+        for m in chosen:
+            c, d = at[m]
+            if (a < c < b) != (a < d < b):
+                return False
+        return True
+
+    def rec(start, alive):
+        if ((not space.require_connected or flat.connected(pairs))
+                and flat.hairpins_ok(pairs, space.min_hairpin)):
+            yield SecondaryStructure(frozenset(cand_refs[m] for m in chosen))
+        for idx in range(start, len(cands)):
+            i, j = cands[idx]
+            if i in occupied or j in occupied:
+                continue
+            still = [k for k in alive if crossing_free_under(k, idx)]
+            if orderings and not still:
+                continue
+            chosen.append(idx)
+            pairs.append((i, j))
+            occupied.update((i, j))
+            yield from rec(idx + 1, still)
+            chosen.pop()
+            pairs.pop()
+            occupied.difference_update((i, j))
+
+    yield from rec(0, range(len(orderings)))
+
+
+def listing(system, structures):
+    return [st.sorted_flat(system) for st in structures]
+
+
+def sweep_systems(rng, count, max_len, max_cands, space):
+    """``count`` random systems of c <= 4 strands of 1..max_len bases with at
+    most ``max_cands`` candidate pairs under ``space``."""
+    while count:
+        s = sys_of(*("".join(rng.choice("ACGU") for _ in range(rng.randint(1, max_len)))
+                     for _ in range(rng.randint(1, 4))))
+        if len(candidate_pairs(s, space)) <= max_cands:
+            count -= 1
+            yield s
+
+
+class TestEnumerationReference:
+    """The explicit-stack search yields the reference's structures in the
+    reference's order, on spaces and systems beyond the acceptance range."""
+
+    @pytest.mark.parametrize("pairing,max_len,count", [
+        ("complementary", 6, 40), ("all", 3, 25)])
+    def test_same_order_as_reference(self, pairing, max_len, count):
+        rng = random.Random(9)
+        for s in sweep_systems(rng, count, max_len, 26, StructureSpace(pairing=pairing)):
+            # the unrestricted spaces come first: every structure is admissible
+            for connected, min_hairpin, pk in itertools.product(
+                    (False, True), range(4), (True, False)):
+                space = StructureSpace(pk, connected, min_hairpin, pairing)
+                for ordering in (None, tuple(rng.sample(s.ids, s.c))):
+                    want = listing(s, reference_enumerate(s, space, fixed_ordering=ordering))
+                    got = enumerate_structures(s, space, fixed_ordering=ordering)
+                    # one item past the reference's end bounds a search that repeats
+                    assert listing(s, itertools.islice(got, len(want) + 1)) == want
+
+    def test_closed_early_leaves_no_state(self):
+        s = sys_of("GCAUGC", "AUGC")
+        for space in (StructureSpace(), StructureSpace(allow_pseudoknots=False),
+                      nn_space()):
+            want = listing(s, reference_enumerate(s, space))
+            assert len(want) > 5
+            gen = enumerate_structures(s, space)
+            assert listing(s, itertools.islice(gen, 5)) == want[:5]
+            gen.close()
+            assert listing(s, enumerate_structures(s, space)) == want
+
+    def test_errors_are_raised_on_the_first_next(self):
+        s = sys_of("GGGGGGCCCCCC")
+        gen = enumerate_structures(s, StructureSpace(), budget=8)
+        with pytest.raises(BudgetExceeded) as got:
+            next(gen)
+        with pytest.raises(BudgetExceeded) as want:
+            next(reference_enumerate(s, StructureSpace(), budget=8))
+        assert str(got.value) == str(want.value)
+        s = sys_of("GC", "GC")
+        for space in (StructureSpace(), StructureSpace(allow_pseudoknots=False)):
+            gen = enumerate_structures(s, space, fixed_ordering=(1, 3))
+            with pytest.raises(InvalidInput) as got:
+                next(gen)
+            with pytest.raises(InvalidInput) as want:
+                next(reference_enumerate(s, space, fixed_ordering=(1, 3)))
+            assert str(got.value) == str(want.value)
 
 
 class TestCounts:
