@@ -341,7 +341,7 @@ def _nn_detail(flat: Flattening, pairs: list[tuple[int, int]],
     loop_sum = sum(loop_energy(loop, flat, params) for loop in _faces(flat, pairs))
     assoc = (len(flat.ordering) - 1) * params.assoc
     r = _symmetry(flat, pairs)
-    sym = round_log_multiple(params.kbt, r, params.delta)
+    sym = round_log_multiple(params.kbt, r, params.delta) if r > 1 else 0  # ln 1 = 0
     return NNEnergyDetail(loop_sum, assoc, r, sym, r > 1)
 
 

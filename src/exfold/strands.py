@@ -21,6 +21,10 @@ and the enumerator builds one only for a structure it yields.
 
 The enumerator tests crossings incrementally, as each pair is pushed, and
 yields structures in lexicographic order of their sorted flat pair tuples.
+In a knot-free space with a minimum hairpin it first drops the same-strand
+candidates too short to close a hairpin, which no admissible structure
+holds; the budget still counts them.  Each pair set is built from its
+parent's, so a push hashes one ``BaseRef`` pair.
 """
 
 from __future__ import annotations
@@ -79,16 +83,30 @@ class Strand:
 @dataclass(frozen=True)
 class StrandSystem:
     """An ordered multiset of strands; the tuple order is the system's
-    intrinsic flattening order (identity ordering)."""
+    intrinsic flattening order (identity ordering).
+
+    The hash and ``ids`` are computed once, at construction, so a
+    ``flattening(system, ...)`` cache hit costs O(1), not a pass over every
+    strand.  A stored str-based hash is only valid in the process that made
+    it (str hashes are salted per process), so ``__reduce__`` pickles the
+    strands alone and unpickling constructs the system afresh."""
 
     strands: tuple[Strand, ...]
 
     def __post_init__(self):
         if not self.strands:
             raise InvalidInput("a strand system needs at least one strand")
-        ids = [s.id for s in self.strands]
+        ids = tuple(s.id for s in self.strands)
         if len(set(ids)) != len(ids):
-            raise InvalidInput(f"duplicate strand ids in {ids}")
+            raise InvalidInput(f"duplicate strand ids in {list(ids)}")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_hash", hash(self.strands))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.strands,)
 
     @classmethod
     def from_sequences(cls, *sequences: str) -> "StrandSystem":
@@ -101,10 +119,6 @@ class StrandSystem:
     @property
     def n(self) -> int:
         return sum(len(s) for s in self.strands)
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(s.id for s in self.strands)
 
     def strand_by_id(self, sid: int) -> Strand:
         for s in self.strands:
@@ -404,12 +418,28 @@ def enumerate_structures(
     crossing-free (the circular ones, or ``fixed_ordering`` alone), and the
     branch ends when none is left.  Connectivity and the minimum hairpin are
     checked per yielded structure, since adding a pair can make or break them.
+
+    A knot-free space with ``min_hairpin > 0`` also drops, before the search,
+    every same-strand candidate ``(i, j)`` (no nick in ``[i, j-1]``) that
+    closes fewer than ``min_hairpin`` bases, the pairs ``hairpins_ok``
+    rejects when nothing is paired inside them.  No admissible structure
+    holds one: a pair inside it is a shorter such pair, and a pair leaving
+    it crosses it under every ordering, since a strand stays contiguous in
+    each.  So the answers and their order are unchanged.  The budget counts
+    the candidates before this pruning.
+
+    Each structure's ``BaseRef`` pair set is built from its parent's, one
+    new pair at a time, so a push hashes one pair, not all of them.
     """
     cands = candidate_pairs(system, space)
     if len(cands) > budget:
         raise BudgetExceeded(
             f"{len(cands)} candidate pairs exceed the enumeration budget {budget}")
     flat = flattening(system)
+    min_hairpin = space.min_hairpin
+    if min_hairpin and not space.allow_pseudoknots:
+        cands = [(i, j) for i, j in cands
+                 if j - i - 1 >= min_hairpin or flat.nick_count(i, j - 1)]
     cand_refs = [(flat.ref(i), flat.ref(j)) for i, j in cands]
     if fixed_ordering is not None:
         flattening(system, fixed_ordering)  # raises unless it permutes the strand ids
@@ -427,7 +457,6 @@ def enumerate_structures(
         placed.append([tuple(sorted((position[i], position[j]))) for i, j in cands])
 
     connected = space.require_connected and system.c > 1
-    min_hairpin = space.min_hairpin
 
     def admissible() -> bool:
         return ((not connected or flat.connected(pairs))
@@ -435,6 +464,7 @@ def enumerate_structures(
 
     chosen: list[int] = []  # candidate indices, increasing
     pairs: list[tuple[int, int]] = []  # the chosen candidates' flat pairs
+    ref_sets = [frozenset()]  # ref_sets[d]: the BaseRef pairs after d pushes
     occupied = [False] * (system.n + 1)
     alive = [range(len(orderings))]  # alive[d]: orderings open after d pushes
     if admissible():
@@ -461,9 +491,10 @@ def enumerate_structures(
                 alive.append(still)
             chosen.append(idx)
             pairs.append((i, j))
+            ref_sets.append(ref_sets[-1] | {cand_refs[idx]})
             occupied[i] = occupied[j] = True
             if admissible():
-                yield SecondaryStructure(frozenset([cand_refs[m] for m in chosen]))
+                yield SecondaryStructure(ref_sets[-1])
             idx += 1
             break
         else:
@@ -471,6 +502,7 @@ def enumerate_structures(
                 return
             idx = chosen.pop() + 1
             i, j = pairs.pop()
+            ref_sets.pop()
             occupied[i] = occupied[j] = False
             if orderings:
                 alive.pop()

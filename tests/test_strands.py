@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from exfold.strands import (
     Flattening,
     InvalidInput,
     SecondaryStructure,
+    Strand,
     StrandSystem,
     StructureSpace,
     all_pairs_space,
@@ -28,6 +33,8 @@ from exfold.strands import (
     parse_strands,
     validate_structure,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def sys_of(*seqs):
@@ -300,6 +307,20 @@ def sweep_systems(rng, count, max_len, max_cands, space):
             yield s
 
 
+def nick_spanning_systems(rng, count):
+    """``count`` random systems of 2-3 strands with at most 20 candidate
+    pairs, at least one of them closing fewer than 4 bases across a nick."""
+    while count:
+        s = sys_of(*("".join(rng.choice("ACGU") for _ in range(rng.randint(2, 5)))
+                     for _ in range(rng.randint(2, 3))))
+        cands = candidate_pairs(s, StructureSpace())
+        f = flattening(s)
+        if len(cands) <= 20 and any(j - i - 1 < 4 and f.nick_count(i, j - 1)
+                                    for i, j in cands):
+            count -= 1
+            yield s
+
+
 class TestEnumerationReference:
     """The explicit-stack search yields the reference's structures in the
     reference's order, on spaces and systems beyond the acceptance range."""
@@ -329,6 +350,37 @@ class TestEnumerationReference:
             assert listing(s, itertools.islice(gen, 5)) == want[:5]
             gen.close()
             assert listing(s, enumerate_structures(s, space)) == want
+
+    def test_pruned_knot_free_spaces_same_order_as_reference(self):
+        # a knot-free space with a minimum hairpin drops its too-short
+        # same-strand candidates before the search; the reference keeps them
+        rng = random.Random(13)
+        singles = [sys_of("ACGUACGUAGCUAGCAUG")] + [
+            sys_of("".join(rng.choice("ACGU") for _ in range(rng.randint(12, 18))))
+            for _ in range(3)]
+        across = list(nick_spanning_systems(rng, 12))
+        knot_free = [nn_space()] + [StructureSpace(False, connected, min_hairpin)
+                                    for connected in (False, True)
+                                    for min_hairpin in range(1, 5)]
+        knotted = [StructureSpace(True, connected, min_hairpin)
+                   for connected in (False, True) for min_hairpin in range(1, 5)]
+        cases = ([(s, space, None) for s in singles for space in knot_free]
+                 + [(s, space, ordering) for s in across for space in knot_free + knotted
+                    for ordering in (None, tuple(rng.sample(s.ids, s.c)))])
+        for s, space, ordering in cases:
+            want = listing(s, reference_enumerate(s, space, fixed_ordering=ordering))
+            got = enumerate_structures(s, space, fixed_ordering=ordering)
+            assert listing(s, itertools.islice(got, len(want) + 1)) == want
+
+    def test_budget_counts_the_pruned_candidates(self):
+        s = sys_of("ACGUACGUAGCUAGCAUG")
+        total = len(candidate_pairs(s, nn_space()))
+        assert total == len(candidate_pairs(s, StructureSpace()))
+        with pytest.raises(BudgetExceeded) as got:
+            next(enumerate_structures(s, nn_space(), budget=total - 1))
+        assert str(got.value) == \
+            f"{total} candidate pairs exceed the enumeration budget {total - 1}"
+        assert count_structures(s, nn_space(), budget=total) == 378
 
     def test_errors_are_raised_on_the_first_next(self):
         s = sys_of("GGGGGGCCCCCC")
@@ -381,6 +433,35 @@ class TestOrderings:
         for c in (1, 2, 3, 4):
             s = sys_of(*(["GC"] * c))
             assert len(list(s.circular_orderings())) == math.factorial(c - 1)
+
+
+class TestStrandSystemHash:
+    def test_equal_systems_share_their_hash_and_flattenings(self):
+        a = sys_of("GCAU", "GC")
+        b = StrandSystem((Strand(1, "GCAU"), Strand(2, "GC")))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != sys_of("GCAU", "GU") and a != sys_of("GC", "GCAU")
+        assert flattening(a) is flattening(b)
+        assert flattening(a, (2, 1)) is flattening(b, (2, 1))
+        assert a.ids == (1, 2)
+        assert StrandSystem((Strand(3, "A"), Strand(1, "C"))).ids == (3, 1)
+
+    def test_pickle_rehashes_under_another_hash_seed(self):
+        # str hashes are salted per process: a system pickled under one seed
+        # must be hashed afresh where it is loaded
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        make = "from exfold.strands import StrandSystem; s = StrandSystem.from_sequences('GCAU', 'GC')"
+        dump = subprocess.run(
+            [sys.executable, "-c", f"import pickle; {make}; print(pickle.dumps(s).hex())"],
+            env=dict(env, PYTHONHASHSEED="1"), capture_output=True, text=True, timeout=60,
+            check=True)
+        load = subprocess.run(
+            [sys.executable, "-c",
+             f"import pickle, sys; {make}; t = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+             "print(t == s, hash(t) == hash(s), s in {t}, t.ids)"],
+            input=dump.stdout, env=dict(env, PYTHONHASHSEED="2"), capture_output=True,
+            text=True, timeout=60, check=True)
+        assert load.stdout.split() == ["True", "True", "True", "(1,", "2)"]
 
 
 class TestParsing:
