@@ -11,9 +11,6 @@ parsimonious-counting verifiers.
 from .exactmath import (
     DuplicateNodes,
     VandermondeSystem,
-    factorial,
-    rat_from_str,
-    rat_pow,
     rat_to_str,
     solve_vandermonde,
 )
@@ -29,14 +26,12 @@ from .strands import (
     StructureSpace,
     all_pairs_space,
     candidate_pairs,
-    canonical_ordering,
     complementary,
     count_structures,
     enumerate_structures,
     is_connected,
     is_unpseudoknotted_multi,
     is_unpseudoknotted_single,
-    is_unpseudoknotted_under,
     min_hairpin_ok,
     nn_space,
     parse_strands,
@@ -79,7 +74,6 @@ from .levels import (
     levels_bps,
     levels_nn_dp,
     levels_nn_grid,
-    min_gap,
     nn_level_counts,
 )
 from .reductions import (
@@ -108,7 +102,6 @@ from .hardness import (
     count_bps_auto,
     count_bps_brute,
     count_bps_chains,
-    count_multi_pkf_brute,
     gen_4part_from_3dm,
     gen_bps_from_4part,
     verify_parsimony_4part,

@@ -3,9 +3,14 @@ symmetry, and NN parameter files.
 
 The stack count, the face walk and the rotational symmetry are computed on
 sorted flat pairs under one ``Flattening`` (``_stacks``, ``_faces``,
-``_symmetry``).  The public functions are the ``BaseRef`` edge: each checks
-the ``SecondaryStructure`` it receives and converts it once, then calls
-these cores.
+``_symmetry``).  The public functions are the ``BaseRef`` edge: each
+converts the ``SecondaryStructure`` it receives once, then calls these
+cores.  ``decompose_loops``, ``rotational_symmetry``, ``energy_nn_detail``
+and NN ``energy`` validate it first (``check_structure``).  BPM and BPS
+``energy`` do not: they score a non-complementary pair, and BPM one that
+names a base outside the system.  ``dos_brute`` calls ``energy`` once per
+structure, so that check waits for the enumerator to hand over structures
+it has already validated (ROADMAP item 4).
 
 Energies are integers counting quanta of a global granularity ``delta``
 (a positive rational): BPM and BPS use delta = 1, NN parameter sets declare
@@ -498,7 +503,8 @@ def _full_base_table(value_of) -> dict:
 
 
 def toy_params_a(n: int = 16) -> NNParams:
-    """Stabilizing stacks, mildly costly loops; delta = 1."""
+    """Stabilizing stacks, mildly costly loops; delta = 1.  Tables reach n
+    bases; ``n`` stays because perfbench passes it, until ROADMAP item 1."""
     params = NNParams(
         delta=Fraction(1),
         temperature=Fraction(310),
@@ -520,7 +526,7 @@ def toy_params_a(n: int = 16) -> NNParams:
 
 def toy_params_b(n: int = 16) -> NNParams:
     """Finer quantum (delta = 1/2) with positive hairpin shelf and zero
-    mismatch terms."""
+    mismatch terms.  ``n`` as for ``toy_params_a``."""
     params = NNParams(
         delta=Fraction(1, 2),
         temperature=Fraction(310),

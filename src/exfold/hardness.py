@@ -1,6 +1,6 @@
 """Instance generators and weakly-parsimonious counting verifiers for the
 hardness chain: 3-dimensional matching -> 4-PARTITION -> stacking-count
-strands, plus the multi-strand pair-count verifier.
+strands.
 
 The 3DM -> 4-PARTITION step uses a carry-free radix encoding; the element
 weights are never trusted on their own, the parsimony verifiers recount both
@@ -20,16 +20,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
-from .exactmath import factorial
-from .strands import (
-    BudgetExceeded,
-    InvalidInput,
-    StrandSystem,
-    StructureSpace,
-    enumerate_structures,
-)
+from .strands import BudgetExceeded, InvalidInput
 
 DEFAULT_BPS_ENUM_BUDGET = 16  # pairable bases (C's plus G's)
 CHAIN_CACHE_SIZE = 64  # run-length profiles whose chain packings are kept
@@ -528,19 +521,6 @@ def count_bps_auto(strand: str, target: int,
     if len(cpos) + len(gpos) <= budget:
         return count_bps_brute(strand, target, budget), "enumeration"
     return count_bps_chains(strand, target), "chain-count"
-
-
-# ---------------------------------------------------------------------------
-# multi-strand pair-count verifier
-
-
-def count_multi_pkf_brute(system: StrandSystem, pair_count: int,
-                          budget: int = 24) -> int:
-    """Unpseudoknotted (some ordering) multi-strand structures with exactly
-    the given number of pairs; connectivity is not required."""
-    space = StructureSpace(allow_pseudoknots=False)
-    return sum(1 for s in enumerate_structures(system, space, budget)
-               if len(s.pairs) == pair_count)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import rat_from_str, rat_to_str
+from .exactmath import rat_to_str
 from .strands import (
     InvalidInput,
     StrandSystem,
@@ -76,7 +76,7 @@ class LevelSet:
     @classmethod
     def from_json(cls, text: str) -> "LevelSet":
         payload = json.loads(text)
-        return cls(rat_from_str(payload["delta"]),
+        return cls(Fraction(payload["delta"]),
                    tuple(int(g) for g in payload["levels"]))
 
 
@@ -90,17 +90,8 @@ def levels_bpm(n: int) -> LevelSet:
 
 def levels_bps(n: int) -> LevelSet:
     """Same shape as the pair-count set; stack counts cannot exceed
-    floor(n/2)."""
+    floor(n/2).  Kept because perfbench calls it, until ROADMAP item 1."""
     return levels_bpm(n)
-
-
-def min_gap(levels: LevelSet) -> Fraction:
-    """Minimum pairwise level difference in energy units; delta when fewer
-    than two levels."""
-    if len(levels) < 2:
-        return levels.delta
-    gaps = (b - a for a, b in zip(levels.levels, levels.levels[1:]))
-    return min(gaps) * levels.delta
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +122,8 @@ def _max_symmetry_quanta(c: int, params: NNParams) -> int:
 
 
 def grid_slope(params: NNParams, c: int = 1) -> int:
-    """Per-base width constant of the grid; |grid| <= 1 + n * slope."""
+    """Per-base width constant of the grid; |grid| <= 1 + n * slope.  The
+    acceptance tests bound the grid's size with it."""
     lo, hi = _pool(params)
     return (max(0, hi) - min(0, lo)
             + abs(params.multi_bp) + abs(params.multi_nt)

@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .exactmath import rat_from_str, rat_pow, rat_to_str
+from .exactmath import rat_to_str
 from .strands import (
     DEFAULT_PAIR_BUDGET,
     InvalidInput,
@@ -52,16 +52,13 @@ class DensityOfStates:
     def mfe(self) -> int:
         return min(self.counts)
 
-    def levels(self) -> tuple[int, ...]:
-        return tuple(sorted(self.counts))
-
     def ssel(self, level_quanta) -> int:
         return self.counts.get(level_quanta, 0)
 
     def pf(self, base: Fraction, magnification: int = 1) -> Fraction:
         base = check_base(base)
         return sum(
-            (count * rat_pow(base, -magnification * g) for g, count in self.counts.items()),
+            (count * base**(-magnification * g) for g, count in self.counts.items()),
             Fraction(0),
         )
 
@@ -76,17 +73,25 @@ class DensityOfStates:
     def from_json(cls, text: str) -> "DensityOfStates":
         payload = json.loads(text)
         counts = {int(g): int(c) for g, c in payload["counts"].items()}
-        return cls(counts, rat_from_str(payload["delta"]))
+        return cls(counts, Fraction(payload["delta"]))
 
 
 def dos_brute(system: StrandSystem, space: StructureSpace, model: EnergyModel,
-              budget: int = DEFAULT_PAIR_BUDGET,
-              fixed_ordering: Optional[Sequence[int]] = None) -> DensityOfStates:
-    """Exhaustive density of states over the space."""
+              budget: int = DEFAULT_PAIR_BUDGET) -> DensityOfStates:
+    """Exhaustive density of states over the space.
+
+    An NN model's ensemble is fixed by its parameters: the knot-free,
+    connected structures whose hairpins close at least ``min_hairpin``
+    bases.  Any other space would count a different set of structures than
+    the model defines, so it is refused."""
+    if model.kind == "nn":
+        want = StructureSpace(allow_pseudoknots=False, require_connected=True,
+                              min_hairpin=model.params.min_hairpin)
+        if space != want:
+            raise InvalidInput(f"the nn model's space is {want}, not {space}")
     counts: dict[int, int] = {}
-    ordering = tuple(fixed_ordering) if fixed_ordering else None
-    for structure in enumerate_structures(system, space, budget, fixed_ordering):
-        g = energy(model, system, structure, ordering=ordering)
+    for structure in enumerate_structures(system, space, budget):
+        g = energy(model, system, structure)
         counts[g] = counts.get(g, 0) + 1
     return DensityOfStates(counts, model.delta, space)
 

@@ -133,15 +133,6 @@ class StrandSystem:
             yield (first,) + perm
 
 
-def canonical_ordering(ordering: Sequence[int]) -> tuple[int, ...]:
-    """Rotation-invariant representative: rotate the circular ordering so the
-    smallest strand id comes first.  Two orderings are the same circular
-    permutation iff their canonical forms are equal."""
-    ordering = tuple(ordering)
-    pivot = ordering.index(min(ordering))
-    return ordering[pivot:] + ordering[:pivot]
-
-
 class Flattening:
     """Positional bookkeeping for a strand system under one ordering."""
 
@@ -253,18 +244,11 @@ class SecondaryStructure:
             canon.append((a, b))
         return cls(frozenset(canon))
 
-    @classmethod
-    def from_flat(cls, system: StrandSystem, flat_pairs) -> "SecondaryStructure":
-        flat = flattening(system)
-        return cls(frozenset(
-            (flat.ref(min(i, j)), flat.ref(max(i, j))) for i, j in flat_pairs
-        ))
-
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def sorted_flat(self, system: StrandSystem, ordering: Optional[Sequence[int]] = None):
-        return flattening(system, ordering).flat_pairs(self)
+    def sorted_flat(self, system: StrandSystem) -> list[tuple[int, int]]:
+        return flattening(system).flat_pairs(self)
 
 
 EMPTY_STRUCTURE = SecondaryStructure(frozenset())
@@ -296,6 +280,7 @@ def nn_space() -> StructureSpace:
 
 
 def all_pairs_space() -> StructureSpace:
+    """For the acceptance tests' closed-form matching counts."""
     return StructureSpace(pairing="all")
 
 
@@ -355,12 +340,6 @@ def is_unpseudoknotted_multi(
         if is_unpseudoknotted_single(flattening(system, ordering).flat_pairs(structure)):
             return True, ordering
     return False, None
-
-
-def is_unpseudoknotted_under(
-    system: StrandSystem, structure: SecondaryStructure, ordering: Sequence[int]
-) -> bool:
-    return is_unpseudoknotted_single(flattening(system, ordering).flat_pairs(structure))
 
 
 def is_connected(system: StrandSystem, structure: SecondaryStructure) -> bool:
@@ -508,13 +487,9 @@ def enumerate_structures(
                 alive.pop()
 
 
-def count_structures(
-    system: StrandSystem,
-    space: StructureSpace,
-    budget: int = DEFAULT_PAIR_BUDGET,
-    fixed_ordering: Optional[Sequence[int]] = None,
-) -> int:
-    return sum(1 for _ in enumerate_structures(system, space, budget, fixed_ordering))
+def count_structures(system: StrandSystem, space: StructureSpace,
+                     budget: int = DEFAULT_PAIR_BUDGET) -> int:
+    return sum(1 for _ in enumerate_structures(system, space, budget))
 
 
 # ---------------------------------------------------------------------------

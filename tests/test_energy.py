@@ -10,6 +10,7 @@ from exfold.strands import (
     StrandSystem,
     StructureSpace,
     enumerate_structures,
+    flattening,
     nn_space,
 )
 from exfold.energy import (
@@ -38,7 +39,9 @@ def sys_of(*seqs):
 
 
 def flat(system, pairs):
-    return SecondaryStructure.from_flat(system, pairs)
+    identity = flattening(system)
+    return SecondaryStructure.from_refs(system, [(identity.ref(i), identity.ref(j))
+                                                 for i, j in pairs])
 
 
 class TestPairCountModels:

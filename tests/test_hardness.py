@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from exfold.strands import BudgetExceeded, InvalidInput, StrandSystem, StructureSpace
-from exfold.energy import BPS
+from exfold.energy import BPM, BPS
 from exfold.exactmath import factorial
 from exfold.hardness import (
     FourPartitionInstance,
@@ -15,7 +15,6 @@ from exfold.hardness import (
     count_bps_auto,
     count_bps_brute,
     count_bps_chains,
-    count_multi_pkf_brute,
     gen_4part_from_3dm,
     gen_bps_from_4part,
     verify_parsimony_4part,
@@ -361,10 +360,17 @@ class TestParsimony4Part:
 
 
 class TestMultiPKF:
+    """Knot-free multi-strand structures by pair count, read off the BPM
+    density of states."""
+
+    @staticmethod
+    def by_pairs(s, k):
+        return dos_brute(s, StructureSpace(allow_pseudoknots=False), BPM).ssel(-k)
+
     def test_single_strand_levels(self):
         s = StrandSystem.from_sequences("ACGT")
-        assert count_multi_pkf_brute(s, 2) == 1
-        assert count_multi_pkf_brute(s, 0) == 1
+        assert self.by_pairs(s, 2) == 1
+        assert self.by_pairs(s, 0) == 1
 
     def test_sums_to_unpseudoknotted_total(self):
         rng = random.Random(44)
@@ -374,12 +380,12 @@ class TestMultiPKF:
                     for _ in range(c)]
             s = StrandSystem.from_sequences(*seqs)
             total = count_structures(s, StructureSpace(allow_pseudoknots=False))
-            by_k = sum(count_multi_pkf_brute(s, k) for k in range(0, s.n // 2 + 1))
+            by_k = sum(self.by_pairs(s, k) for k in range(0, s.n // 2 + 1))
             assert by_k == total
 
     def test_two_strands(self):
         s = StrandSystem.from_sequences("AC", "GT")
-        counts = {k: count_multi_pkf_brute(s, k) for k in range(0, 3)}
+        counts = {k: self.by_pairs(s, k) for k in range(0, 3)}
         assert counts[0] == 1
         assert sum(counts.values()) == count_structures(
             s, StructureSpace(allow_pseudoknots=False))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exfold.strands import (
     InvalidInput,
@@ -10,11 +11,15 @@ from exfold.strands import (
     complementary,
     enumerate_structures,
     flattening,
+    nn_space,
 )
 from exfold.energy import (
+    BPM,
+    BPS,
     energy_nn_detail,
     interior_like_energy,
     load_nn_params,
+    nn_model,
     toy_params_a,
     toy_params_b,
     toy_params_file,
@@ -27,9 +32,11 @@ from exfold.levels import (
     levels_bps,
     levels_nn_dp,
     levels_nn_grid,
-    min_gap,
     nn_level_counts,
 )
+from exfold.oracles import dos_brute
+
+from test_flat_pairs import systems
 
 PARAMS = (toy_params_a(16), toy_params_b(16))
 
@@ -163,17 +170,6 @@ class TestClosedForms:
     def test_size_formula(self):
         for n in range(1, 12):
             assert len(levels_bpm(n)) == n // 2 + 1
-
-
-class TestMinGap:
-    def test_consecutive(self):
-        assert min_gap(levels_bpm(7)) == 1
-
-    def test_spread(self):
-        assert min_gap(LevelSet(F(1, 3), (0, -2, -5))) == F(2, 3)
-
-    def test_singleton_convention(self):
-        assert min_gap(LevelSet(F(1, 4), (0,))) == F(1, 4)
 
 
 class TestSumset:
@@ -441,6 +437,25 @@ class TestSymmetryAugmentation:
                 dp = levels_nn_dp(system, ordering, params)
                 aug = augment_symmetry(dp, system, ordering, params)
                 assert occupied_full(system, ordering, params) <= set(aug.levels)
+
+
+class TestSupersetLaw:
+    """Every candidate set holds every occupied level, on systems of up to
+    four strands with repeated strands, n <= 10."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(systems(), st.sampled_from(PARAMS))
+    def test_candidate_sets_hold_the_occupied_levels(self, system, params):
+        grid = set(levels_nn_grid(system, params).levels)
+        augmented = set()
+        for ordering in system.circular_orderings():
+            dp = levels_nn_dp(system, ordering, params)
+            assert set(dp.levels) <= grid
+            augmented |= set(augment_symmetry(dp, system, ordering, params).levels)
+        assert set(dos_brute(system, nn_space(), nn_model(params)).counts) <= augmented
+        pair_levels = set(levels_bpm(system.n).levels)
+        for model in (BPM, BPS):
+            assert set(dos_brute(system, StructureSpace(), model).counts) <= pair_levels
 
 
 def test_levelset_json_roundtrip():

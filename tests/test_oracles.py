@@ -1,19 +1,21 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exfold.levels import levels_bpm
+from exfold.levels import levels_bpm, nn_level_counts
 from exfold.reductions import dos_via_pf, pf_via_ssel
 from exfold.strands import (
     InvalidInput,
     StrandSystem,
     StructureSpace,
     enumerate_structures,
+    nn_space,
 )
-from exfold.energy import BPM, BPS, energy
+from exfold.energy import BPM, BPS, energy, nn_model, toy_params_a
 from exfold.oracles import (
     DensityOfStates,
     check_base,
@@ -47,6 +49,21 @@ class TestDos:
             n = rng.randint(3, 8)
             s = sys_of("".join(rng.choice("ACGT") for _ in range(n)))
             assert dos_brute(s, PK, BPM).total() < math.factorial(n)
+
+    def test_nn_space_must_match_the_parameters(self):
+        # min_hairpin 1: nn_space()'s floor of 3 would drop the size-1 and
+        # size-2 hairpins the model defines, and with them level -1
+        p = toy_params_a()
+        model = nn_model(replace(p, min_hairpin=1, hairpin={**p.hairpin, 1: 5, 2: 5}))
+        s = sys_of("GGGACCC")
+        for space in (nn_space(), PK, StructureSpace(allow_pseudoknots=False, min_hairpin=1)):
+            with pytest.raises(InvalidInput, match="nn model's space"):
+                dos_brute(s, space, model)
+            with pytest.raises(InvalidInput, match="nn model's space"):
+                make_oracle(s, space, model, F(2))
+        dos = dos_brute(s, StructureSpace(False, True, 1), model)
+        assert dos.total() == 20 and dos.mfe() == -1
+        assert dos.counts == nn_level_counts(s, s.ids, model.params)
 
     def test_json_roundtrip(self):
         dos = dos_brute(sys_of("GGCC"), PK, BPS)
