@@ -2,14 +2,13 @@
 
 Subcommands: enumerate, solve, reduce, levels, hardgen.  All numeric output
 is exact ("num/den" rationals, integer quanta); --decimal adds a display
-approximation and never replaces the exact field.  Identical inputs produce
+approximation beside the exact field.  Identical inputs produce
 byte-identical output.
 
-``_setup`` builds the strand system, structure space and energy model from
-the library's own constructors.  The NN space is knot-free, connected and
-takes ``min_hairpin`` from the --params file, so the space and the energy
-model read one value, and a space flag given with it is bad input; the
-bpm/bps spaces come from the space flags.
+``_setup`` builds the system, space and model with the library's own
+constructors.  The NN space is knot-free, connected and takes
+``min_hairpin`` from the --params file, so a space flag given with it is bad
+input; the bpm/bps spaces come from the space flags.
 
 Exit codes: 0 ok, 2 invariant/parsimony mismatch, 3 budget exceeded,
 4 bad input, a malformed command line included.

@@ -3,25 +3,24 @@ symmetry, and NN parameter files.
 
 The stack count, the face walk and the rotational symmetry are computed on
 sorted flat pairs under one ``Flattening`` (``_stacks``, ``_faces``,
-``_symmetry``).  The public functions are the ``BaseRef`` edge: each
-converts the ``SecondaryStructure`` it receives once, then calls these
-cores.  ``decompose_loops``, ``rotational_symmetry``, ``energy_nn_detail``
-and NN ``energy`` validate it first (``check_structure``).  BPM and BPS
-``energy`` do not: they score a non-complementary pair, and BPM one that
-names a base outside the system.  ``dos_brute`` calls ``energy`` once per
-structure, so that check waits for the enumerator to hand over structures
-it has already validated (ROADMAP item 4).
+``_symmetry``).  ``decompose_loops``, ``rotational_symmetry``,
+``energy_nn_detail`` and NN ``energy`` validate a structure
+(``check_structure``) before converting it, except one that
+``enumerate_structures`` yielded from this very system, whose flat pairs
+and witness ordering they take as they are.  BPM and BPS ``energy`` never
+validate: they score a non-complementary pair, and BPM one that names a
+base outside the system.
 
 Energies are integers counting quanta of a global granularity ``delta``
 (a positive rational): BPM and BPS use delta = 1, NN parameter sets declare
-their own.  Keeping energies integral makes every downstream comparison and
-partition-function identity exact.  Magnification is not a property of a
-model: the oracles in ``exfold.oracles`` apply it to the density of states.
+their own, so every comparison and partition-function identity downstream
+is exact.  Magnification is applied by the oracles, not by a model.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -29,6 +28,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .strands import (
+    VALID_BASES,
     Flattening,
     InvalidInput,
     SecondaryStructure,
@@ -55,7 +55,19 @@ def _checked_pairs(system: StrandSystem, ordering: Optional[Sequence[int]],
     """Check ``structure``; convert it under ``ordering``, or when that is
     None under each circular ordering in turn until one leaves it
     crossing-free; then check that it is connected.  Returns the flattening
-    and the sorted flat pairs under it."""
+    and the sorted flat pairs under it.  An enumerated structure whose
+    witness is ``ordering``'s, or circular when ``ordering`` is None, skips
+    the check and the search, and the connectivity test too if its space
+    required connectivity."""
+    carried = structure._carried
+    if carried is not None:
+        flat_pairs, origin, witness = carried
+        if (witness is not None and origin.flat.system is system
+                and (origin.circular if ordering is None
+                     else tuple(ordering) == witness.ordering)):
+            if not origin.connected and not origin.flat.connected(flat_pairs):
+                raise DecompositionError("structure is disconnected")
+            return witness, witness.from_identity(flat_pairs)
     check_structure(system, structure)
     for tried in system.circular_orderings() if ordering is None else [ordering]:
         flat = flattening(system, tried)
@@ -211,13 +223,14 @@ def _faces(flat: Flattening, pairs: list[tuple[int, int]]) -> list[Loop]:
         children[pair] = []
         open_pairs.append(pair)
     n = len(flat.sequence)
+    before = flat.nicks_before  # so nick_count(lo, hi - 1) is before[hi] - before[lo]
 
     def face(closing: Optional[tuple[int, int]]) -> Loop:
         kids = tuple(children[closing])
         lo, hi = closing or (0, n + 1)
         free = hi - lo - 1 - sum(e - d + 1 for d, e in kids)
         # nicks bordering the face: inside the closing span, outside every child's
-        nicks = flat.nick_count(lo, hi - 1) - sum(flat.nick_count(d, e - 1) for d, e in kids)
+        nicks = before[hi] - before[lo] - sum(before[e] - before[d] for d, e in kids)
         if closing is None:
             return Loop("exterior", None, kids, free, nicks + 1)  # +1: wrap gap
         if nicks:
@@ -386,8 +399,11 @@ def energy(model: EnergyModel, system: StrandSystem,
     ordering; without one the first circular ordering that has no crossing
     is used."""
     if model.kind == "bpm":
-        return -len(structure.pairs)
+        return -len(structure)
     if model.kind == "bps":
+        carried = structure._carried
+        if carried is not None and carried[1].flat.system is system:
+            return -_stacks(carried[1].flat, carried[0])
         flat = flattening(system)
         return -_stacks(flat, flat.flat_pairs(structure))
     return _nn_detail(*_checked_pairs(system, ordering, structure), model.params).total
@@ -492,14 +508,7 @@ def toy_params_file(name: str) -> str:
 
 def _full_base_table(value_of) -> dict:
     """Table entry for every 4-base key."""
-    from .strands import VALID_BASES
-    table = {}
-    for a in VALID_BASES:
-        for b in VALID_BASES:
-            for c in VALID_BASES:
-                for d in VALID_BASES:
-                    table[(a, b, c, d)] = value_of(a, b, c, d)
-    return table
+    return {key: value_of(*key) for key in itertools.product(VALID_BASES, repeat=4)}
 
 
 def toy_params_a(n: int = 16) -> NNParams:

@@ -47,22 +47,15 @@ class VandermondeSystem:
 def solve_vandermonde(system: VandermondeSystem) -> tuple[Fraction, ...]:
     """Solve the system exactly; returns the unique solution vector.
 
-    The matrix is the transpose (dual) of a Vandermonde matrix, which the
-    master polynomial inverts in O(N**2) operations (Bjorck & Pereyra,
-    Math. Comp. 24, 1970).  With P(z) = prod_i (z - v_i) and
-    q_i(z) = P(z) / (z - v_i) = sum_k q_ik z**k, the sum
-    sum_k q_ik rhs_(k+1) = sum_l x_l v_l q_i(v_l) keeps only l = i, since
-    q_i vanishes at every other node; so x_i is that sum over q_i(v_i) v_i.
-
-    Exactness: the nodes are scaled by the lcm d of their denominators to
-    integers a_i = v_i d, and the right-hand side to integers
-    r_j = rhs_j d**j D, with D the lcm of the rhs denominators; the scaled
-    system sum_i (D x_i) a_i**j = r_j has the same form.  P is built once
-    in ints, and one Horner pass per node yields the synthetic-division
-    coefficients of q_i, the integer numerator sum_k q_ik r_(k+1) and the
-    integer denominator q_i(a_i) a_i, which is nonzero because the nodes
-    are distinct and positive.  Only the final x_i = num / (D den) is a
-    Fraction, normalised once per unknown.
+    The matrix is a transposed Vandermonde matrix, which the master
+    polynomial inverts in O(N**2) operations (Bjorck & Pereyra, Math. Comp.
+    24, 1970): with P(z) = prod_i (z - v_i) and q_i = P / (z - v_i) =
+    sum_k q_ik z**k, sum_k q_ik rhs_(k+1) = x_i v_i q_i(v_i), since q_i
+    vanishes at every other node.  Scaling the nodes by the lcm d of their
+    denominators (a_i = v_i d) and the rhs to r_j = rhs_j d**j D (D the lcm
+    of the rhs denominators) keeps that form in ints; one Horner pass per
+    node gives q_i, the numerator sum_k q_ik r_(k+1) and the nonzero
+    denominator q_i(a_i) a_i, and x_i = num / (D den) is the only Fraction.
     """
     n = len(system.nodes)
     d = lcm(*(v.denominator for v in system.nodes))

@@ -2,15 +2,10 @@
 hardness chain: 3-dimensional matching -> 4-PARTITION -> stacking-count
 strands.
 
-The 3DM -> 4-PARTITION step uses a carry-free radix encoding; the element
-weights are never trusted on their own, the parsimony verifiers recount both
-sides exactly and check the predicted multiplicative factor.  The recounts
-are exhaustive searches memoised on what the rest of the search depends on:
-``count_4part_brute`` on the multiset of the remaining weights, and
-``count_bps_brute`` on the next C, the used G's and the partners of the
-positions a later stack test reads.  A memo hit stands for the very
-completions the plain search would walk again, so every count is the one
-the plain search gives.
+The 3DM -> 4-PARTITION step uses a carry-free radix encoding.  The
+parsimony verifiers trust no weight: they recount both sides exactly, by
+exhaustive searches memoised on what the rest of the search depends on, and
+check the predicted multiplicative factor.
 """
 
 from __future__ import annotations
@@ -174,13 +169,10 @@ class FourPartitionInstance:
 def count_4part_brute(inst: FourPartitionInstance, budget: int = 20) -> int:
     """Partitions into unordered 4-tuples, each summing to the bound.
 
-    The search is memoised on the sorted tuple of the remaining weights: the
-    number of partitions of a set of labelled elements depends only on the
-    multiset of their weights.  The lowest remaining weight anchors each
-    tuple, so every partition is counted once, and its three partners are
-    chosen by position among the rest, so equal weights still count as
-    distinct elements.  The count is therefore the same as that of a plain
-    exhaustive search over the elements."""
+    Memoised on the sorted tuple of the remaining weights, since the count
+    depends only on that multiset.  The lowest remaining weight anchors each
+    tuple, so a partition is counted once, and its partners are chosen by
+    position, so equal weights still count as distinct elements."""
     k = inst.k
     if k > budget:
         raise BudgetExceeded(f"k = {k} exceeds the 4-PARTITION budget {budget}")
@@ -226,15 +218,12 @@ def gen_4part_from_3dm(inst: ThreeDMInstance) -> FourPartitionConstruction:
     x, y, z; and an actual/dummy digit where first copies contribute (0,0,4)
     and later copies (1,1,2), so a 4 can only arise all-actual or all-dummy.
     A large constant offset puts every weight strictly inside
-    (bound/5, bound/3).
+    (bound/5, bound/3).  alpha, the partitions per matching, is the product
+    of the (N(a)-1)! arrangements of each element's dummy copies.
 
-    alpha multiplies the matching count into the partition count: the
-    (N(a)-1)! arrangements of each element's dummy copies.
-
-    When an element occurs in no triple the matching count is zero but the
-    plain construction could still admit partitions over the remaining
-    elements, so a canonical unsolvable instance is emitted instead (alpha 1,
-    both counts zero).
+    When an element occurs in no triple there is no matching, but the plain
+    construction could still admit partitions, so a canonical unsolvable
+    instance is emitted instead (alpha 1, both counts zero).
     """
     q = len(inst.x)
     occurrences = {(axis, a): inst.occurrences(axis, a)
@@ -333,19 +322,15 @@ def count_bps_brute(strand: str, target: int,
     """Exact count of structures (pseudoknots allowed) with the given number
     of stacks, by exhausting C-G matchings with incremental stack tracking.
 
-    The search pairs the C's in order, each with nothing or with any unused
-    G, and is memoised on ``(idx, used-G bitmask, partners of the watched
-    positions)``.  Pairing the C at ``c`` with the G at ``g`` gains one stack
-    if ``c-1`` is paired with ``g+1`` and one if ``c+1`` is paired with
-    ``g-1``, so the watched positions at ``idx`` are the neighbours of the
-    C's from ``cpos[idx]`` on that are a G or a C paired earlier.  Every
-    later stack test reads only the key and later choices, so two searches
-    with equal keys have equal futures.  Each state returns its completions
-    as a histogram by stacks gained, and the count is the histogram's entry
-    at ``target``: the number the plain exhaustive search gives, one
-    completion at a time.  Past ``BPS_MEMO_STATES`` states the search stops
-    with ``BudgetExceeded``; the default budget of pairable bases stays far
-    below it."""
+    The C's are paired in order, each with nothing or any unused G.  Pairing
+    C ``c`` with G ``g`` gains a stack if ``c-1`` pairs ``g+1`` and one if
+    ``c+1`` pairs ``g-1``, so the search is memoised on ``(idx, used-G
+    bitmask, partners of the watched positions)``, the watched positions
+    being the neighbours of the C's from ``cpos[idx]`` on that are a G or a
+    C paired earlier: equal keys have equal futures.  Each state returns its
+    completions as a histogram by stacks gained, and the count is its entry
+    at ``target``.  Past ``BPS_MEMO_STATES`` states the search raises
+    ``BudgetExceeded``; the default pairable-base budget stays far below."""
     cpos, gpos = _cg_positions(strand)
     if len(cpos) + len(gpos) > budget:
         raise BudgetExceeded(
@@ -397,14 +382,12 @@ def count_bps_chains(strand: str, target: int) -> int:
     """Polynomial-size exact count of structures with the given stack count.
 
     A matching decorated with a subset of its stacks decomposes uniquely
-    into "chains": runs of consecutive C positions paired to consecutive G
-    positions in reverse.  Summing x**(chain length - 1) over all chain
-    packings gives sum_M (1+x)**stacks(M), and a binomial inversion then
-    isolates the count per exact stack number.
-
-    Exact only when no stack can straddle a C/G boundary, which needs at
-    most one directly adjacent C/G run pair in the strand; generated
-    instances separate every run with A's.
+    into "chains": runs of consecutive C's paired to consecutive G's in
+    reverse.  Summing x**(chain length - 1) over all chain packings gives
+    sum_M (1+x)**stacks(M), and a binomial inversion isolates each exact
+    stack count.  Exact only when no stack can straddle a C/G boundary: at
+    most one directly adjacent C/G run pair (generated instances separate
+    every run with A's).
     """
     cpos, gpos = _cg_positions(strand)
     if not cpos or not gpos:

@@ -2,28 +2,22 @@
 
 A candidate set is a finite superset of the energies occupied by a system's
 ensemble, computable without solving the MFE problem.  The base-pair models
-have closed forms; the nearest-neighbour model gets two constructions: a
-coarse grid from per-loop bounds, and a count dynamic program that returns
-exactly the occupied, symmetry-free levels for a fixed strand ordering,
-with the number of structures at each.
+have closed forms; the nearest-neighbour model gets a coarse grid from
+per-loop bounds, and a count dynamic program that returns exactly the
+occupied, symmetry-free levels for a fixed strand ordering, with the number
+of structures at each.
 
 The count DP is a multistranded partition-function recursion (McCaskill
 1990; Dirks, Bois, Schaeffer, Winfree & Pierce 2007) over exact integers.
 Each cell is a count polynomial sum_k c_k x**(lo + k), stored as the pair
 (lo, packed) with packed = sum_k c_k * 2**(W*k) (Kronecker substitution):
-union is +, after shifting the operand with the higher lo up by whole
-slots; the product of two cells (the sumset of their levels) is one integer
-multiplication, with the lows added; an energy shift only moves lo.  None is
-Phi, "no structure of this shape".  Every coefficient counts distinct
-crossing-free structures on at most n flat bases, fewer than Motzkin(n) <
-3**n, so slots of W = (3**n).bit_length() + 1 bits never carry into each
-other and the unpacked counts are exact.
-
-The exterior, multiloop-contents and multiloop-closing branches are split on
-the rightmost pair, so they cost O(n) per cell; the stack, bulge and
-interior branch scans every inner pair (d, e), O(n**2) per cell.  In all:
-O(n**3) big-integer products and O(n**4) interior-loop terms at most, each
-on integers of (level span) * W bits.
+union is + after aligning the lows, the product of two cells (the sumset of
+their levels) is one integer multiplication, and an energy shift only moves
+lo.  None is Phi, "no structure of this shape".  Every coefficient counts
+crossing-free structures on at most n flat bases, fewer than 3**n, so slots
+of W = (3**n).bit_length() + 1 bits never carry.  Splitting on the
+rightmost pair makes every branch but the O(n**2) interior scan O(n) per
+cell: O(n**3) big-integer products and O(n**4) interior terms at most.
 """
 
 from __future__ import annotations
@@ -108,17 +102,12 @@ def _pool(params: NNParams) -> tuple[int, int]:
                       + min(params.interior_asym.values()) + 2 * lo_mm)
         values.append(max(params.interior_size.values())
                       + max(params.interior_asym.values()) + 2 * hi_mm)
-    if not values:
-        values = [0]
     return min(values), max(values)
 
 
 def _max_symmetry_quanta(c: int, params: NNParams) -> int:
-    terms = [0]
-    for r in range(2, c + 1):
-        if c % r == 0:
-            terms.append(round_log_multiple(params.kbt, r, params.delta))
-    return max(terms)
+    return max([0] + [round_log_multiple(params.kbt, r, params.delta)
+                      for r in range(2, c + 1) if c % r == 0])
 
 
 def grid_slope(params: NNParams, c: int = 1) -> int:
@@ -172,11 +161,10 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
       s1[i][j]  multiloop contents with one pair, which ends at j.
     g, gm and gm2 are trails over the rightmost pair (d, e): with A[i, e] the
     contents whose last pair ends at e,
-      T[i, j] = A[i, j] + [no nick at j-1] * shift(T[i, j-1], unpaired cost),
-    so each cell sums over d only.  The interior branch of gb scans the
-    non-empty gb[d][e] with nick-free flanks in (d, e) order, so a missing
-    table entry raises at the first loop that needs it, with cells taken by
-    length, then by i.
+      T[i, j] = A[i, j] + [no nick at j-1] * shift(T[i, j-1], unpaired cost).
+    The interior branch of gb scans the non-empty gb[d][e] with nick-free
+    flanks in (d, e) order, cells by length then i, so a missing table entry
+    raises at the first loop that needs it.
     """
     flat = flattening(system, ordering)
     n = system.n
@@ -272,16 +260,8 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
 def levels_nn_dp(system: StrandSystem, ordering: Sequence[int],
                  params: NNParams) -> LevelSet:
     """Exactly the occupied symmetry-free levels of the connected,
-    crossing-free ensemble under ``ordering``, as quanta of params.delta.
-
-    This is the support of ``nn_level_counts``.  Its cells hold per-level
-    structure counts packed into one integer each, in slots of
-    (3**n).bit_length() + 1 bits: no count over n flat bases reaches 3**n,
-    so no slot carries.  Besides the pair, exterior and multiloop cells it
-    keeps auxiliary "one pair, ending at j" and "at least two pairs" multiloop
-    cells, so the exterior and multiloop branches take O(n) products per
-    cell and only the interior-loop scan takes O(n**2) terms per cell.
-    """
+    crossing-free ensemble under ``ordering``, as quanta of params.delta:
+    the support of ``nn_level_counts``."""
     return LevelSet(params.delta, tuple(nn_level_counts(system, ordering, params)))
 
 

@@ -2,15 +2,13 @@
 
 ``dos_brute`` enumerates the ensemble once into a ``DensityOfStates``, which
 answers MFE, PF, SSEL and their decision versions; ``OracleHandle`` wraps it
-as the oracle the reductions call.  This module is the one place where
-magnification is applied: the j-magnified model only scales each level of
-the density of states by j, so no energy function is ever rescaled.
+as the oracle the reductions call, and is the one place where magnification
+is applied: the j-magnified model scales each level by j.
 
-The partition function is kept exact by replacing the transcendental
-Boltzmann factor per quantum, e**(delta/kT), with a positive rational base
-b != 1: a structure at g quanta contributes b**(-g).  Every identity the
-reductions rely on is algebra over these weights, so the substitution keeps
-all of them bit-exact.  A decimal rendering exists for display only.
+The partition function stays exact because the Boltzmann factor per
+quantum, e**(delta/kT), is replaced by a positive rational base b != 1: a
+structure at g quanta contributes b**(-g).  Every identity the reductions
+rely on is algebra over these weights.  Decimals are for display only.
 """
 
 from __future__ import annotations
@@ -110,14 +108,10 @@ def pf_decimal(value: Fraction, digits: int = 12) -> str:
 @dataclass
 class OracleHandle:
     """Magnification-aware oracle facade over one brute-force density of
-    states, and the only magnification mechanism in the package.
-
-    Every query accepts an integer magnification j >= 0 (the j-magnified
-    model scales each level's quanta by j).  pf and dpf additionally accept
-    a ``base`` override, which realizes the huge symbolic magnifications
-    whose per-quantum weight is a different rational (n! in the threshold
-    reductions) rather than a power of the handle's own base.
-    """
+    states.  Every query accepts an integer magnification j >= 0; pf and dpf
+    also accept a ``base`` override, for the huge magnifications whose
+    per-quantum weight is another rational (n! in the threshold
+    reductions), not a power of the handle's own base."""
 
     system: StrandSystem
     space: StructureSpace
@@ -134,36 +128,33 @@ class OracleHandle:
     def n(self) -> int:
         return self.system.n
 
-    def _check_j(self, j: int):
+    def _query(self, j: int):
+        """Count one query at magnification ``j``, a non-negative int."""
         if not isinstance(j, int) or j < 0:
             raise InvalidInput("magnification must be a non-negative integer")
+        self.calls += 1
 
     def pf(self, j: int = 1, base: Optional[Fraction] = None) -> Fraction:
-        self._check_j(j)
-        self.calls += 1
+        self._query(j)
         b = self.base if base is None else check_base(base)
         return self.dos.pf(b, j)
 
     def dpf(self, threshold: Fraction, j: int = 1,
             base: Optional[Fraction] = None) -> bool:
-        self._check_j(j)
-        self.calls += 1
+        self._query(j)
         b = self.base if base is None else check_base(base)
         return self.dos.pf(b, j) >= threshold
 
     def mfe(self, j: int = 1) -> int:
-        self._check_j(j)
-        self.calls += 1
+        self._query(j)
         return self.dos.mfe() * j
 
     def dmfe(self, threshold, j: int = 1) -> bool:
-        self._check_j(j)
-        self.calls += 1
+        self._query(j)
         return self.dos.mfe() * j <= threshold
 
     def ssel(self, level_quanta, j: int = 1) -> int:
-        self._check_j(j)
-        self.calls += 1
+        self._query(j)
         if j == 0:
             return self.dos.total() if level_quanta == 0 else 0
         if level_quanta % j != 0:

@@ -1,14 +1,13 @@
 """The oracle-reduction map between the five thermodynamic problems.
 
 Every function here solves one problem by querying an oracle for another,
-within a stated call budget, and returns its answer together with a
-transcript of the oracle traffic.  Reductions never look inside the oracle;
-magnification requests go through the oracle's own interface.
+within a stated call budget, and returns its answer with a transcript of the
+oracle traffic.  Reductions never look inside the oracle; magnification
+requests go through the oracle's own interface.
 
 The two threshold reductions use the huge magnification whose per-quantum
-Boltzmann weight is n! — large enough that the structure count at any single
-level (which is < n! for n > 2) cannot spill into the next digit.  They are
-therefore restricted to systems with at least 3 bases.
+weight is n!, so the count at one level (< n! for n > 2) cannot spill into
+the next digit; they need at least 3 bases.
 """
 
 from __future__ import annotations

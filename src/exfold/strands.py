@@ -14,24 +14,19 @@ Conventions used throughout the package:
   per (system, ordering); callers must not mutate it.
 
 Sorted flat pairs ``(i, j)``, i < j, under one ``Flattening`` are the form
-every predicate, enumerator and energy model computes on.  A
-``SecondaryStructure`` of ``BaseRef`` pairs exists at the edge: a public
-function that receives one converts it once, with ``Flattening.flat_pairs``,
-and the enumerator builds one only for a structure it yields.
-
-The enumerator tests crossings incrementally, as each pair is pushed, and
-yields structures in lexicographic order of their sorted flat pair tuples.
-In a knot-free space with a minimum hairpin it first drops the same-strand
-candidates too short to close a hairpin, which no admissible structure
-holds; the budget still counts them.  Each pair set is built from its
-parent's, so a push hashes one ``BaseRef`` pair.
+every predicate, enumerator and energy model computes on.  A public
+function that receives a ``SecondaryStructure`` of ``BaseRef`` pairs
+converts it once.  A structure the enumerator yields carries its flat pairs
+(and its crossing-free witness ordering), so ``energy`` need not convert or
+validate it, and it builds its ``BaseRef`` pairs only when they are read.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 VALID_BASES = "ACGTU"
@@ -85,11 +80,9 @@ class StrandSystem:
     """An ordered multiset of strands; the tuple order is the system's
     intrinsic flattening order (identity ordering).
 
-    The hash and ``ids`` are computed once, at construction, so a
-    ``flattening(system, ...)`` cache hit costs O(1), not a pass over every
-    strand.  A stored str-based hash is only valid in the process that made
-    it (str hashes are salted per process), so ``__reduce__`` pickles the
-    strands alone and unpickling constructs the system afresh."""
+    The hash and ``ids`` are computed once, so a ``flattening`` cache hit
+    costs O(1).  str hashes are salted per process, so ``__reduce__``
+    pickles the strands alone and unpickling hashes the system afresh."""
 
     strands: tuple[Strand, ...]
 
@@ -143,20 +136,18 @@ class Flattening:
         self.system = system
         self.ordering = ordering
         self.sequence = "".join(system.strand_by_id(t).sequence for t in ordering)
-        self._flat_of: dict[BaseRef, int] = {}
-        self._ref_of: list[BaseRef] = []
-        nicks = set()
-        pos = 0
-        for t in ordering:
-            strand = system.strand_by_id(t)
-            for i in range(1, len(strand) + 1):
-                pos += 1
-                ref = BaseRef(t, i)
-                self._flat_of[ref] = pos
-                self._ref_of.append(ref)
-            if pos < system.n:
-                nicks.add(pos)  # nick between pos and pos + 1
-        self.nicks: frozenset[int] = frozenset(nicks)
+        lengths = [len(system.strand_by_id(t)) for t in ordering]
+        self._ref_of = [BaseRef(t, i) for t, m in zip(ordering, lengths) for i in range(1, m + 1)]
+        self._flat_of = {ref: pos for pos, ref in enumerate(self._ref_of, 1)}
+        # a nick after each strand but the last, between p and p + 1
+        self.nicks: frozenset[int] = frozenset(itertools.accumulate(lengths[:-1]))
+        # nicks_before[p]: the number of nicks before flat position p, p = 0..n+1
+        self.nicks_before = list(itertools.accumulate(
+            (p in self.nicks for p in range(system.n + 1)), initial=0))
+        self._strand_at = [None] + [ref.strand for ref in self._ref_of]
+        # _position[p]: the flat position here of identity flat position p
+        self._position = [0] + [self._flat_of[BaseRef(s.id, i)]
+                                for s in system.strands for i in range(1, len(s) + 1)]
 
     def flat(self, ref: BaseRef) -> int:
         try:
@@ -171,19 +162,26 @@ class Flattening:
         return self.sequence[pos - 1]
 
     def flat_pairs(self, structure: "SecondaryStructure") -> list[tuple[int, int]]:
-        out = []
-        for a, b in structure.pairs:
-            i, j = self.flat(a), self.flat(b)
-            out.append((i, j) if i < j else (j, i))
-        out.sort()
-        return out
+        flat = self.flat
+        return sorted((i, j) if i < j else (j, i)
+                      for i, j in ((flat(a), flat(b)) for a, b in structure.pairs))
+
+    def from_identity(self, pairs) -> Sequence[tuple[int, int]]:
+        """Sorted flat pairs here of sorted flat pairs under the identity
+        ordering."""
+        if self.ordering == self.system.ids:
+            return pairs
+        at = self._position
+        return sorted((at[i], at[j]) if at[i] < at[j] else (at[j], at[i]) for i, j in pairs)
 
     def nick_count(self, lo: int, hi: int) -> int:
         """Number of nicks in the half-integer interval [lo+1/2, hi+1/2];
         by convention zero when hi < lo."""
         if hi < lo:
             return 0
-        return sum(1 for p in self.nicks if lo <= p <= hi)
+        before = self.nicks_before
+        top = len(before) - 1
+        return before[max(0, min(hi + 1, top))] - before[max(0, min(lo, top))]
 
     def connected(self, pairs) -> bool:
         """Connectivity of the strand graph with one edge per inter-strand
@@ -198,9 +196,10 @@ class Flattening:
                 x = root[x]
             return x
 
+        strand = self._strand_at
         parts = len(root)
         for i, j in pairs:
-            a, b = find(self.ref(i).strand), find(self.ref(j).strand)
+            a, b = find(strand[i]), find(strand[j])
             if a != b:
                 root[a] = b
                 parts -= 1
@@ -226,12 +225,29 @@ def flattening(system: StrandSystem, ordering: Optional[Sequence[int]] = None) -
     return _cached_flattening(system, system.ids if ordering is None else tuple(ordering))
 
 
-@dataclass(frozen=True)
-class SecondaryStructure:
-    """A set of base pairs; each pair is a frozenset-free canonical 2-tuple of
-    BaseRefs ordered by (strand id position in the system tuple, index)."""
+class _Origin(NamedTuple):
+    """What the structures of one enumeration share."""
 
-    pairs: frozenset[tuple[BaseRef, BaseRef]]
+    flat: Flattening  # the system's identity flattening
+    circular: bool  # witnesses are circular orderings, not a fixed_ordering
+    connected: bool  # every structure yielded is connected
+
+
+class SecondaryStructure:
+    """A set of base pairs; each pair is a canonical 2-tuple of BaseRefs
+    ordered by (strand id position in the system tuple, index).
+
+    An enumerated structure holds ``(sorted identity-flat pairs, _Origin,
+    witness flattening or None)`` in ``_carried`` and leaves ``_pairs``
+    unset until first read.  Equality, hash, repr and pickling see ``pairs``
+    alone, as for a frozen dataclass with that one field."""
+
+    __slots__ = ("_pairs", "_carried")
+    __match_args__ = ("pairs",)
+
+    def __init__(self, pairs: frozenset[tuple[BaseRef, BaseRef]]):
+        _set_pairs(self, pairs)
+        _set_carried(self, None)
 
     @classmethod
     def from_refs(cls, system: StrandSystem, pairs) -> "SecondaryStructure":
@@ -244,11 +260,49 @@ class SecondaryStructure:
             canon.append((a, b))
         return cls(frozenset(canon))
 
+    @property
+    def pairs(self) -> frozenset[tuple[BaseRef, BaseRef]]:
+        try:
+            return self._pairs
+        except AttributeError:  # enumerated, and read for the first time
+            flat_pairs, origin, _ = self._carried
+            ref = origin.flat._ref_of
+            _set_pairs(self, frozenset((ref[i - 1], ref[j - 1]) for i, j in flat_pairs))
+            return self._pairs
+
     def __len__(self) -> int:
-        return len(self.pairs)
+        carried = self._carried
+        return len(self.pairs if carried is None else carried[0])
 
     def sorted_flat(self, system: StrandSystem) -> list[tuple[int, int]]:
+        carried = self._carried
+        if carried is not None and carried[1].flat.system is system:
+            return list(carried[0])
         return flattening(system).flat_pairs(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs == other.pairs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(pairs={self.pairs!r})"
+
+    def __reduce__(self):
+        return type(self), (self.pairs,)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_set_pairs = SecondaryStructure._pairs.__set__
+_set_carried = SecondaryStructure._carried.__set__
 
 
 EMPTY_STRUCTURE = SecondaryStructure(frozenset())
@@ -361,14 +415,9 @@ def min_hairpin_ok(system: StrandSystem, structure: SecondaryStructure, min_hair
 
 def candidate_pairs(system: StrandSystem, space: StructureSpace) -> list[tuple[int, int]]:
     """All admissible flat pairs (i < j) under the space's pairing rule."""
-    flat = flattening(system)
-    n = system.n
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if space.pairing == "all" or complementary(flat.base(i), flat.base(j)):
-                out.append((i, j))
-    return out
+    seq, n = flattening(system).sequence, system.n
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            if space.pairing == "all" or complementary(seq[i - 1], seq[j - 1])]
 
 
 def enumerate_structures(
@@ -380,111 +429,107 @@ def enumerate_structures(
     """Yield every structure of the space exactly once, empty structure first,
     in lexicographic order of the sorted flat pair tuples.
 
-    The search is one loop over an explicit stack: ``chosen`` holds the
-    candidate indices of the current structure, increasing, and ``alive``
-    the orderings still open after each push.  The loop scans the candidates
-    from ``idx`` for one that fits; a push yields the new structure if it is
-    admissible and goes on scanning after the pushed index.  When the scan
-    runs out, the last index ``m`` is popped, with its alive orderings, and
-    the scan resumes at ``m + 1``.  This is the pre-order depth-first walk
-    of a recursion that yields its own structure and then extends it by each
-    later candidate in turn, so a structure comes right before its
-    extensions, and those before any structure whose last index is larger:
-    the lexicographic order.
+    Candidate ``idx`` is bit ``idx`` of a mask.  ``compat[k][idx]`` holds the
+    later candidates that share no base with ``idx`` and, under ordering k,
+    do not cross it: exactly one end strictly inside its span, so they are
+    the XOR of ``ends[p]`` (the candidates with an end at p) over that span,
+    two prefix XORs.  The orderings k are the circular ones, or
+    ``fixed_ordering``, in a knot-free space, and one with no crossing term
+    under pseudoknots.  Each depth keeps its alive orderings (the chosen
+    pairs cross under none of them) with their masks of candidates still
+    available; the next candidate is the lowest bit of their union, and
+    pushing it keeps the orderings whose mask holds it, each mask ANDed with
+    its ``compat`` row.  This pre-order walk yields a structure, then its
+    extensions by each later candidate in turn: the lexicographic order.
 
-    A knot-free space is pruned incrementally: a pushed pair is tested only
-    against the chosen pairs, under the orderings that still leave them
-    crossing-free (the circular ones, or ``fixed_ordering`` alone), and the
-    branch ends when none is left.  Connectivity and the minimum hairpin are
-    checked per yielded structure, since adding a pair can make or break them.
+    Connectivity and, under pseudoknots, the minimum hairpin are checked per
+    yielded structure.  A knot-free space with ``min_hairpin > 0`` instead
+    drops, after the budget check, every same-strand candidate (no nick in
+    ``[i, j-1]``) closing fewer than ``min_hairpin`` bases: a pair inside it
+    would be a shorter one, a pair leaving it crosses it under every
+    ordering, so no admissible structure holds one.
 
-    A knot-free space with ``min_hairpin > 0`` also drops, before the search,
-    every same-strand candidate ``(i, j)`` (no nick in ``[i, j-1]``) that
-    closes fewer than ``min_hairpin`` bases, the pairs ``hairpins_ok``
-    rejects when nothing is paired inside them.  No admissible structure
-    holds one: a pair inside it is a shorter such pair, and a pair leaving
-    it crosses it under every ordering, since a strand stays contiguous in
-    each.  So the answers and their order are unchanged.  The budget counts
-    the candidates before this pruning.
-
-    Each structure's ``BaseRef`` pair set is built from its parent's, one
-    new pair at a time, so a push hashes one pair, not all of them.
+    A yielded structure carries its sorted identity-flat pairs and, in a
+    knot-free space of complementary pairs, the flattening under its first
+    alive ordering, the witness ``energy`` would otherwise search for.
     """
     cands = candidate_pairs(system, space)
     if len(cands) > budget:
         raise BudgetExceeded(
             f"{len(cands)} candidate pairs exceed the enumeration budget {budget}")
     flat = flattening(system)
-    min_hairpin = space.min_hairpin
-    if min_hairpin and not space.allow_pseudoknots:
+    knot_free = not space.allow_pseudoknots
+    if space.min_hairpin and knot_free:
         cands = [(i, j) for i, j in cands
-                 if j - i - 1 >= min_hairpin or flat.nick_count(i, j - 1)]
-    cand_refs = [(flat.ref(i), flat.ref(j)) for i, j in cands]
+                 if j - i - 1 >= space.min_hairpin or flat.nick_count(i, j - 1)]
     if fixed_ordering is not None:
         flattening(system, fixed_ordering)  # raises unless it permutes the strand ids
-    if space.allow_pseudoknots:
-        orderings = []
-    elif fixed_ordering is not None:
-        orderings = [fixed_ordering]
-    else:
-        orderings = list(system.circular_orderings())
-    # placed[k][idx]: candidate idx as a sorted flat pair under ordering k
-    placed = []
-    for ordering in orderings:
-        under = flattening(system, ordering)
-        position = [0] + [under.flat(flat.ref(p)) for p in range(1, system.n + 1)]
-        placed.append([tuple(sorted((position[i], position[j]))) for i, j in cands])
+    ends = [0] * (system.n + 1)
+    for idx, (i, j) in enumerate(cands):
+        ends[i] |= 1 << idx
+        ends[j] |= 1 << idx
+    full = (1 << len(cands)) - 1
+    free = [full & ~((2 << idx) - 1 | ends[i] | ends[j]) for idx, (i, j) in enumerate(cands)]
+    unders = [flattening(system, ordering) for ordering in
+              ([] if not knot_free else [fixed_ordering] if fixed_ordering is not None
+               else system.circular_orderings())]
+    compat = [] if unders else [free]
+    for under in unders:
+        at, ends_at = under._position, [0] * (system.n + 1)
+        for p, mask in enumerate(ends):
+            ends_at[at[p]] = mask
+        inside = list(itertools.accumulate(ends_at, operator.xor))
+        compat.append([free[idx] & ~(inside[max(at[i], at[j]) - 1] ^ inside[min(at[i], at[j])])
+                       for idx, (i, j) in enumerate(cands)])
 
-    connected = space.require_connected and system.c > 1
+    origin = _Origin(flat, fixed_ordering is None, space.require_connected or system.c == 1)
+    witnesses = unders if unders and space.pairing == "complementary" else [None] * len(compat)
+    check_connected = space.require_connected and system.c > 1
+    check_hairpins = space.min_hairpin and not knot_free
+    always = not (check_connected or check_hairpins)
 
     def admissible() -> bool:
-        return ((not connected or flat.connected(pairs))
-                and (not min_hairpin or flat.hairpins_ok(pairs, min_hairpin)))
+        return ((not check_connected or flat.connected(pairs))
+                and (not check_hairpins or flat.hairpins_ok(pairs, space.min_hairpin)))
 
-    chosen: list[int] = []  # candidate indices, increasing
+    new, set_carried = object.__new__, _set_carried
     pairs: list[tuple[int, int]] = []  # the chosen candidates' flat pairs
-    ref_sets = [frozenset()]  # ref_sets[d]: the BaseRef pairs after d pushes
-    occupied = [False] * (system.n + 1)
-    alive = [range(len(orderings))]  # alive[d]: orderings open after d pushes
+    stack = []  # per push: the union left to scan and the alive orderings before it
+    # alive: the alive orderings as (k, mask of candidates available), or k
+    # alone once only one is left, its mask being rest
+    alive = 0 if len(compat) == 1 else [(k, full) for k in range(len(compat))]
+    rest = full
     if admissible():
-        yield EMPTY_STRUCTURE
-    idx = 0
+        out = new(SecondaryStructure)
+        set_carried(out, ((), origin, witnesses[0]))
+        yield out
     while True:
-        for idx in range(idx, len(cands)):
-            i, j = cands[idx]
-            if occupied[i] or occupied[j]:
-                continue
-            if orderings:
-                still = []
-                for k in alive[-1]:
-                    at = placed[k]
-                    a, b = at[idx]
-                    for m in chosen:
-                        c, d = at[m]
-                        if (a < c < b) != (a < d < b):
-                            break
-                    else:
-                        still.append(k)
-                if not still:
-                    continue
-                alive.append(still)
-            chosen.append(idx)
-            pairs.append((i, j))
-            ref_sets.append(ref_sets[-1] | {cand_refs[idx]})
-            occupied[i] = occupied[j] = True
-            if admissible():
-                yield SecondaryStructure(ref_sets[-1])
-            idx += 1
-            break
+        if rest:
+            low = rest & -rest
+            idx = low.bit_length() - 1
+            stack.append((rest ^ low, alive))
+            if alive.__class__ is int:
+                k = alive
+                rest &= compat[k][idx]
+            else:
+                alive = [(k, avail & compat[k][idx]) for k, avail in alive if avail & low]
+                k = alive[0][0]
+                if len(alive) == 1:
+                    alive, rest = alive[0]
+                else:
+                    rest = 0
+                    for _, avail in alive:
+                        rest |= avail
+            pairs.append(cands[idx])
+            if always or admissible():
+                out = new(SecondaryStructure)
+                set_carried(out, (tuple(pairs), origin, witnesses[k]))
+                yield out
+        elif stack:
+            rest, alive = stack.pop()
+            pairs.pop()
         else:
-            if not chosen:
-                return
-            idx = chosen.pop() + 1
-            i, j = pairs.pop()
-            ref_sets.pop()
-            occupied[i] = occupied[j] = False
-            if orderings:
-                alive.pop()
+            return
 
 
 def count_structures(system: StrandSystem, space: StructureSpace,

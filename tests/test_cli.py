@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -39,6 +40,24 @@ class TestEnumerate:
         payload = json.loads(run_cli("enumerate", "ACGT", "--dump").stdout)
         assert payload["count"] == 4
         assert [[1, 4], [2, 3]] in payload["structures"]
+
+    # sha256 prefixes of `enumerate ... --dump` stdout: the structures and
+    # their order; a change that moves either must update them on purpose
+    DUMP_SHA256 = {
+        ("GGCCAUGC", "--pseudoknots"): "5f50db775e9db4f4",
+        ("GCAU,GGC,CAU",): "57e3cefa28ea1e9e",
+        ("GCAUG,CAUGC", "--connected", "--min-hairpin", "2"): "05e414eae8cfc3d9",
+        ("ACGU,GA", "--all-pairs", "--pseudoknots"): "6208e55ccc8634f8",
+        ("GGGAAACCCAGGGAAACCCU", "--model", "nn", "--params",
+         str(ROOT / "src/exfold/data/toy_nn_a.txt")): "5d379fa8bd29d820",
+        # 45 candidate pairs
+        ("ACGUACGUAGCUAGCAUGC", "--min-hairpin", "3", "--connected"): "829aee165acac547",
+    }
+
+    @pytest.mark.parametrize("args", DUMP_SHA256, ids=lambda args: args[0])
+    def test_dump_order_is_pinned(self, args):
+        out = run_cli("enumerate", *args, "--dump").stdout
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == self.DUMP_SHA256[args]
 
     def test_multi_strand_inline(self):
         payload = json.loads(run_cli("enumerate", "GC,GC", "--pseudoknots").stdout)

@@ -27,6 +27,7 @@ from exfold.strands import (
     nn_space,
 )
 from exfold.energy import (
+    BPM,
     BPS,
     decompose_loops,
     energy,
@@ -174,6 +175,73 @@ class TestAgainstBaseRefReferences:
             witness = is_unpseudoknotted_multi(s, structure)[1]
             assert energy(model, s, structure) == \
                 energy_nn_detail(s, witness, structure, model.params).total
+
+
+# ---------------------------------------------------------------------------
+# the carried flat form
+
+
+def outcome(model, system, structure, ordering):
+    try:
+        return energy(model, system, structure, ordering)
+    except InvalidInput as exc:  # DecompositionError included
+        return type(exc), str(exc)
+
+
+MODELS = (BPM, BPS, nn_model(PARAMS["a"]), nn_model(PARAMS["b"]))
+
+
+class TestCarriedFlatForm:
+    """``energy`` of an enumerated structure, which may take the enumerator's
+    flat pairs and witness ordering, equals ``energy`` of the same pairs
+    rebuilt as a plain ``SecondaryStructure``: the same answer, or the same
+    exception type and message."""
+
+    @PROPERTY_SETTINGS
+    @given(systems(max_n=8), st.booleans(), st.booleans(), st.integers(0, 3),
+           st.sampled_from(("complementary", "all")), st.randoms(use_true_random=False),
+           st.booleans())
+    def test_fast_path_equals_checked_path(self, s, pk, connected, min_hairpin, pairing,
+                                           rng, fixed):
+        space = StructureSpace(pk, connected, min_hairpin, pairing)
+        ordering = tuple(rng.sample(s.ids, s.c)) if fixed else None
+        orderings = [None, *s.circular_orderings()] + ([ordering] if fixed else [])
+        for structure in enumerate_structures(s, space, fixed_ordering=ordering):
+            rebuilt = SecondaryStructure(structure.pairs)
+            for model in MODELS:
+                for tried in orderings if model.kind == "nn" else [None]:
+                    assert outcome(model, s, structure, tried) == \
+                        outcome(model, s, rebuilt, tried)
+
+    def test_bps_counts_under_the_identity_ordering(self):
+        # (1, 5), (2, 4), (3, 7) is crossing-free only under (1, 3, 2), whose
+        # nicks differ from the identity ordering's
+        s = StrandSystem.from_sequences("GC", "GGC", "GC")
+        witnesses = set()
+        for structure in enumerate_structures(s, StructureSpace(allow_pseudoknots=False)):
+            witnesses.add(is_unpseudoknotted_multi(s, structure)[1])
+            assert energy(BPS, s, structure) == \
+                energy(BPS, s, SecondaryStructure(structure.pairs)) == \
+                -ref_stack_count(structure)
+        assert witnesses == {(1, 2, 3), (1, 3, 2)}
+
+    @pytest.mark.parametrize("strands, space, error", [
+        (("GGGAAACCC", "GC"), StructureSpace(allow_pseudoknots=False),
+         "structure is disconnected"),
+        (("GGGAAACCC", "GC"), StructureSpace(allow_pseudoknots=False, pairing="all"),
+         "is not complementary"),
+        (("GGGAAACCC",), StructureSpace(allow_pseudoknots=True),
+         "admits no crossing-free ordering"),
+    ])
+    def test_nn_errors(self, strands, space, error):
+        s = StrandSystem.from_sequences(*strands)
+        model = nn_model(PARAMS["a"])
+        seen = set()
+        for structure in enumerate_structures(s, space):
+            got = outcome(model, s, structure, None)
+            assert got == outcome(model, s, SecondaryStructure(structure.pairs), None)
+            seen.add(got[1] if isinstance(got, tuple) else "ok")
+        assert any(error in message for message in seen) and "ok" in seen
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -322,6 +324,68 @@ def nick_spanning_systems(rng, count):
             yield s
 
 
+def outcome(call):
+    try:
+        return call()
+    except InvalidInput as exc:
+        return type(exc), str(exc)
+
+
+class TestEnumeratedStructure:
+    """A yielded structure carries its flat pairs but behaves as the
+    structure of its ``BaseRef`` pairs."""
+
+    SPACES = (StructureSpace(), StructureSpace(allow_pseudoknots=False), nn_space())
+
+    def test_equal_to_its_rebuilt_form(self):
+        s = sys_of("GCAU", "GC", "AUGC")
+        for space in self.SPACES:
+            for st in enumerate_structures(s, space):
+                rebuilt = SecondaryStructure(st.pairs)
+                assert st == rebuilt and rebuilt == st and not st != rebuilt
+                assert hash(st) == hash(rebuilt) == hash((st.pairs,))
+                assert repr(st) == repr(rebuilt) == f"SecondaryStructure(pairs={st.pairs!r})"
+                table = {rebuilt: 1}
+                table[st] += 1
+                assert table == {st: 2} and table[rebuilt] == 2
+                back = pickle.loads(pickle.dumps(st))
+                assert back == st and hash(back) == hash(st) and back.pairs == st.pairs
+
+    def test_immutable(self):
+        st = next(itertools.islice(enumerate_structures(sys_of("GGCC"), StructureSpace()), 3, 4))
+        for name in ("pairs", "_pairs", "_carried", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(st, name, frozenset())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(st, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            EMPTY_STRUCTURE.pairs = frozenset()
+
+    def test_len_and_sorted_flat_before_pairs(self):
+        s = sys_of("GCAU", "GC")
+        for space in self.SPACES:
+            fresh = list(enumerate_structures(s, space))
+            lengths = [len(st) for st in fresh]
+            flats = [st.sorted_flat(s) for st in fresh]
+            assert lengths == [len(st.pairs) for st in fresh]
+            assert flats == [flattening(s).flat_pairs(st) for st in fresh]
+            assert flats == [SecondaryStructure(st.pairs).sorted_flat(s) for st in fresh]
+
+    def test_another_system_reads_the_base_ref_pairs(self):
+        from exfold.energy import BPM, BPS, energy, nn_model, toy_params_a
+        s = sys_of("GGGAAACCC")
+        other = StrandSystem((Strand(2, "GC"), Strand(1, "GGGAAACCC")))
+        models = (BPM, BPS, nn_model(toy_params_a()))
+        for st in enumerate_structures(s, nn_space()):
+            rebuilt = SecondaryStructure(st.pairs)
+            assert st.sorted_flat(other) == flattening(other).flat_pairs(st) == \
+                [(i + 2, j + 2) for i, j in st.sorted_flat(s)]
+            # NN raises under both: disconnected, and a base past the end of a strand
+            for model, system in itertools.product(models, (other, sys_of("GGGAAAC"))):
+                got, want = (outcome(lambda x=x: energy(model, system, x)) for x in (st, rebuilt))
+                assert got == want
+
+
 class TestEnumerationReference:
     """The explicit-stack search yields the reference's structures in the
     reference's order, on spaces and systems beyond the acceptance range."""
@@ -336,10 +400,12 @@ class TestEnumerationReference:
                     (False, True), range(4), (True, False)):
                 space = StructureSpace(pk, connected, min_hairpin, pairing)
                 for ordering in (None, tuple(rng.sample(s.ids, s.c))):
-                    want = listing(s, reference_enumerate(s, space, fixed_ordering=ordering))
+                    want = list(reference_enumerate(s, space, fixed_ordering=ordering))
                     got = enumerate_structures(s, space, fixed_ordering=ordering)
                     # one item past the reference's end bounds a search that repeats
-                    assert listing(s, itertools.islice(got, len(want) + 1)) == want
+                    got = list(itertools.islice(got, len(want) + 1))
+                    assert listing(s, got) == listing(s, want)
+                    assert [st.pairs for st in got] == [st.pairs for st in want]
 
     def test_closed_early_leaves_no_state(self):
         s = sys_of("GCAUGC", "AUGC")
