@@ -10,6 +10,10 @@ constructors.  The NN space is knot-free, connected and takes
 ``min_hairpin`` from the --params file, so a space flag given with it is bad
 input; the bpm/bps spaces come from the space flags.
 
+The parser and ``main`` need only ``strands`` and ``energy``, which
+``import exfold`` loads anyway; each ``cmd_*`` imports the other modules it
+runs, so a cold start compiles no code its subcommand never calls.
+
 Exit codes: 0 ok, 2 invariant/parsimony mismatch, 3 budget exceeded,
 4 bad input, a malformed command line included.
 """
@@ -20,16 +24,15 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 
-from . import hardness, levels as levels_mod, oracles, reductions
 from .energy import BPM, BPS, finalize_params, load_nn_params, nn_model
-from .exactmath import rat_to_str
-from .oracles import pf_decimal
 from .strands import (
+    DEFAULT_BPS_ENUM_BUDGET,
     DEFAULT_PAIR_BUDGET,
     BudgetExceeded,
+    BudgetViolation,
     InvalidInput,
+    OracleInconsistency,
     StrandSystem,
     StructureSpace,
     count_structures,
@@ -138,8 +141,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .exactmath import rat_to_str
+    from .oracles import dos_brute, pf_decimal
+
     system, space, model = _setup(args)
-    dos = oracles.dos_brute(system, space, model, args.budget)
+    dos = dos_brute(system, space, model, args.budget)
     payload = {
         "delta": rat_to_str(model.delta),
         "mfe": str(dos.mfe()),
@@ -162,38 +168,44 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _k(name: str, k, integer: bool = False):
-    """The -k argument of reduction ``name``, checked to be given (and, for
-    an SSEL level, to be an integer)."""
-    if integer:
-        if k is None or k.denominator != 1:
-            raise InvalidInput(f"{name} needs an integer -k level")
-        return int(k)
-    if k is None:
-        raise InvalidInput(f"{name} needs -k")
-    return k
-
-
-# name -> call(oracle, levels, base, k); k() returns the checked -k argument
+# name -> what reductions.<name, "_" for "-"> takes after the oracle: the
+# levels, the base, -k as a rational ("k") or as an integer level ("level")
 REDUCTIONS = {
-    "dmfe-via-mfe": lambda o, lv, base, k: reductions.dmfe_via_mfe(o, k()),
-    "dpf-via-pf": lambda o, lv, base, k: reductions.dpf_via_pf(o, k()),
-    "mfe-via-dmfe": lambda o, lv, base, k: reductions.mfe_via_dmfe(o, lv),
-    "mfe-via-ssel": lambda o, lv, base, k: reductions.mfe_via_ssel(o, lv),
-    "pf-via-ssel": lambda o, lv, base, k: reductions.pf_via_ssel(o, lv, base),
-    "ssel-via-pf": lambda o, lv, base, k: reductions.ssel_via_pf(o, lv, base, k(integer=True)),
-    "dmfe-via-dpf": lambda o, lv, base, k: reductions.dmfe_via_dpf(o, lv, k()),
-    "pf-via-dpf": lambda o, lv, base, k: reductions.pf_via_dpf(o, lv, base),
+    "dmfe-via-mfe": ("k",),
+    "dpf-via-pf": ("k",),
+    "mfe-via-dmfe": ("levels",),
+    "mfe-via-ssel": ("levels",),
+    "pf-via-ssel": ("levels", "base"),
+    "ssel-via-pf": ("levels", "base", "level"),
+    "dmfe-via-dpf": ("levels", "k"),
+    "pf-via-dpf": ("levels", "base"),
 }
 
 
 def cmd_reduce(args) -> int:
+    from . import reductions
+    from .exactmath import rat_to_str
+    from .levels import levels_bpm
+    from .oracles import make_oracle, pf_decimal
+
     system, space, model = _setup(args)
     base = _rational(args.base)
-    oracle = oracles.make_oracle(system, space, model, base)
+    oracle = make_oracle(system, space, model, base)
     k = None if args.k is None else _rational(args.k)
-    answer, transcript = REDUCTIONS[args.reduction](
-        oracle, levels_mod.levels_bpm(system.n), base, partial(_k, args.reduction, k))
+
+    def argument(kind):
+        if kind == "levels":
+            return levels_bpm(system.n)
+        if kind == "base":
+            return base
+        if kind == "level" and (k is None or k.denominator != 1):
+            raise InvalidInput(f"{args.reduction} needs an integer -k level")
+        if k is None:
+            raise InvalidInput(f"{args.reduction} needs -k")
+        return int(k) if kind == "level" else k
+
+    reduce = getattr(reductions, args.reduction.replace("-", "_"))
+    answer, transcript = reduce(oracle, *map(argument, REDUCTIONS[args.reduction]))
     is_rational = isinstance(answer, Fraction)
     payload = {"reduction": args.reduction,
                "answer": rat_to_str(answer) if is_rational else answer,
@@ -208,26 +220,30 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_levels(args) -> int:
+    from . import levels
+
     if args.model != "nn":
         if args.n is None and args.strands is None:
             raise InvalidInput("need -n or strands")
         n = args.n if args.n is not None else _load_system(args.strands).n
-        print(levels_mod.levels_bpm(n).to_json())
+        print(levels.levels_bpm(n).to_json())
         return EXIT_OK
     if args.strands is None or args.params is None:
         raise InvalidInput("--model nn needs strands and --params FILE")
     system, _, model = _setup(args)
     if args.dp:
-        lv = levels_mod.levels_nn_dp(system, system.ids, model.params)
+        lv = levels.levels_nn_dp(system, system.ids, model.params)
     else:
-        lv = levels_mod.levels_nn_grid(system, model.params)
+        lv = levels.levels_nn_grid(system, model.params)
     if args.symmetry:
-        lv = levels_mod.augment_symmetry(lv, system, system.ids, model.params)
+        lv = levels.augment_symmetry(lv, system, system.ids, model.params)
     print(lv.to_json())
     return EXIT_OK
 
 
 def cmd_hardgen(args) -> int:
+    from . import hardness
+
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
     if args.action == "4part-from-3dm":
@@ -317,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=(
         "4part-from-3dm", "bps-from-4part", "verify-bps", "verify-4part"))
     p.add_argument("file", help="instance JSON file")
-    p.add_argument("--budget", type=_non_negative, default=hardness.DEFAULT_BPS_ENUM_BUDGET,
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BPS_ENUM_BUDGET,
                    help="pairable-base budget for the enumeration route")
     p.set_defaults(func=cmd_hardgen)
     return parser
@@ -331,7 +347,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (reductions.OracleInconsistency, reductions.BudgetViolation) as exc:
+    except (OracleInconsistency, BudgetViolation) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (InvalidInput, ValueError, OSError) as exc:

@@ -17,9 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .strands import BudgetExceeded, InvalidInput
+from .strands import DEFAULT_BPS_ENUM_BUDGET, BudgetExceeded, InvalidInput
 
-DEFAULT_BPS_ENUM_BUDGET = 16  # pairable bases (C's plus G's)
 CHAIN_CACHE_SIZE = 64  # run-length profiles whose chain packings are kept
 BPS_MEMO_STATES = 1 << 18  # matching states count_bps_brute may memoise
 

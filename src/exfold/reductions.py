@@ -20,15 +20,7 @@ from typing import Optional
 
 from .exactmath import VandermondeSystem, rat_to_str, solve_vandermonde
 from .levels import LevelSet
-from .strands import InvalidInput
-
-
-class OracleInconsistency(RuntimeError):
-    """The oracle's answers violate an invariant the reduction relies on."""
-
-
-class BudgetViolation(RuntimeError):
-    """A reduction exceeded its own declared call budget (internal bug)."""
+from .strands import BudgetViolation, InvalidInput, OracleInconsistency
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Strands, multi-stranded systems, secondary structures, and the structural
-predicates and enumerators everything else consumes.
+predicates and enumerators everything else consumes; also the package's
+error classes and default budgets, which the CLI's parser and ``main`` read.
 
 Conventions used throughout the package:
 
@@ -38,6 +39,7 @@ _COMPLEMENTARY = {
 }
 
 DEFAULT_PAIR_BUDGET = 64
+DEFAULT_BPS_ENUM_BUDGET = 16  # hardness enumerates up to this many C's plus G's
 FLATTENING_CACHE_SIZE = 128
 
 
@@ -47,6 +49,14 @@ class BudgetExceeded(RuntimeError):
 
 class InvalidInput(ValueError):
     """Raised for malformed strands, structures, or instance files."""
+
+
+class OracleInconsistency(RuntimeError):
+    """The oracle's answers violate an invariant the reduction relies on."""
+
+
+class BudgetViolation(RuntimeError):
+    """A reduction exceeded its own declared call budget (internal bug)."""
 
 
 def complementary(a: str, b: str) -> bool:

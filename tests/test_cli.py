@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from exfold import cli
 from exfold.energy import dump_nn_params, nn_model, toy_params_a, toy_params_file
 from exfold.levels import levels_nn_dp
 from exfold.oracles import dos_brute
-from exfold.strands import StrandSystem, StructureSpace, nn_space
+from exfold.reductions import BudgetViolation, OracleInconsistency
+from exfold.strands import BudgetExceeded, InvalidInput, StrandSystem, StructureSpace, nn_space
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = [sys.executable, "-m", "exfold.cli"]
@@ -376,6 +378,31 @@ def test_zero_denominator_is_bad_input(args):
 def test_help_exit_code():
     assert "usage: exfold" in run_cli("--help").stdout
     assert "usage: exfold reduce" in run_cli("reduce", "--help").stdout
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (OracleInconsistency, 2, "invariant failure"),
+    (BudgetViolation, 2, "invariant failure"),
+    (BudgetExceeded, 3, "budget exceeded"),
+    (InvalidInput, 4, "bad input"),
+], ids=lambda x: x.__name__ if isinstance(x, type) else None)
+def test_main_maps_library_errors_to_exit_codes(monkeypatch, capsys, error, code, prefix):
+    def fail(args):
+        raise error("from the library")
+
+    monkeypatch.setattr(cli, "cmd_solve", fail)
+    assert cli.main(["solve", "ACGT"]) == code
+    assert capsys.readouterr().err == f"{prefix}: from the library\n"
+
+
+def test_python_m_exfold_runs_the_cli():
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-m", "exfold", *args], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        return proc.returncode, proc.stdout
+
+    assert run("enumerate", "ACGT", "--model", "bpm") == (0, '{"count": 4}\n')
+    assert run("solve", "ACGT", "--base", "1/0") == (4, "")
 
 
 def readme_commands():
