@@ -27,7 +27,7 @@ _MODULES = {
         is_unpseudoknotted_single min_hairpin_ok nn_space parse_strands
         read_strand_file validate_structure""",
     "energy": """BPM BPS EnergyModel Loop NNEnergyDetail NNParams decompose_loops
-        dump_nn_params energy energy_nn_detail finalize_params load_nn_params
+        dump_nn_params energy energy_nn_detail load_nn_params
         max_symmetry_order nn_model parse_nn_params rotational_symmetry
         toy_params_a toy_params_b toy_params_file""",
     "oracles": "DensityOfStates OracleHandle check_base dos_brute make_oracle pf_decimal",

@@ -25,7 +25,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .energy import BPM, BPS, finalize_params, load_nn_params, nn_model
+from .energy import BPM, BPS, load_nn_params, nn_model
 from .strands import (
     DEFAULT_BPS_ENUM_BUDGET,
     DEFAULT_PAIR_BUDGET,
@@ -87,8 +87,8 @@ SPACE_FLAGS = {"pseudoknots": "--pseudoknots", "connected": "--connected",
 
 def _setup(args):
     """(system, space, model) from the strands, --model and the space flags;
-    an NN parameter file's tables are extended to the system length, since
-    the shipped files stop at loop size 16."""
+    an NN parameter file is used as loaded, its size tables continuing
+    above their largest entry as in the library."""
     system = _load_system(args.strands)
     if args.model == "nn":
         if not args.params:
@@ -98,7 +98,7 @@ def _setup(args):
         if given:
             raise InvalidInput(f"--model nn takes its space from --params; "
                                f"drop {', '.join(given)}")
-        params = finalize_params(load_nn_params(args.params), system.n)
+        params = load_nn_params(args.params)
         space = StructureSpace(allow_pseudoknots=False, require_connected=True,
                                min_hairpin=params.min_hairpin)
         return system, space, nn_model(params)

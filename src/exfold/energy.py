@@ -40,6 +40,9 @@ from .strands import (
 
 VALID_KINDS = ("bpm", "bps", "nn")
 LOG_ROUND_CACHE_SIZE = 1024
+# NNParams size table -> its name in messages
+SIZE_TABLES = {"hairpin": "hairpin", "bulge": "bulge",
+               "interior_size": "interior size", "interior_asym": "interior asymmetry"}
 
 
 class DecompositionError(InvalidInput):
@@ -110,6 +113,9 @@ class NNParams:
       mismatch[(a,b,c,d)]  terminal-mismatch term applied once per closing
                            pair of a two-sided interior loop
     Multiloops use the linear form init + b * per_pair + f * per_free_base.
+    The four size tables (``SIZE_TABLES``) are read through ``size_entry``,
+    which continues each above its largest explicit size, so a loop of any
+    length has an energy.
     """
 
     delta: Fraction = Fraction(1)
@@ -130,12 +136,49 @@ class NNParams:
     def __post_init__(self):
         if self.delta <= 0 or self.temperature <= 0 or self.kbt <= 0:
             raise InvalidInput("delta, temperature and kbt must be positive")
+        # size_entry's lookup copies, where it memoises what it extrapolates;
+        # the fields, so equality, repr and dump_nn_params, stay explicit
+        object.__setattr__(self, "_sizes", {name: dict(getattr(self, name))
+                                            for name in SIZE_TABLES})
 
     def table_entry(self, table: dict, key, what: str) -> int:
+        """A stack or mismatch entry."""
         try:
             return table[key]
         except KeyError:
             raise InvalidInput(f"missing {what} parameter entry for {key!r}") from None
+
+    def size_entry(self, name: str, m: int) -> int:
+        """Entry m of the size table ``name``.  Above the table's largest
+        explicit size top it is the Jacobson-Stockmayer extrapolation
+        table[top] + round(c ln m) - round(c ln max(top, 1)) quanta, with
+        c = 7/4 kbt / delta, memoised with every size below m that lacks
+        it; below top, a size without an entry is missing."""
+        total = self._sizes[name]
+        try:
+            return total[m]
+        except KeyError:
+            pass
+        table = getattr(self, name)
+        if not table or m < max(table):
+            raise InvalidInput(f"missing {SIZE_TABLES[name]} parameter entry for {m!r}")
+        top, coef = max(table), Fraction(7, 4) * self.kbt
+        offset = table[top] - round_log_multiple(coef, max(top, 1), self.delta)
+        for k in range(max(total) + 1, m + 1):  # sizes up to max(total) are all here
+            total[k] = offset + round_log_multiple(coef, k, self.delta)
+        return total[m]
+
+    def size_table(self, name: str, n: int) -> dict:
+        """The size table ``name`` continued up to the largest loop of its
+        kind on n bases, taken as max(n, 3) for hairpins, max(n, 1) for
+        bulges, max(n, 2) for interior sizes and max(n - 2, 0) for
+        asymmetries; empty when the table is."""
+        limit = {"hairpin": max(n, 3), "bulge": max(n, 1), "interior_size": max(n, 2),
+                 "interior_asym": max(n - 2, 0)}[name]
+        table, total = getattr(self, name), self._sizes[name]
+        if limit > max(table, default=limit):
+            self.size_entry(name, limit)  # memoises every size up to limit
+        return {m: v for m, v in total.items() if m in table or m <= limit}
 
 
 @functools.lru_cache(maxsize=LOG_ROUND_CACHE_SIZE)
@@ -160,32 +203,6 @@ def round_log_multiple(coef: Fraction, arg: int, delta: Fraction) -> int:
             raise InvalidInput(f"{coef} * ln({arg}) / {delta} is too close to a "
                                "half-integer to round")
         return int(nearest)
-
-
-def fill_size_table(table: dict, max_size: int, js_coef: Fraction, delta: Fraction) -> dict:
-    """Extend a per-size table up to ``max_size`` with a Jacobson-Stockmayer
-    style log extrapolation from the largest explicit entry, rounded to
-    quanta."""
-    if not table:
-        raise InvalidInput("size table needs at least one explicit entry")
-    out = dict(table)
-    ref = max(out)
-    anchor = round_log_multiple(js_coef, max(ref, 1), delta)
-    for m in range(ref + 1, max_size + 1):
-        out[m] = out[ref] + round_log_multiple(js_coef, m, delta) - anchor
-    return out
-
-
-def finalize_params(params: NNParams, n: int, js_coef: Optional[Fraction] = None) -> NNParams:
-    """Make every per-size table cover the sizes reachable for n bases."""
-    coef = js_coef if js_coef is not None else Fraction(7, 4) * params.kbt
-    return replace(
-        params,
-        hairpin=fill_size_table(params.hairpin, max(n, 3), coef, params.delta),
-        bulge=fill_size_table(params.bulge, max(n, 1), coef, params.delta),
-        interior_size=fill_size_table(params.interior_size, max(n, 2), coef, params.delta),
-        interior_asym=fill_size_table(params.interior_asym, max(n - 2, 0), coef, params.delta),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +339,11 @@ def interior_like_energy(flat: Flattening, i: int, d: int, e: int, j: int,
         key = (flat.base(i), flat.base(i + 1), flat.base(j - 1), flat.base(j))
         return params.table_entry(params.stack, key, "stack")
     if l1 == 0 or l2 == 0:
-        return params.table_entry(params.bulge, l1 + l2, "bulge")
+        return params.size_entry("bulge", l1 + l2)
     outer = (flat.base(i), flat.base(j), flat.base(i + 1), flat.base(j - 1))
     inner = (flat.base(e), flat.base(d), flat.base(e + 1), flat.base(d - 1))
-    return (params.table_entry(params.interior_size, l1 + l2, "interior size")
-            + params.table_entry(params.interior_asym, abs(l1 - l2), "interior asymmetry")
+    return (params.size_entry("interior_size", l1 + l2)
+            + params.size_entry("interior_asym", abs(l1 - l2))
             + params.table_entry(params.mismatch, outer, "mismatch")
             + params.table_entry(params.mismatch, inner, "mismatch"))
 
@@ -339,7 +356,7 @@ def loop_energy(loop: Loop, flat: Flattening, params: NNParams) -> int:
         m = j - i - 1
         if m < params.min_hairpin:
             raise InvalidInput(f"hairpin of size {m} is geometrically prohibited")
-        return params.table_entry(params.hairpin, m, "hairpin")
+        return params.size_entry("hairpin", m)
     if loop.kind in ("stack", "bulge", "interior"):
         d, e = loop.children[0]
         return interior_like_energy(flat, i, d, e, j, params)
@@ -512,8 +529,9 @@ def _full_base_table(value_of) -> dict:
 
 
 def toy_params_a(n: int = 16) -> NNParams:
-    """Stabilizing stacks, mildly costly loops; delta = 1.  Tables reach n
-    bases; ``n`` stays because perfbench passes it, until ROADMAP item 1."""
+    """Stabilizing stacks, mildly costly loops; delta = 1.  The size tables
+    are explicit up to the loops of n bases (``NNParams.size_table``);
+    ``n`` stays because perfbench passes it, until ROADMAP item 1."""
     params = NNParams(
         delta=Fraction(1),
         temperature=Fraction(310),
@@ -530,7 +548,7 @@ def toy_params_a(n: int = 16) -> NNParams:
         interior_asym={0: 0, 1: 1},
         mismatch=_full_base_table(lambda a, b, c, d: 1 if a == "G" else 0),
     )
-    return finalize_params(params, n)
+    return replace(params, **{name: params.size_table(name, n) for name in SIZE_TABLES})
 
 
 def toy_params_b(n: int = 16) -> NNParams:
@@ -552,4 +570,4 @@ def toy_params_b(n: int = 16) -> NNParams:
         interior_asym={0: 0, 1: 1, 2: 2},
         mismatch=_full_base_table(lambda a, b, c, d: 0),
     )
-    return finalize_params(params, n)
+    return replace(params, **{name: params.size_table(name, n) for name in SIZE_TABLES})

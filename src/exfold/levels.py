@@ -35,6 +35,7 @@ from .strands import (
     flattening,
 )
 from .energy import (
+    SIZE_TABLES,
     NNParams,
     interior_like_energy,
     max_symmetry_order,
@@ -58,20 +59,11 @@ class LevelSet:
     def __len__(self) -> int:
         return len(self.levels)
 
-    def __contains__(self, quanta: int) -> bool:
-        return quanta in set(self.levels)
-
     def to_json(self) -> str:
         return json.dumps({
             "delta": rat_to_str(self.delta),
             "levels": [str(g) for g in self.levels],
         }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LevelSet":
-        payload = json.loads(text)
-        return cls(Fraction(payload["delta"]),
-                   tuple(int(g) for g in payload["levels"]))
 
 
 def levels_bpm(n: int) -> LevelSet:
@@ -92,16 +84,16 @@ def levels_bps(n: int) -> LevelSet:
 # grid construction
 
 
-def _pool(params: NNParams) -> tuple[int, int]:
-    """Range of any single non-exterior loop's constant part."""
-    values = list(params.stack.values()) + list(params.hairpin.values()) \
-        + list(params.bulge.values()) + [params.multi_init]
-    if params.interior_size and params.interior_asym and params.mismatch:
+def _pool(params: NNParams, n: int) -> tuple[int, int]:
+    """Range of any single non-exterior loop's constant part on n bases: the
+    size tables' explicit entries and their continuations up to the loops
+    of n bases (``NNParams.size_table``)."""
+    hairpin, bulge, size, asym = (params.size_table(name, n).values() for name in SIZE_TABLES)
+    values = list(params.stack.values()) + list(hairpin) + list(bulge) + [params.multi_init]
+    if size and asym and params.mismatch:
         lo_mm, hi_mm = min(params.mismatch.values()), max(params.mismatch.values())
-        values.append(min(params.interior_size.values())
-                      + min(params.interior_asym.values()) + 2 * lo_mm)
-        values.append(max(params.interior_size.values())
-                      + max(params.interior_asym.values()) + 2 * hi_mm)
+        values.append(min(size) + min(asym) + 2 * lo_mm)
+        values.append(max(size) + max(asym) + 2 * hi_mm)
     return min(values), max(values)
 
 
@@ -111,9 +103,10 @@ def _max_symmetry_quanta(c: int, params: NNParams) -> int:
 
 
 def grid_slope(params: NNParams, c: int = 1) -> int:
-    """Per-base width constant of the grid; |grid| <= 1 + n * slope.  The
-    acceptance tests bound the grid's size with it."""
-    lo, hi = _pool(params)
+    """Per-base width constant of the grid, from the explicit table entries
+    (n = 0); |grid| <= 1 + n * slope while the tables reach n bases' loops.
+    The acceptance tests bound the grid's size with it."""
+    lo, hi = _pool(params, 0)
     return (max(0, hi) - min(0, lo)
             + abs(params.multi_bp) + abs(params.multi_nt)
             + abs(params.assoc) + _max_symmetry_quanta(c, params))
@@ -129,7 +122,7 @@ def levels_nn_grid(system: StrandSystem, params: NNParams) -> LevelSet:
     superset of the occupied levels, O(n / delta) wide.
     """
     n, c = system.n, system.c
-    lo_pool, hi_pool = _pool(params)
+    lo_pool, hi_pool = _pool(params, n)
     assoc = (c - 1) * params.assoc
     low = ((n // 2) * min(0, lo_pool)
            + n * min(0, params.multi_bp) + n * min(0, params.multi_nt)
@@ -205,7 +198,7 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
             cb = None
             if complementary(flat.base(i), flat.base(j)):
                 if next_nick[i] >= j and j - i - 1 >= params.min_hairpin:
-                    cb = (params.table_entry(params.hairpin, j - i - 1, "hairpin"), 1)
+                    cb = (params.size_entry("hairpin", j - i - 1), 1)
                 e_min = last_nick[j - 1] + 1  # with d <= next_nick[i]: nick-free flanks
                 for d in range(i + 1, min(j - 2, next_nick[i]) + 1):
                     for e in ends[d]:

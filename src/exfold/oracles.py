@@ -13,12 +13,10 @@ rely on is algebra over these weights.  Decimals are for display only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exactmath import rat_to_str
 from .strands import (
     DEFAULT_PAIR_BUDGET,
     InvalidInput,
@@ -27,6 +25,8 @@ from .strands import (
     enumerate_structures,
 )
 from .energy import EnergyModel, energy
+
+EMPTY_ENSEMBLE = "the ensemble is empty: no structure fits the space"
 
 
 def check_base(base: Fraction) -> Fraction:
@@ -48,6 +48,8 @@ class DensityOfStates:
         return sum(self.counts.values())
 
     def mfe(self) -> int:
+        if not self.counts:
+            raise InvalidInput(EMPTY_ENSEMBLE)
         return min(self.counts)
 
     def ssel(self, level_quanta) -> int:
@@ -59,19 +61,6 @@ class DensityOfStates:
             (count * base**(-magnification * g) for g, count in self.counts.items()),
             Fraction(0),
         )
-
-    def to_json(self) -> str:
-        payload = {
-            "delta": rat_to_str(self.delta),
-            "counts": {str(g): str(c) for g, c in sorted(self.counts.items())},
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityOfStates":
-        payload = json.loads(text)
-        counts = {int(g): int(c) for g, c in payload["counts"].items()}
-        return cls(counts, Fraction(payload["delta"]))
 
 
 def dos_brute(system: StrandSystem, space: StructureSpace, model: EnergyModel,
@@ -123,6 +112,8 @@ class OracleHandle:
     def __post_init__(self):
         self.base = check_base(self.base)
         self.dos = dos_brute(self.system, self.space, self.model)
+        if not self.dos.counts:
+            raise InvalidInput(EMPTY_ENSEMBLE)
 
     @property
     def n(self) -> int:
@@ -136,14 +127,12 @@ class OracleHandle:
 
     def pf(self, j: int = 1, base: Optional[Fraction] = None) -> Fraction:
         self._query(j)
-        b = self.base if base is None else check_base(base)
-        return self.dos.pf(b, j)
+        return self.dos.pf(self.base if base is None else base, j)
 
     def dpf(self, threshold: Fraction, j: int = 1,
             base: Optional[Fraction] = None) -> bool:
         self._query(j)
-        b = self.base if base is None else check_base(base)
-        return self.dos.pf(b, j) >= threshold
+        return self.dos.pf(self.base if base is None else base, j) >= threshold
 
     def mfe(self, j: int = 1) -> int:
         self._query(j)

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from exfold import cli
-from exfold.energy import dump_nn_params, nn_model, toy_params_a, toy_params_file
-from exfold.levels import levels_nn_dp
-from exfold.oracles import dos_brute
+from exfold.energy import (
+    dump_nn_params, load_nn_params, nn_model, toy_params_a, toy_params_file)
+from exfold.levels import levels_nn_dp, levels_nn_grid
+from exfold.oracles import EMPTY_ENSEMBLE, dos_brute
 from exfold.reductions import BudgetViolation, OracleInconsistency
 from exfold.strands import BudgetExceeded, InvalidInput, StrandSystem, StructureSpace, nn_space
 
@@ -275,6 +275,44 @@ class TestLevels:
             "--params", toy_params_file("toy_nn_b")).stdout)
         assert "0" in payload["levels"]
 
+    # sha256 prefixes of the NN grid of a 35-nt strand, whose loops reach
+    # past the shipped tables' largest size, 16
+    GRID_SHA256 = {"toy_nn_a": "94551d313a1605ef", "toy_nn_b": "de5d21dec68ea853"}
+
+    @pytest.mark.parametrize("name", GRID_SHA256)
+    def test_grid_past_the_shipped_tables_is_pinned(self, name):
+        out = run_cli("levels", "GGGGGGGGGGAAAAAAAAAAAAAAACCCCCCCCCC", "--model", "nn",
+                      "--params", toy_params_file(name)).stdout
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == self.GRID_SHA256[name]
+
+
+def test_library_and_cli_agree_past_the_shipped_tables():
+    """One parameter file, one answer: the library on the loaded file
+    prints what the CLI prints."""
+    path = toy_params_file("toy_nn_a")
+    params = load_nn_params(path)
+    seq = "GGGGGGGGGGAAAAAAAAAAAAAAACCCCCCCCCC"
+    grid = levels_nn_grid(StrandSystem.from_sequences(seq), params)
+    assert run_cli("levels", seq, "--model", "nn", "--params", path).stdout \
+        == grid.to_json() + "\n"
+    assert (len(grid), grid.levels[-1]) == (462, 410)
+    seq = "GAAAAAAAAAAAAAAAAAAC"
+    dos = dos_brute(StrandSystem.from_sequences(seq), nn_space(), nn_model(params))
+    solved = json.loads(run_cli("solve", seq, "--model", "nn", "--params", path).stdout)
+    assert solved["dos"] == {str(g): str(c) for g, c in sorted(dos.counts.items())}
+    assert solved["mfe"] == str(dos.mfe())
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "AAAA,AAAA", "--connected"),
+    ("solve", "AAAA,AAAA", "--model", "nn", "--params", toy_params_file("toy_nn_a")),
+    ("reduce", "mfe-via-ssel", "AAAA,AAAA", "--connected"),
+])
+def test_empty_ensemble_is_bad_input(args):
+    proc = run_cli(*args, check=False)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == f"bad input: {EMPTY_ENSEMBLE}\n"
+
 
 class TestHardgen:
     @pytest.fixture
@@ -398,7 +436,7 @@ def test_main_maps_library_errors_to_exit_codes(monkeypatch, capsys, error, code
 def test_python_m_exfold_runs_the_cli():
     def run(*args):
         proc = subprocess.run([sys.executable, "-m", "exfold", *args], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+                              text=True)
         return proc.returncode, proc.stdout
 
     assert run("enumerate", "ACGT", "--model", "bpm") == (0, '{"count": 4}\n')
@@ -417,8 +455,7 @@ def test_readme_command_block_runs(tmp_path, line):
     w_json = tmp_path / "w.json"
     w_json.write_text('{"weights": ["3", "3", "3", "3"], "bound": "12"}')
     argv = [str(w_json) if a == "w.json" else a for a in command.split()[1:]]
-    proc = subprocess.run(RUN + argv, cwd=ROOT, capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    proc = subprocess.run(RUN + argv, cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     if comment.strip().startswith("{"):
         assert proc.stdout == comment.strip() + "\n"

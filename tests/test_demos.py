@@ -1,5 +1,4 @@
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +18,7 @@ STDOUT_SHA256 = {
 
 
 def run_demo(path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, str(path)], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
 
 

@@ -16,13 +16,14 @@ from exfold.strands import (
 from exfold.energy import (
     BPM,
     BPS,
+    SIZE_TABLES,
     EnergyModel,
     NNParams,
     decompose_loops,
     dump_nn_params,
     energy,
     energy_nn_detail,
-    finalize_params,
+    load_nn_params,
     max_symmetry_order,
     nn_model,
     parse_nn_params,
@@ -30,6 +31,7 @@ from exfold.energy import (
     round_log_multiple,
     toy_params_a,
     toy_params_b,
+    toy_params_file,
 )
 from exfold.oracles import make_oracle
 
@@ -184,13 +186,16 @@ class TestNNEnergy:
         assert detail.symmetry_order == 1 and detail.symmetry_quanta == 0
 
     def test_stem_loop_unit_tables(self):
-        # stack -1, hairpin(4) +1: two stacks plus the loop give -1 total
+        # stack -1, hairpin(4) +1: two stacks plus the loop give -1 total;
+        # every size table explicit up to n - 2 = 8, the largest loop here
         s = sys_of("GGGAAAACCC")
-        unit = finalize_params(NNParams(
+        unit = NNParams(
             stack={k: -1 for k in toy_params_a(10).stack},
-            hairpin={3: 2, 4: 1}, bulge={1: 0}, interior_size={2: 0},
-            interior_asym={0: 0}, mismatch={k: 0 for k in toy_params_a(10).mismatch},
-        ), 10, js_coef=F(0))
+            hairpin={m: 2 if m == 3 else 1 for m in range(3, 9)},
+            bulge={m: 0 for m in range(1, 9)}, interior_size={m: 0 for m in range(2, 9)},
+            interior_asym={m: 0 for m in range(9)},
+            mismatch={k: 0 for k in toy_params_a(10).mismatch},
+        )
         st = flat(s, [(1, 10), (2, 9), (3, 8)])
         assert energy(nn_model(unit), s, st, s.ids) == -1
 
@@ -205,12 +210,14 @@ class TestNNEnergy:
         assert detail.total == detail.loops_quanta + params.assoc + detail.symmetry_quanta
 
     def test_all_zero_tables_give_zero(self):
+        # every size table explicit up to n - 2 = 7, the largest loop here
         s = sys_of("GCGCAAAGC")
-        zero = finalize_params(NNParams(
+        zero = NNParams(
             stack={k: 0 for k in toy_params_a(9).stack},
-            hairpin={3: 0}, bulge={1: 0}, interior_size={2: 0},
-            interior_asym={0: 0}, mismatch={k: 0 for k in toy_params_a(9).mismatch},
-        ), 9, js_coef=F(0))
+            hairpin={m: 0 for m in range(3, 8)}, bulge={m: 0 for m in range(1, 8)},
+            interior_size={m: 0 for m in range(2, 8)}, interior_asym={m: 0 for m in range(8)},
+            mismatch={k: 0 for k in toy_params_a(9).mismatch},
+        )
         space = StructureSpace(allow_pseudoknots=False, require_connected=True,
                                min_hairpin=3)
         for st in enumerate_structures(s, space):
@@ -276,6 +283,36 @@ class TestParamsIO:
     def test_bad_section_line(self):
         with pytest.raises(InvalidInput):
             parse_nn_params("delta = 1\n")
+
+    @pytest.mark.parametrize("name, toy", [("toy_nn_a", toy_params_a),
+                                           ("toy_nn_b", toy_params_b)])
+    def test_shipped_files_and_toy_sets_share_one_anchor(self, name, toy):
+        # the files are explicit up to 16 and toy(64) up to 64, each continued
+        # from its own top: both give every size up to 64 the same energy
+        shipped, wide = load_nn_params(toy_params_file(name)), toy(64)
+        assert max(shipped.hairpin) == 16
+        for table in SIZE_TABLES:
+            explicit = getattr(wide, table)
+            assert {m: shipped.size_entry(table, m) for m in explicit} == explicit
+
+    def test_extrapolation_is_invisible_to_equality_and_dump(self):
+        for name in ("toy_nn_a", "toy_nn_b"):
+            params = load_nn_params(toy_params_file(name))
+            text, before = dump_nn_params(params), repr(params)
+            assert params.size_entry("hairpin", 40) == params.size_entry("hairpin", 40)
+            assert params.size_entry("interior_asym", 30) > params.interior_asym[14]
+            assert dump_nn_params(params) == text and repr(params) == before
+            assert parse_nn_params(text) == params == load_nn_params(toy_params_file(name))
+
+    def test_size_entry_rule_and_missing_sizes(self):
+        params = NNParams(kbt=F(2), hairpin={3: 1, 5: 2}, bulge={})
+        coef = F(7, 4) * 2
+        assert params.size_entry("hairpin", 9) \
+            == 2 + round_log_multiple(coef, 9, F(1)) - round_log_multiple(coef, 5, F(1))
+        for table, m, what in (("hairpin", 2, "hairpin"), ("hairpin", 4, "hairpin"),
+                               ("bulge", 1, "bulge"), ("interior_asym", 0, "interior asymmetry")):
+            with pytest.raises(InvalidInput, match=f"^missing {what} parameter entry for {m}$"):
+                params.size_entry(table, m)
 
     def test_finalize_extends_tables(self):
         params = toy_params_b(20)

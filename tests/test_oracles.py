@@ -65,10 +65,16 @@ class TestDos:
         assert dos.total() == 20 and dos.mfe() == -1
         assert dos.counts == nn_level_counts(s, s.ids, model.params)
 
-    def test_json_roundtrip(self):
-        dos = dos_brute(sys_of("GGCC"), PK, BPS)
-        back = DensityOfStates.from_json(dos.to_json())
-        assert back.counts == dos.counts and back.delta == dos.delta
+
+    def test_empty_ensemble_has_no_mfe_and_no_oracle(self):
+        s = sys_of("AAAA", "AAAA")
+        space = StructureSpace(require_connected=True)
+        dos = dos_brute(s, space, BPM)
+        assert dos.counts == {} and dos.total() == 0 and dos.pf(F(2)) == 0
+        with pytest.raises(InvalidInput, match="ensemble is empty"):
+            dos.mfe()
+        with pytest.raises(InvalidInput, match="ensemble is empty"):
+            make_oracle(s, space, BPM, F(2))
 
 
 class TestScalars:

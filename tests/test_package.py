@@ -4,18 +4,14 @@ subcommand loads.  Each import-order check runs in a fresh interpreter,
 since this one has imported every submodule already."""
 
 import json
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 
 import exfold
 from exfold import hardness, reductions, strands
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC = set("""
     DuplicateNodes VandermondeSystem rat_to_str solve_vandermonde
@@ -25,7 +21,7 @@ PUBLIC = set("""
     is_connected is_unpseudoknotted_multi is_unpseudoknotted_single
     min_hairpin_ok nn_space parse_strands read_strand_file validate_structure
     BPM BPS EnergyModel Loop NNEnergyDetail NNParams decompose_loops
-    dump_nn_params energy energy_nn_detail finalize_params load_nn_params
+    dump_nn_params energy energy_nn_detail load_nn_params
     max_symmetry_order nn_model parse_nn_params rotational_symmetry
     toy_params_a toy_params_b toy_params_file
     DensityOfStates OracleHandle check_base dos_brute make_oracle pf_decimal
@@ -42,11 +38,10 @@ PUBLIC = set("""
 
 
 def child(code: str, cwd=None) -> str:
-    """Run ``code`` in a fresh interpreter that finds this checkout's
-    package; return its stdout, failing on a non-zero exit."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    """Run ``code`` in a fresh interpreter, which finds this checkout's
+    package through ``conftest.py``; return its stdout, failing on a
+    non-zero exit."""
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
