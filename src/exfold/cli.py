@@ -10,9 +10,7 @@ constructors.  The NN space is knot-free, connected and takes
 ``min_hairpin`` from the --params file, so a space flag given with it is bad
 input; the bpm/bps spaces come from the space flags.
 
-The parser and ``main`` need only ``strands`` and ``energy``, which
-``import exfold`` loads anyway; each ``cmd_*`` imports the other modules it
-runs, so a cold start compiles no code its subcommand never calls.
+Each ``cmd_*`` imports the modules it runs beyond ``strands`` and ``energy``.
 
 Exit codes: 0 ok, 2 invariant/parsimony mismatch, 3 budget exceeded,
 4 bad input, a malformed command line included.

@@ -2,14 +2,8 @@
 symmetry, and NN parameter files.
 
 The stack count, the face walk and the rotational symmetry are computed on
-sorted flat pairs under one ``Flattening`` (``_stacks``, ``_faces``,
-``_symmetry``).  ``decompose_loops``, ``rotational_symmetry``,
-``energy_nn_detail`` and NN ``energy`` validate a structure
-(``check_structure``) before converting it, except one that
-``enumerate_structures`` yielded from this very system, whose flat pairs
-and witness ordering they take as they are.  BPM and BPS ``energy`` never
-validate: they score a non-complementary pair, and BPM one that names a
-base outside the system.
+sorted flat pairs under one ``Flattening``.  The NN entry points validate a
+structure first (``_checked_pairs``); BPM and BPS ``energy`` never do.
 
 Energies are integers counting quanta of a global granularity ``delta``
 (a positive rational): BPM and BPS use delta = 1, NN parameter sets declare
@@ -181,7 +175,6 @@ class NNParams:
         return {m: v for m, v in total.items() if m in table or m <= limit}
 
 
-@functools.lru_cache(maxsize=LOG_ROUND_CACHE_SIZE)
 def round_log_multiple(coef: Fraction, arg: int, delta: Fraction) -> int:
     """Nearest-integer quanta for coef * ln(arg) / delta, an irrational for
     arg >= 2 and coef != 0.
@@ -190,17 +183,24 @@ def round_log_multiple(coef: Fraction, arg: int, delta: Fraction) -> int:
     half-integer is refused, not rounded: at that distance the working
     precision no longer decides the side.
     """
+    return _round_log(*coef.as_integer_ratio(), arg, *delta.as_integer_ratio())
+
+
+@functools.lru_cache(maxsize=LOG_ROUND_CACHE_SIZE)
+def _round_log(coef_num: int, coef_den: int, arg: int, delta_num: int, delta_den: int) -> int:
+    """``round_log_multiple`` cached on ints, which hash in C, not Fractions."""
     if arg < 1:
         raise InvalidInput("logarithm argument must be >= 1")
-    if arg == 1 or coef == 0:
+    if arg == 1 or coef_num == 0:
         return 0
     with localcontext() as ctx:
         ctx.prec = 60
-        value = (Decimal(coef.numerator * delta.denominator) * Decimal(arg).ln()
-                 / Decimal(coef.denominator * delta.numerator))
+        value = (Decimal(coef_num * delta_den) * Decimal(arg).ln()
+                 / Decimal(coef_den * delta_num))
         nearest = value.to_integral_value()
         if abs(abs(value - nearest) - Decimal("0.5")) < Decimal("1e-40"):
-            raise InvalidInput(f"{coef} * ln({arg}) / {delta} is too close to a "
+            raise InvalidInput(f"{Fraction(coef_num, coef_den)} * ln({arg}) / "
+                               f"{Fraction(delta_num, delta_den)} is too close to a "
                                "half-integer to round")
         return int(nearest)
 
@@ -332,8 +332,9 @@ class NNEnergyDetail:
 def interior_like_energy(flat: Flattening, i: int, d: int, e: int, j: int,
                          params: NNParams) -> int:
     """Energy of the loop closed by (i,j) with single inner pair (d,e):
-    stack, bulge, or two-sided interior.  Shared by the face-walk energy and
-    the candidate-level recursions so both always agree."""
+    stack, bulge, or two-sided interior.  ``nn_level_counts`` reads this
+    formula off per-call tables and calls it for a term whose table slot is
+    empty, so a missing entry raises the same error in both."""
     l1, l2 = d - i - 1, j - e - 1
     if l1 == 0 and l2 == 0:
         key = (flat.base(i), flat.base(i + 1), flat.base(j - 1), flat.base(j))
@@ -530,8 +531,7 @@ def _full_base_table(value_of) -> dict:
 
 def toy_params_a(n: int = 16) -> NNParams:
     """Stabilizing stacks, mildly costly loops; delta = 1.  The size tables
-    are explicit up to the loops of n bases (``NNParams.size_table``);
-    ``n`` stays because perfbench passes it, until ROADMAP item 1."""
+    are explicit up to the loops of n bases (``NNParams.size_table``)."""
     params = NNParams(
         delta=Fraction(1),
         temperature=Fraction(310),

@@ -17,7 +17,10 @@ lo.  None is Phi, "no structure of this shape".  Every coefficient counts
 crossing-free structures on at most n flat bases, fewer than 3**n, so slots
 of W = (3**n).bit_length() + 1 bits never carry.  Splitting on the
 rightmost pair makes every branch but the O(n**2) interior scan O(n) per
-cell: O(n**3) big-integer products and O(n**4) interior terms at most.
+cell: O(n**3) big-integer products and O(n**4) interior terms at most.  An
+interior term is a few reads of tables built once per call and one integer
+addition into its cell's {level: packed} sum; the shifted union runs once
+per distinct level of the cell.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def levels_bpm(n: int) -> LevelSet:
 
 def levels_bps(n: int) -> LevelSet:
     """Same shape as the pair-count set; stack counts cannot exceed
-    floor(n/2).  Kept because perfbench calls it, until ROADMAP item 1."""
+    floor(n/2)."""
     return levels_bpm(n)
 
 
@@ -156,12 +159,31 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
     contents whose last pair ends at e,
       T[i, j] = A[i, j] + [no nick at j-1] * shift(T[i, j-1], unpaired cost).
     The interior branch of gb scans the non-empty gb[d][e] with nick-free
-    flanks in (d, e) order, cells by length then i, so a missing table entry
-    raises at the first loop that needs it.
+    flanks in (d, e) order, cells by length then i.  A term's energy is
+    ``interior_like_energy``'s formula on per-call tables: the padded flat
+    sequence, the outer mismatch of (i, j), the inner mismatch of gb[d][e]
+    (kept in ends[d]), and the bulge, interior size and asymmetry entries
+    for sizes 0..n from ``size_entry``.  A slot they cannot fill is None, and
+    a term that meets one calls ``interior_like_energy``, which raises its
+    error: a missing entry raises at the first loop that needs it, never
+    earlier.
     """
     flat = flattening(system, ordering)
     n = system.n
     width = (3 ** n).bit_length() + 1
+    seq = " " + flat.sequence + " "  # seq[p] is base p; the pads match no table key
+    stack, mismatch = params.stack, params.mismatch
+
+    def sizes(name):  # None where size_entry raises: the scan raises there, if it goes there
+        out = []
+        for m in range(n + 1):
+            try:
+                out.append(params.size_entry(name, m))
+            except InvalidInput:
+                out.append(None)
+        return out
+
+    bulge, size, asym = (sizes(name) for name in ("bulge", "interior_size", "interior_asym"))
     nick = [p in flat.nicks for p in range(n + 1)]  # nick[p]: between p and p+1
     next_nick = [n] * (n + 1)  # first nick at or after p, n when none
     for p in range(n - 1, 0, -1):
@@ -189,26 +211,39 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
     g, gb, gm, gm2, s1 = ([[None] * (n + 2) for _ in range(n + 2)] for _ in range(5))
     for i in range(1, n + 2):
         g[i][i - 1] = (0, 1)
-    ends = [[] for _ in range(n + 2)]    # ends[d]: e with gb[d][e] non-empty, ascending
+    ends = [[] for _ in range(n + 2)]    # ends[d]: (e, *gb[d][e], inner mismatch), e ascending
     starts = [[] for _ in range(n + 2)]  # starts[e]: d with gb[d][e] non-empty
 
     for l in range(1, n + 1):
         for i in range(1, n - l + 2):
             j = i + l - 1
             cb = None
-            if complementary(flat.base(i), flat.base(j)):
+            if complementary(seq[i], seq[j]):
                 if next_nick[i] >= j and j - i - 1 >= params.min_hairpin:
                     cb = (params.size_entry("hairpin", j - i - 1), 1)
+                outer = mismatch.get((seq[i], seq[j], seq[i + 1], seq[j - 1]))
+                by_level = {}  # interior terms: level -> summed packed counts
                 e_min = last_nick[j - 1] + 1  # with d <= next_nick[i]: nick-free flanks
                 for d in range(i + 1, min(j - 2, next_nick[i]) + 1):
-                    for e in ends[d]:
+                    l1 = d - i - 1
+                    for e, lo, packed, inner in ends[d]:
                         if e >= j:
                             break
                         if e < e_min:
                             continue
-                        lo, packed = gb[d][e]
-                        cb = add(cb, (lo + interior_like_energy(flat, i, d, e, j, params),
-                                      packed))
+                        l2 = j - e - 1
+                        try:  # interior_like_energy's formula on the tables
+                            if l1 and l2:
+                                lo += size[l1 + l2] + asym[abs(l1 - l2)] + outer + inner
+                            elif l1 or l2:
+                                lo += bulge[l1 + l2]
+                            else:
+                                lo += stack.get((seq[i], seq[d], seq[e], seq[j]))
+                        except TypeError:  # a part is None: raise its InvalidInput
+                            lo += interior_like_energy(flat, i, d, e, j, params)
+                        by_level[lo] = by_level.get(lo, 0) + packed
+                for lo, packed in by_level.items():
+                    cb = add(cb, (lo, packed))
                 if not nick[i] and not nick[j - 1]:
                     cb = add(cb, shift(gm2[i + 1][j - 1], params.multi_init + bp))
                 for x in range(i, j):
@@ -220,7 +255,7 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
                         cb = add(cb, mul(g[i + 1][x], g[x + 1][j - 1]))
             if cb is not None:
                 gb[i][j] = cb
-                ends[i].append(j)
+                ends[i].append((j, *cb, mismatch.get((seq[j], seq[i], seq[j + 1], seq[i - 1]))))
                 starts[j].append(i)
             s1[i][j] = add(shift(cb, bp), None if nick[i] else shift(s1[i + 1][j], nt))
 

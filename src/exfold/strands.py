@@ -15,11 +15,8 @@ Conventions used throughout the package:
   per (system, ordering); callers must not mutate it.
 
 Sorted flat pairs ``(i, j)``, i < j, under one ``Flattening`` are the form
-every predicate, enumerator and energy model computes on.  A public
-function that receives a ``SecondaryStructure`` of ``BaseRef`` pairs
-converts it once.  A structure the enumerator yields carries its flat pairs
-(and its crossing-free witness ordering), so ``energy`` need not convert or
-validate it, and it builds its ``BaseRef`` pairs only when they are read.
+every predicate, enumerator and energy model computes on; a public function
+converts a ``SecondaryStructure`` of ``BaseRef`` pairs to it once.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -17,6 +18,8 @@ from exfold.strands import (
 from exfold.energy import (
     BPM,
     BPS,
+    SIZE_TABLES,
+    dump_nn_params,
     energy_nn_detail,
     interior_like_energy,
     load_nn_params,
@@ -329,6 +332,100 @@ def brute_counts(system, ordering, params) -> dict:
     return out
 
 
+def reference_counts(system, ordering, params) -> dict:
+    """``nn_level_counts`` with every interior term scored by
+    ``interior_like_energy`` and folded into its cell one at a time: the
+    same packed recursion, cells and scan order, without the per-call
+    tables, so the count maps and the first missing entry must agree."""
+    flat = flattening(system, ordering)
+    n = system.n
+    width = (3 ** n).bit_length() + 1
+    nick = [p in flat.nicks for p in range(n + 1)]
+    next_nick = [n] * (n + 1)
+    for p in range(n - 1, 0, -1):
+        next_nick[p] = p if nick[p] else next_nick[p + 1]
+    last_nick = [0] * (n + 1)
+    for p in range(1, n + 1):
+        last_nick[p] = p if nick[p] else last_nick[p - 1]
+    bp, nt = params.multi_bp, params.multi_nt
+
+    def add(a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        if a[0] > b[0]:
+            a, b = b, a
+        return a[0], a[1] + (b[1] << width * (b[0] - a[0]))
+
+    def mul(a, b):
+        return None if a is None or b is None else (a[0] + b[0], a[1] * b[1])
+
+    def shift(a, k):
+        return None if a is None else (a[0] + k, a[1])
+
+    g, gb, gm, gm2, s1 = ([[None] * (n + 2) for _ in range(n + 2)] for _ in range(5))
+    for i in range(1, n + 2):
+        g[i][i - 1] = (0, 1)
+    ends = [[] for _ in range(n + 2)]
+    starts = [[] for _ in range(n + 2)]
+    for l in range(1, n + 1):
+        for i in range(1, n - l + 2):
+            j = i + l - 1
+            cb = None
+            if complementary(flat.base(i), flat.base(j)):
+                if next_nick[i] >= j and j - i - 1 >= params.min_hairpin:
+                    cb = (params.size_entry("hairpin", j - i - 1), 1)
+                e_min = last_nick[j - 1] + 1
+                for d in range(i + 1, min(j - 2, next_nick[i]) + 1):
+                    for e in ends[d]:
+                        if e >= j:
+                            break
+                        if e < e_min:
+                            continue
+                        lo, packed = gb[d][e]
+                        cb = add(cb, (lo + interior_like_energy(flat, i, d, e, j, params),
+                                      packed))
+                if not nick[i] and not nick[j - 1]:
+                    cb = add(cb, shift(gm2[i + 1][j - 1], params.multi_init + bp))
+                for x in range(i, j):
+                    if not nick[x]:
+                        continue
+                    if ((not nick[i] and not nick[j - 1]) or i == j - 1
+                            or (x == i and not nick[j - 1])
+                            or (x == j - 1 and not nick[i])):
+                        cb = add(cb, mul(g[i + 1][x], g[x + 1][j - 1]))
+            if cb is not None:
+                gb[i][j] = cb
+                ends[i].append(j)
+                starts[j].append(i)
+            s1[i][j] = add(shift(cb, bp), None if nick[i] else shift(s1[i + 1][j], nt))
+            exterior = multi = None
+            for d in starts[j]:
+                if d == i or not nick[d - 1]:
+                    exterior = add(exterior, mul(g[i][d - 1], gb[d][j]))
+                if not nick[d - 1]:
+                    multi = add(multi, mul(gm[i][d - 1], gb[d][j]))
+            multi = shift(multi, bp)
+            trail = j == i or not nick[j - 1]
+            g[i][j] = add(exterior, g[i][j - 1] if trail else None)
+            gm[i][j] = add(add(s1[i][j], multi), shift(gm[i][j - 1], nt) if trail else None)
+            gm2[i][j] = add(multi, shift(gm2[i][j - 1], nt) if trail else None)
+
+    counts: dict = {}
+    if g[1][n] is None:
+        return counts
+    level, packed = g[1][n]
+    level += (system.c - 1) * params.assoc
+    mask = (1 << width) - 1
+    while packed:
+        if packed & mask:
+            counts[level] = packed & mask
+        packed >>= width
+        level += 1
+    return counts
+
+
 def random_system(rng, n, c, alphabet="GCAU"):
     """c strands over n bases; a quarter of the multistrand systems repeat
     one strand."""
@@ -341,9 +438,9 @@ def random_system(rng, n, c, alphabet="GCAU"):
 
 
 class TestCountDP:
-    """``nn_level_counts`` against brute-force counts and ``levels_nn_dp``
-    against the set recursion, beyond the acceptance range (n <= 10,
-    c <= 3)."""
+    """``nn_level_counts`` against brute-force counts and the reference
+    count maps, and ``levels_nn_dp`` against the set recursion, beyond the
+    acceptance range (n <= 10, c <= 3)."""
 
     def test_counts_match_brute_force_sweep(self):
         rng = random.Random(8)
@@ -354,8 +451,9 @@ class TestCountDP:
                                    rng.choice(("GCAU", "GCAU", "GCGA", "GGCCA")))
             ordering = rng.choice(list(system.circular_orderings()))
             p = params[case % 3]
-            assert nn_level_counts(system, ordering, p) \
-                == brute_counts(system, ordering, p), (system, ordering, case % 3)
+            counts = nn_level_counts(system, ordering, p)
+            assert counts == brute_counts(system, ordering, p), (system, ordering, case % 3)
+            assert counts == reference_counts(system, ordering, p), (system, ordering, case % 3)
 
     @pytest.mark.parametrize("n", [24, 32, 40, 48])
     def test_long_single_strands_match_the_reference(self, n):
@@ -365,6 +463,14 @@ class TestCountDP:
         assert levels_nn_dp(system, system.ids, params).levels \
             == reference_levels(system, system.ids, params)
 
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_long_single_strands_match_the_reference_counts(self, n):
+        rng = random.Random(n + 1)
+        system = sys_of("".join(rng.choice("GCAU") for _ in range(n)))
+        for params in (toy_params_a(n), toy_params_b(n)):
+            assert nn_level_counts(system, system.ids, params) \
+                == reference_counts(system, system.ids, params)
+
     @pytest.mark.parametrize("n,c", [(16, 2), (32, 2), (24, 3), (32, 3), (24, 4), (32, 4)])
     def test_multistrand_systems_match_the_reference(self, n, c):
         rng = random.Random(100 * n + c)
@@ -373,13 +479,17 @@ class TestCountDP:
             ordering = rng.choice(list(system.circular_orderings()))
             assert levels_nn_dp(system, ordering, params).levels \
                 == reference_levels(system, ordering, params), (system, ordering)
+            assert nn_level_counts(system, ordering, params) \
+                == reference_counts(system, ordering, params), (system, ordering)
 
 
 class TestMissingTableEntries:
     """The shipped tables are explicit up to loop size 16 and continue above
     it, so loops longer than 16 get the DP levels that the set recursion and
     ``toy_params_a(n)``, explicit up to n, give them.  A size below a
-    table's smallest key still raises, in both recursions alike."""
+    table's smallest key, or a missing stack or mismatch key, raises the
+    error the set recursion and ``reference_counts`` raise, and only in a
+    system that has a loop needing it."""
 
     SHIPPED = load_nn_params(toy_params_file("toy_nn_a"))
 
@@ -393,6 +503,10 @@ class TestMissingTableEntries:
         got = self.outcome(lambda *a: levels_nn_dp(*a).levels, system, params)
         assert got == self.outcome(reference_levels, system, params), system
         return got
+
+    def check_counts(self, system, params):
+        got = self.outcome(lambda *a: nn_level_counts(*a).items(), system, params)
+        assert got == self.outcome(lambda *a: reference_counts(*a).items(), system, params), system
 
     def check_long(self, system):
         got = self.check(system)
@@ -430,6 +544,59 @@ class TestMissingTableEntries:
             c = rng.choice((1, 1, 2))
             system = random_system(rng, rng.randint(20, 28), c, "GCAAAAAU")
             assert isinstance(self.check_long(system), tuple)
+
+    def without(self, table, keys):
+        return replace(self.SHIPPED, **{table: {k: v for k, v in getattr(self.SHIPPED, table).items()
+                                               if k not in keys}})
+
+    def partial_tables(self):
+        """One entry short each: an outer and an inner mismatch, a stack,
+        and the smallest interior size and asymmetry, which leaves those
+        below the new smallest key."""
+        return {
+            "outer mismatch": (self.without("mismatch", {tuple("GCAA")}),
+                               "missing mismatch parameter entry for ('G', 'C', 'A', 'A')"),
+            "inner mismatch": (self.without("mismatch", {tuple("CGAA")}),
+                               "missing mismatch parameter entry for ('C', 'G', 'A', 'A')"),
+            "stack": (self.without("stack", {tuple("GGCC")}),
+                      "missing stack parameter entry for ('G', 'G', 'C', 'C')"),
+            "interior size": (self.without("interior_size", {2}),
+                              "missing interior size parameter entry for 2"),
+            "interior asymmetry": (self.without("interior_asym", {0}),
+                                   "missing interior asymmetry parameter entry for 0"),
+        }
+
+    @pytest.mark.parametrize("what", ["outer mismatch", "inner mismatch", "stack",
+                                      "interior size", "interior asymmetry"])
+    def test_missing_entries_raise_as_the_references_do(self, what):
+        params, message = self.partial_tables()[what]
+        # (1, 11) closes an interior loop on (3, 9), which stacks on (4, 8)
+        assert self.check(sys_of("GAGGAAACCAC"), params) == message
+        for seq in ("GAGGAAACCAC", "GAAAAC", "GCAGAAACAAGC"):
+            self.check_counts(sys_of(seq), params)
+        # a system that never needs the entry still gets its levels
+        assert self.check(sys_of("GAAAAC"), params) == (0, self.SHIPPED.hairpin[4])
+
+    def test_missing_entry_sweep(self):
+        rng = random.Random(15)
+        raised = set()
+        for case in range(60):
+            system = random_system(rng, rng.randint(8, 14), rng.choice((1, 1, 2)), "GGCCAU")
+            for what, (params, message) in self.partial_tables().items():
+                if self.check(system, params) == message:
+                    raised.add(what)
+                self.check_counts(system, params)
+        assert raised == set(self.partial_tables())
+
+    def test_the_dp_changes_nothing_visible_on_params(self):
+        params = load_nn_params(toy_params_file("toy_nn_a"))
+        before, text, dump = copy.deepcopy(params), repr(params), dump_nn_params(params)
+        tables = {name: params.size_table(name, 16) for name in SIZE_TABLES}
+        rng = random.Random(40)
+        system = sys_of("".join(rng.choice("GCAU") for _ in range(40)))
+        assert nn_level_counts(system, system.ids, params)
+        assert params == before and repr(params) == text and dump_nn_params(params) == dump
+        assert {name: params.size_table(name, 16) for name in SIZE_TABLES} == tables
 
 
 class TestSymmetryAugmentation:
