@@ -1,9 +1,9 @@
-"""Brute-force reference oracles for the five thermodynamic problems.
+"""Exact oracles for the five thermodynamic problems.
 
-``dos_brute`` enumerates the ensemble once into a ``DensityOfStates``, which
-answers MFE, PF, SSEL and their decision versions; ``OracleHandle`` wraps it
-as the oracle the reductions call, and is the one place where magnification
-is applied: the j-magnified model scales each level by j.
+A ``DensityOfStates`` answers MFE, PF, SSEL and their decision versions, and
+``dos_brute`` enumerates the reference one.  ``OracleHandle`` wraps any of
+them as the oracle the reductions call, and is the one place where
+magnification is applied: the j-magnified model scales each level by j.
 
 The partition function stays exact because the Boltzmann factor per
 quantum, e**(delta/kT), is replaced by a positive rational base b != 1: a
@@ -13,7 +13,8 @@ rely on is algebra over these weights.  Decimals are for display only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -94,56 +95,54 @@ def pf_decimal(value: Fraction, digits: int = 12) -> str:
     return f"{sign}{whole // 10**digits}.{whole % 10**digits:0{digits}d}"
 
 
+def _check_magnification(j) -> None:
+    if not isinstance(j, int) or j < 0:
+        raise InvalidInput("magnification must be a non-negative integer")
+
+
 @dataclass
 class OracleHandle:
-    """Magnification-aware oracle facade over one brute-force density of
-    states.  Every query accepts an integer magnification j >= 0; pf and dpf
-    also accept a ``base`` override, for the huge magnifications whose
-    per-quantum weight is another rational (n! in the threshold
-    reductions), not a power of the handle's own base."""
+    """The oracle over an exact density of states of ``system``, whatever
+    its source.  Every query takes a magnification j >= 0; pf and dpf also
+    take a ``base`` override for the per-quantum weight n! of the threshold
+    reductions.  Their base-n! digits need fewer than n! structures for
+    n >= 3, as every ensemble has: n bases form at most T(n) < n! matchings."""
 
     system: StrandSystem
-    space: StructureSpace
-    model: EnergyModel
+    dos: DensityOfStates
     base: Fraction
-    dos: DensityOfStates = field(init=False)
-    calls: int = field(default=0, init=False)
 
     def __post_init__(self):
         self.base = check_base(self.base)
-        self.dos = dos_brute(self.system, self.space, self.model)
         if not self.dos.counts:
             raise InvalidInput(EMPTY_ENSEMBLE)
+        if self.n >= 3 and self.dos.total() >= math.factorial(self.n):
+            raise InvalidInput(f"{self.dos.total()} structures on {self.n} bases: "
+                               f"an ensemble holds fewer than {self.n}!")
 
     @property
     def n(self) -> int:
         return self.system.n
 
-    def _query(self, j: int):
-        """Count one query at magnification ``j``, a non-negative int."""
-        if not isinstance(j, int) or j < 0:
-            raise InvalidInput("magnification must be a non-negative integer")
-        self.calls += 1
-
     def pf(self, j: int = 1, base: Optional[Fraction] = None) -> Fraction:
-        self._query(j)
+        _check_magnification(j)
         return self.dos.pf(self.base if base is None else base, j)
 
     def dpf(self, threshold: Fraction, j: int = 1,
             base: Optional[Fraction] = None) -> bool:
-        self._query(j)
+        _check_magnification(j)
         return self.dos.pf(self.base if base is None else base, j) >= threshold
 
     def mfe(self, j: int = 1) -> int:
-        self._query(j)
+        _check_magnification(j)
         return self.dos.mfe() * j
 
     def dmfe(self, threshold, j: int = 1) -> bool:
-        self._query(j)
+        _check_magnification(j)
         return self.dos.mfe() * j <= threshold
 
     def ssel(self, level_quanta, j: int = 1) -> int:
-        self._query(j)
+        _check_magnification(j)
         if j == 0:
             return self.dos.total() if level_quanta == 0 else 0
         if level_quanta % j != 0:
@@ -153,4 +152,6 @@ class OracleHandle:
 
 def make_oracle(system: StrandSystem, space: StructureSpace, model: EnergyModel,
                 base: Fraction) -> OracleHandle:
-    return OracleHandle(system, space, model, Fraction(base))
+    """The oracle over ``dos_brute``; the base is checked before enumerating."""
+    base = check_base(base)
+    return OracleHandle(system, dos_brute(system, space, model), base)

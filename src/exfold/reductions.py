@@ -25,11 +25,17 @@ from .strands import BudgetViolation, InvalidInput, OracleInconsistency
 
 @dataclass(frozen=True)
 class OracleCall:
+    """One oracle query, as raw values; ``base`` is set when overridden."""
+
     op: str
     magnification: int
-    base: Optional[str]  # "num/den" when the per-quantum base is overridden
-    argument: Optional[str]
-    result: str
+    base: Optional[Fraction]
+    argument: object
+    result: object
+
+
+def _text(value, rational: bool) -> Optional[str]:
+    return None if value is None else rat_to_str(value) if rational else str(value)
 
 
 @dataclass
@@ -44,13 +50,6 @@ class ReductionTranscript:
     def call_count(self) -> int:
         return len(self.calls)
 
-    def record(self, op, magnification, base, argument, result):
-        self.calls.append(OracleCall(
-            op, magnification,
-            None if base is None else rat_to_str(base),
-            None if argument is None else str(argument),
-            str(result)))
-
     def finish(self, answer):
         self.answer = str(answer)
         if self.call_count > self.budget:
@@ -58,11 +57,16 @@ class ReductionTranscript:
                 f"{self.reduction} made {self.call_count} calls, budget {self.budget}")
 
     def to_json(self) -> str:
+        """Bases, pf results and dpf thresholds as "num/den", the rest as str()."""
+        calls = [{"op": c.op, "magnification": c.magnification,
+                  "base": _text(c.base, True),
+                  "argument": _text(c.argument, c.op == "dpf"),
+                  "result": _text(c.result, c.op == "pf")} for c in self.calls]
         return json.dumps({
             "reduction": self.reduction,
             "budget": self.budget,
             "call_count": self.call_count,
-            "calls": [vars(c) for c in self.calls],
+            "calls": calls,
             "answer": self.answer,
             "details": self.details,
         }, sort_keys=True)
@@ -75,30 +79,24 @@ class _Recorder:
         self.oracle = oracle
         self.transcript = transcript
 
+    def _log(self, op, j, base, argument, result):
+        self.transcript.calls.append(OracleCall(op, j, base, argument, result))
+        return result
+
     def pf(self, j=1, base=None):
-        out = self.oracle.pf(j, base=base)
-        self.transcript.record("pf", j, base, None, rat_to_str(out))
-        return out
+        return self._log("pf", j, base, None, self.oracle.pf(j, base=base))
 
     def dpf(self, threshold, j=1, base=None):
-        out = self.oracle.dpf(threshold, j, base=base)
-        self.transcript.record("dpf", j, base, rat_to_str(Fraction(threshold)), out)
-        return out
+        return self._log("dpf", j, base, threshold, self.oracle.dpf(threshold, j, base=base))
 
     def mfe(self, j=1):
-        out = self.oracle.mfe(j)
-        self.transcript.record("mfe", j, None, None, out)
-        return out
+        return self._log("mfe", j, None, None, self.oracle.mfe(j))
 
     def dmfe(self, threshold, j=1):
-        out = self.oracle.dmfe(threshold, j)
-        self.transcript.record("dmfe", j, None, threshold, out)
-        return out
+        return self._log("dmfe", j, None, threshold, self.oracle.dmfe(threshold, j))
 
     def ssel(self, level, j=1):
-        out = self.oracle.ssel(level, j)
-        self.transcript.record("ssel", j, None, level, out)
-        return out
+        return self._log("ssel", j, None, level, self.oracle.ssel(level, j))
 
 
 def _levels_tuple(levels) -> tuple[int, ...]:
@@ -199,10 +197,9 @@ def dos_via_pf(oracle, levels, base: Fraction) -> tuple[dict, ReductionTranscrip
             f"base {rat_to_str(base)} differs from the oracle's base "
             f"{rat_to_str(oracle.base)}")
     lv = _levels_tuple(levels)
-    n_levels = len(lv)
-    t = ReductionTranscript("ssel-via-pf", budget=n_levels)
+    t = ReductionTranscript("ssel-via-pf", budget=len(lv))
     rec = _Recorder(oracle, t)
-    rhs = tuple(rec.pf(j) for j in range(1, n_levels + 1))
+    rhs = tuple(rec.pf(j) for j in range(1, len(lv) + 1))
     nodes = tuple(base**-g for g in lv)
     solution = solve_vandermonde(VandermondeSystem(nodes, rhs))
     counts = {}
@@ -240,10 +237,11 @@ def _factorial_base(oracle) -> int:
 def dmfe_via_dpf(oracle, levels, threshold) -> tuple[bool, ReductionTranscript]:
     """One dPF query under the n!-per-quantum magnified model.
 
-    x is the most favourable candidate level <= threshold; the magnified
-    threshold (n!)**(-x) is reached exactly when some structure sits at or
-    below x, because everything strictly above x contributes less than one
-    unit of the x digit.  threshold may be any rational (in quanta); with no
+    x is the highest candidate level <= threshold; the magnified threshold
+    (n!)**(-x) is reached exactly when some structure sits at or below x,
+    because everything strictly above x contributes less than one unit of
+    the x digit.  A lower candidate would miss the structures between it
+    and x.  threshold may be any rational (in quanta); with no
     candidate level at or below it, no structure can be either, and the
     answer is False without any oracle call.
     """

@@ -18,6 +18,7 @@ from exfold.strands import (
 from exfold.energy import BPM, BPS, energy, nn_model, toy_params_a
 from exfold.oracles import (
     DensityOfStates,
+    OracleHandle,
     check_base,
     dos_brute,
     make_oracle,
@@ -165,6 +166,29 @@ class TestOracleHandle:
         oracle = make_oracle(sys_of("GCAU"), PK, BPM, F(2))
         occupied = [g for g in range(-3, 1) if oracle.ssel(g) > 0]
         assert oracle.mfe() == min(occupied)
+
+    def test_ensemble_must_hold_fewer_than_n_factorial_structures(self):
+        # 11 structures on 3 bases: the base-3! digits of the threshold
+        # reductions would spill, so that dmfe_via_dpf at -2 says True for an
+        # MFE of -1 and pf_via_dpf gives 13 for a PF of 21
+        dos = DensityOfStates({0: 1, -1: 10}, F(1))
+        assert dos.pf(F(2)) == 21
+        with pytest.raises(InvalidInput, match="fewer than 3!"):
+            OracleHandle(sys_of("ACG"), dos, F(2))
+        # 5 structures fit below 3! = 6, and two bases admit any count
+        assert OracleHandle(sys_of("ACG"), DensityOfStates({0: 1, -1: 4}, F(1)), F(2)).n == 3
+        assert OracleHandle(sys_of("AU"), dos, F(2)).pf() == 21
+
+    def test_handle_over_any_density_of_states(self):
+        dos = DensityOfStates({0: 1, -1: 2, -2: 1}, F(1))
+        oracle = OracleHandle(sys_of("ACGT"), dos, 2)
+        assert oracle.base == F(2) and oracle.dos is dos and oracle.n == 4
+        assert [oracle.pf(j) for j in (1, 2, 3)] == [9, 25, 81]
+        assert oracle.mfe(2) == -4 and oracle.ssel(-2, 2) == 2
+        with pytest.raises(InvalidInput, match="ensemble is empty"):
+            OracleHandle(sys_of("ACGT"), DensityOfStates({}, F(1)), F(2))
+        with pytest.raises(InvalidInput):
+            OracleHandle(sys_of("ACGT"), dos, F(1))
 
     def test_base_validation(self):
         with pytest.raises(InvalidInput):

@@ -1,14 +1,16 @@
+import hashlib
 import json
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exfold.strands import InvalidInput, StrandSystem, StructureSpace
 from exfold.energy import BPM, BPS
 from exfold.levels import levels_bpm, levels_bps
-from exfold.oracles import DensityOfStates, make_oracle
+from exfold.oracles import DensityOfStates, OracleHandle, make_oracle
 from exfold.reductions import (
     OracleInconsistency,
     dmfe_via_dpf,
@@ -105,25 +107,22 @@ class TestCountReconstruction:
     def test_eighty_levels(self):
         # 79 C + 79 G under PK BPM: p pairs are a partial matching, so the
         # closed-form DoS stands in for an enumeration of 158 bases
-        class ClosedFormOracle:
-            base = F(2)
-            dos = DensityOfStates(
-                {-p: math.comb(79, p) ** 2 * math.factorial(p) for p in range(80)}, F(1))
-
-            def pf(self, j=1, base=None):
-                return self.dos.pf(self.base if base is None else base, j)
-
-        counts, t = dos_via_pf(ClosedFormOracle(), levels_bpm(158), F(2))
-        assert counts == ClosedFormOracle.dos.counts
+        dos = DensityOfStates(
+            {-p: math.comb(79, p) ** 2 * math.factorial(p) for p in range(80)}, F(1))
+        oracle = OracleHandle(sys_of("C" * 79 + "G" * 79), dos, F(2))
+        counts, t = dos_via_pf(oracle, levels_bpm(158), F(2))
+        assert counts == dos.counts
         assert t.call_count == 80
 
-    def test_base_must_match_oracle(self):
+    def test_base_must_match_oracle(self, monkeypatch):
         oracle = make_oracle(sys_of("GGCC"), PK, BPM, F(2))
+        # the base is refused before any query reaches the oracle
+        for op in ("pf", "dpf", "mfe", "dmfe", "ssel"):
+            monkeypatch.setattr(oracle, op, lambda *a, **k: pytest.fail("oracle queried"))
         for run in (lambda: dos_via_pf(oracle, levels_bpm(4), F(3, 2)),
                     lambda: ssel_via_pf(oracle, levels_bpm(4), F(3, 2), -2)):
             with pytest.raises(InvalidInput, match="3/2.*2"):
                 run()
-        assert oracle.calls == 0
 
 
 class TestHugeMagnification:
@@ -266,3 +265,77 @@ class TestTranscripts:
 
         with pytest.raises(OracleInconsistency, match=message):
             dos_via_pf(Liar(), levels_bpm(2), F(2))
+
+
+def all_reductions(oracle, levels, base):
+    """Every reduction of the map on one oracle, as (name, answer,
+    transcript) triples."""
+    runs = [
+        ("dmfe-via-mfe", dmfe_via_mfe(oracle, -1)),
+        ("dmfe-via-mfe", dmfe_via_mfe(oracle, F(-3, 2))),
+        ("dpf-via-pf", dpf_via_pf(oracle, F(9))),
+        ("dpf-via-pf", dpf_via_pf(oracle, F(5, 2))),
+        ("mfe-via-dmfe", mfe_via_dmfe(oracle, levels)),
+        ("mfe-via-ssel", mfe_via_ssel(oracle, levels)),
+        ("pf-via-ssel", pf_via_ssel(oracle, levels, base)),
+        ("ssel-via-pf", ssel_via_pf(oracle, levels, base, -1)),
+        ("dmfe-via-dpf", dmfe_via_dpf(oracle, levels, -1)),
+        ("dmfe-via-dpf", dmfe_via_dpf(oracle, levels, F(-1, 2))),
+        ("pf-via-dpf", pf_via_dpf(oracle, levels, base)),
+    ]
+    return [(name, answer, t) for name, (answer, t) in runs]
+
+
+# sha256 prefixes of the transcript JSON of each reduction, over BPM GCAU,
+# BPM ACGT and BPS GGCC at bases 2 and 1/2, plus one dMFE and one SSEL scan
+# on integral Fraction levels (arguments written "-1", not "-1/1")
+TRANSCRIPT_SHA256 = {
+    "dmfe-via-dpf": "b6f443878ab57088",
+    "dmfe-via-mfe": "4826a1817e2ac1d7",
+    "dpf-via-pf": "c62b5ace640b1345",
+    "mfe-via-dmfe": "3cf891e479e05d9d",
+    "mfe-via-ssel": "a5c3da041691d293",
+    "pf-via-dpf": "216d370e4b97c0b7",
+    "pf-via-ssel": "d9c64c0b24a64f68",
+    "ssel-via-pf": "2b9c16127c4815db",
+}
+
+
+def test_transcript_json_is_pinned():
+    texts = {name: [] for name in TRANSCRIPT_SHA256}
+    for seq, model in (("GCAU", BPM), ("ACGT", BPM), ("GGCC", BPS)):
+        for base in (F(2), F(1, 2)):
+            oracle = make_oracle(sys_of(seq), PK, model, base)
+            for name, _, t in all_reductions(oracle, levels_bpm(4), base):
+                texts[name].append(t.to_json())
+    oracle = acgt_oracle()
+    fraction_levels = [F(-2), F(-1), F(0)]
+    texts["mfe-via-dmfe"].append(mfe_via_dmfe(oracle, fraction_levels)[1].to_json())
+    texts["mfe-via-ssel"].append(mfe_via_ssel(oracle, fraction_levels)[1].to_json())
+    assert '"argument": "-1"' in texts["mfe-via-dmfe"][-1]
+    got = {name: hashlib.sha256("\n".join(v).encode()).hexdigest()[:16]
+           for name, v in texts.items()}
+    assert got == TRANSCRIPT_SHA256
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.text("ACGU", min_size=3, max_size=6), st.sampled_from((BPM, BPS)),
+       st.sampled_from((F(1, 2), F(2), F(3))))
+def test_any_density_of_states_answers_like_the_brute_oracle(seq, model, base):
+    system = sys_of(seq)
+    brute = make_oracle(system, PK, model, base)
+    handmade = OracleHandle(system, DensityOfStates(dict(brute.dos.counts), F(1)), base)
+    for j in range(4):
+        assert handmade.pf(j) == brute.pf(j) and handmade.mfe(j) == brute.mfe(j)
+        assert handmade.pf(j, base=F(5)) == brute.pf(j, base=F(5))
+        for g in range(-j * (len(seq) // 2) - 1, 2):
+            assert handmade.ssel(g, j) == brute.ssel(g, j)
+            assert handmade.dmfe(g, j) == brute.dmfe(g, j)
+        for threshold in (F(1), brute.pf(j), brute.pf(j) + F(1, 7)):
+            assert handmade.dpf(threshold, j) == brute.dpf(threshold, j)
+            assert (handmade.dpf(threshold, j, base=F(5))
+                    == brute.dpf(threshold, j, base=F(5)))
+    lv = levels_bpm(system.n)
+    for (name, a, t), (_, b, u) in zip(all_reductions(handmade, lv, base),
+                                        all_reductions(brute, lv, base)):
+        assert a == b and t.to_json() == u.to_json(), name
