@@ -35,6 +35,7 @@ from .strands import (
     StructureSpace,
     count_structures,
     enumerate_structures,
+    nn_space,
     read_strand_file,
 )
 
@@ -97,9 +98,7 @@ def _setup(args):
             raise InvalidInput(f"--model nn takes its space from --params; "
                                f"drop {', '.join(given)}")
         params = load_nn_params(args.params)
-        space = StructureSpace(allow_pseudoknots=False, require_connected=True,
-                               min_hairpin=params.min_hairpin)
-        return system, space, nn_model(params)
+        return system, nn_space(params.min_hairpin), nn_model(params)
     space = StructureSpace(
         allow_pseudoknots=bool(args.pseudoknots),
         require_connected=bool(args.connected),
@@ -254,7 +253,7 @@ def cmd_hardgen(args) -> int:
         return EXIT_OK
     if args.action == "bps-from-4part":
         bps = hardness.gen_bps_from_4part(hardness.FourPartitionInstance.from_json(text))
-        _emit({"strand": bps.strand, "target_stacks": bps.target_stacks})
+        print(bps.to_json())
         return EXIT_OK
     if args.action == "verify-bps":
         report = hardness.verify_parsimony_bps(

@@ -477,22 +477,27 @@ def parse_nn_params(text: str) -> NNParams:
         key, value = (part.strip() for part in line.split("=", 1))
         sections[current][key] = value
 
-    def quanta(section, key, default=None):
+    def rational(section, key, default=None):
         raw = sections.get(section, {}).get(key)
         if raw is None:
             if default is None:
                 raise InvalidInput(f"missing [{section}] {key}")
-            return default
-        q = Fraction(raw)
+            return Fraction(default)
+        try:
+            return Fraction(raw)
+        except ZeroDivisionError:
+            raise InvalidInput(f"[{section}] {key} has a zero denominator: {raw!r}") from None
+
+    def quanta(section, key, default=None):
+        q = rational(section, key, default)
         if q.denominator != 1:
             raise InvalidInput(f"[{section}] {key} must be an integer number of quanta")
         return int(q)
 
-    g = sections.get("global", {})
     kwargs = dict(
-        delta=Fraction(g.get("delta", "1")),
-        temperature=Fraction(g.get("temperature", "310")),
-        kbt=Fraction(g.get("kbt", "1")),
+        delta=rational("global", "delta", 1),
+        temperature=rational("global", "temperature", 310),
+        kbt=rational("global", "kbt", 1),
         assoc=quanta("global", "assoc", 0),
         min_hairpin=quanta("global", "min_hairpin", 3),
         multi_init=quanta("multi", "init", 0),

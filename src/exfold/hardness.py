@@ -21,6 +21,9 @@ from .strands import DEFAULT_BPS_ENUM_BUDGET, BudgetExceeded, InvalidInput
 
 CHAIN_CACHE_SIZE = 64  # run-length profiles whose chain packings are kept
 BPS_MEMO_STATES = 1 << 18  # matching states count_bps_brute may memoise
+CHAIN_MEMO_STATES = 1 << 15  # placement states count_bps_chains may memoise
+BPS_STRAND_BASES = 1 << 16  # longest strand gen_bps_from_4part builds
+THREEDM_BUDGET = 6  # |X| that count_3dm_brute searches
 
 
 def _json_fields(text: str, kind: str, names: tuple[str, ...]) -> list:
@@ -46,10 +49,15 @@ def _scalar(value) -> bool:
 
 
 def _json_int(value, kind: str, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InvalidInput(f"{kind} field {name!r} holds {value!r}, not an integer") from None
+    """A JSON integer or integer string; a float may already have lost digits."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InvalidInput(f"{kind} field {name!r} holds {value!r}, not an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +109,10 @@ class ThreeDMInstance:
         return cls(x, y, z, tuple(tuple(t) for t in triples))
 
 
-def count_3dm_brute(inst: ThreeDMInstance, budget: int = 6) -> int:
+def count_3dm_brute(inst: ThreeDMInstance) -> int:
     """Perfect matchings by exhaustive search; the empty instance has one."""
-    if len(inst.x) > budget:
-        raise BudgetExceeded(f"|X| = {len(inst.x)} exceeds the 3DM budget {budget}")
+    if len(inst.x) > THREEDM_BUDGET:
+        raise BudgetExceeded(f"|X| = {len(inst.x)} exceeds the 3DM budget {THREEDM_BUDGET}")
     order = list(inst.x)
 
     def rec(idx: int, used_y: frozenset, used_z: frozenset) -> int:
@@ -204,7 +212,6 @@ _CANONICAL_ZERO = ((2, 2, 2, 2), 7)  # violates total = bound * k/4: no solution
 class FourPartitionConstruction:
     instance: FourPartitionInstance
     alpha: int
-    labels: tuple  # element names aligned with instance.weights
     degenerate: bool  # True when some element occurs in no triple
 
 
@@ -229,10 +236,7 @@ def gen_4part_from_3dm(inst: ThreeDMInstance) -> FourPartitionConstruction:
                    for axis, members in enumerate((inst.x, inst.y, inst.z))
                    for a in members}
     if q and min(occurrences.values()) == 0:
-        weights, bound = _CANONICAL_ZERO
-        return FourPartitionConstruction(
-            FourPartitionInstance(weights, bound), 1,
-            tuple(f"zero[{i}]" for i in range(len(weights))), True)
+        return FourPartitionConstruction(FourPartitionInstance(*_CANONICAL_ZERO), 1, True)
 
     rho = 4 * q + 40
     offset = 10 * rho**5
@@ -240,33 +244,25 @@ def gen_4part_from_3dm(inst: ThreeDMInstance) -> FourPartitionConstruction:
     def weight(tag, d1=0, d2=0, d3=0, d4=0):
         return offset + tag + d1 * rho + d2 * rho**2 + d3 * rho**3 + d4 * rho**4
 
-    xi = {a: i + 1 for i, a in enumerate(inst.x)}
-    yi = {a: i + 1 for i, a in enumerate(inst.y)}
-    zi = {a: i + 1 for i, a in enumerate(inst.z)}
+    xi, yi, zi = ({a: i + 1 for i, a in enumerate(axis)} for axis in (inst.x, inst.y, inst.z))
 
-    labels, weights = [], []
-    for (tx, ty, tz) in inst.triples:
-        labels.append(f"u[{tx},{ty},{tz}]")
-        weights.append(weight(8, d1=q - xi[tx], d2=q - yi[ty], d3=q - zi[tz]))
+    weights = [weight(8, d1=q - xi[tx], d2=q - yi[ty], d3=q - zi[tz])
+               for (tx, ty, tz) in inst.triples]
     for a in inst.x:
         for copy in range(1, occurrences[(0, a)] + 1):
-            labels.append(f"x[{a}#{copy}]")
             weights.append(weight(1, d1=xi[a], d4=0 if copy == 1 else 1))
     for a in inst.y:
         for copy in range(1, occurrences[(1, a)] + 1):
-            labels.append(f"y[{a}#{copy}]")
             weights.append(weight(2, d2=yi[a], d4=0 if copy == 1 else 1))
     for a in inst.z:
         for copy in range(1, occurrences[(2, a)] + 1):
-            labels.append(f"z[{a}#{copy}]")
             weights.append(weight(4, d3=zi[a], d4=4 if copy == 1 else 2))
     bound = 4 * offset + 15 + q * rho + q * rho**2 + q * rho**3 + 4 * rho**4
 
     alpha = 1
     for count in occurrences.values():
         alpha *= factorial(count - 1)
-    return FourPartitionConstruction(
-        FourPartitionInstance(tuple(weights), bound), alpha, tuple(labels), False)
+    return FourPartitionConstruction(FourPartitionInstance(tuple(weights), bound), alpha, False)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +286,8 @@ def gen_bps_from_4part(inst: FourPartitionInstance) -> BPSInstance:
 
     Rejects instances whose total weight falls short of the G capacity:
     slack lets structures hit the target without encoding any partition,
-    which would break the counting relation.
+    which would break the counting relation.  A strand longer than
+    ``BPS_STRAND_BASES`` raises ``BudgetExceeded`` before it is built.
     """
     total = sum(inst.weights)
     groups = inst.k // 4
@@ -298,6 +295,9 @@ def gen_bps_from_4part(inst: FourPartitionInstance) -> BPSInstance:
         raise InvalidInput(
             "total weight below bound * k/4: G-side slack breaks the "
             "stacking correspondence")
+    length = total + max(inst.k - 1, 0) + 3 + groups * inst.bound + max(groups - 1, 0)
+    if length > BPS_STRAND_BASES:
+        raise BudgetExceeded(f"{length} strand bases exceed the budget {BPS_STRAND_BASES}")
     strand = ("A".join("C" * w for w in inst.weights)
               + "AAA"
               + "A".join("G" * inst.bound for _ in range(groups)))
@@ -378,7 +378,7 @@ def _runs(strand: str, letter: str) -> tuple[int, ...]:
 
 
 def count_bps_chains(strand: str, target: int) -> int:
-    """Polynomial-size exact count of structures with the given stack count.
+    """Exact count of structures with the given stack count.
 
     A matching decorated with a subset of its stacks decomposes uniquely
     into "chains": runs of consecutive C's paired to consecutive G's in
@@ -386,7 +386,9 @@ def count_bps_chains(strand: str, target: int) -> int:
     sum_M (1+x)**stacks(M), and a binomial inversion isolates each exact
     stack count.  Exact only when no stack can straddle a C/G boundary: at
     most one directly adjacent C/G run pair (generated instances separate
-    every run with A's).
+    every run with A's).  The chain-length multisets up to min(#C, #G) grow
+    faster than any polynomial: past ``CHAIN_MEMO_STATES`` states it raises
+    ``BudgetExceeded``.
     """
     cpos, gpos = _cg_positions(strand)
     if not cpos or not gpos:
@@ -441,6 +443,8 @@ def _placements(runs: tuple, lam: tuple, memo: dict) -> int:
         total = sum(_ways_in_run(runs[0], sub)
                     * _placements(runs[1:], _multiset_minus(lam, sub), memo)
                     for sub in _sub_multisets(lam, runs[0]))
+        if len(memo) == CHAIN_MEMO_STATES:
+            raise BudgetExceeded(f"chain counting exceeds {CHAIN_MEMO_STATES} placement states")
         memo[(runs, lam)] = total
     return total
 
@@ -534,17 +538,15 @@ class ParsimonyReport:
 
 
 def verify_parsimony_bps(inst: FourPartitionInstance,
-                         enum_budget: int = DEFAULT_BPS_ENUM_BUDGET,
-                         partition_budget: int = 20) -> ParsimonyReport:
+                         enum_budget: int = DEFAULT_BPS_ENUM_BUDGET) -> ParsimonyReport:
     """Structures at the stacking target == partitions * (k/4)! * (4!)**(k/4)."""
-    try:
-        bps = gen_bps_from_4part(inst)
-    except InvalidInput as exc:
-        return ParsimonyReport("invalid", notes=str(exc))
     coeff = factorial(inst.k // 4) * factorial(4) ** (inst.k // 4)
     try:
-        partitions = count_4part_brute(inst, partition_budget)
+        bps = gen_bps_from_4part(inst)
+        partitions = count_4part_brute(inst)
         lhs, route = count_bps_auto(bps.strand, bps.target_stacks, enum_budget)
+    except InvalidInput as exc:
+        return ParsimonyReport("invalid", notes=str(exc))
     except BudgetExceeded as exc:
         return ParsimonyReport("skipped", coefficient=coeff, notes=str(exc))
     rhs = coeff * partitions

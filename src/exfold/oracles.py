@@ -24,6 +24,7 @@ from .strands import (
     StrandSystem,
     StructureSpace,
     enumerate_structures,
+    nn_space,
 )
 from .energy import EnergyModel, energy
 
@@ -73,8 +74,7 @@ def dos_brute(system: StrandSystem, space: StructureSpace, model: EnergyModel,
     bases.  Any other space would count a different set of structures than
     the model defines, so it is refused."""
     if model.kind == "nn":
-        want = StructureSpace(allow_pseudoknots=False, require_connected=True,
-                              min_hairpin=model.params.min_hairpin)
+        want = nn_space(model.params.min_hairpin)
         if space != want:
             raise InvalidInput(f"the nn model's space is {want}, not {space}")
     counts: dict[int, int] = {}

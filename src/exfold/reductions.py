@@ -83,20 +83,20 @@ class _Recorder:
         self.transcript.calls.append(OracleCall(op, j, base, argument, result))
         return result
 
-    def pf(self, j=1, base=None):
-        return self._log("pf", j, base, None, self.oracle.pf(j, base=base))
+    def pf(self, j=1):
+        return self._log("pf", j, None, None, self.oracle.pf(j))
 
-    def dpf(self, threshold, j=1, base=None):
-        return self._log("dpf", j, base, threshold, self.oracle.dpf(threshold, j, base=base))
+    def dpf(self, threshold, base):
+        return self._log("dpf", 1, base, threshold, self.oracle.dpf(threshold, base=base))
 
-    def mfe(self, j=1):
-        return self._log("mfe", j, None, None, self.oracle.mfe(j))
+    def mfe(self):
+        return self._log("mfe", 1, None, None, self.oracle.mfe())
 
-    def dmfe(self, threshold, j=1):
-        return self._log("dmfe", j, None, threshold, self.oracle.dmfe(threshold, j))
+    def dmfe(self, threshold):
+        return self._log("dmfe", 1, None, threshold, self.oracle.dmfe(threshold))
 
-    def ssel(self, level, j=1):
-        return self._log("ssel", j, None, level, self.oracle.ssel(level, j))
+    def ssel(self, level):
+        return self._log("ssel", 1, None, level, self.oracle.ssel(level))
 
 
 def _levels_tuple(levels) -> tuple[int, ...]:

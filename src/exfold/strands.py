@@ -336,8 +336,9 @@ class StructureSpace:
             raise InvalidInput("min_hairpin must be >= 0")
 
 
-def nn_space() -> StructureSpace:
-    return StructureSpace(allow_pseudoknots=False, require_connected=True, min_hairpin=3)
+def nn_space(min_hairpin: int = 3) -> StructureSpace:
+    return StructureSpace(allow_pseudoknots=False, require_connected=True,
+                          min_hairpin=min_hairpin)
 
 
 def all_pairs_space() -> StructureSpace:

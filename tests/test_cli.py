@@ -361,6 +361,15 @@ class TestHardgen:
         payload = json.loads(proc.stdout)
         assert payload["status"] == "skipped" and "matching states" in payload["notes"]
 
+    def test_strand_over_budget_exits_3(self, t_json, tmp_path):
+        # one triple gives a bound of 6 611 728 523: a 13e9-base strand, never built
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(json.loads(
+            run_cli("hardgen", "4part-from-3dm", t_json).stdout)["instance"]))
+        proc = run_cli("hardgen", "bps-from-4part", str(path), check=False)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "budget exceeded: 13223457052 strand bases exceed the budget 65536\n"
+
     def test_mismatchless_zero_instance(self, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text('{"weights": ["2", "2", "2", "2"], "bound": "7"}')
@@ -378,6 +387,10 @@ class TestHardgen:
         ("bps-from-4part", '[2, 2, 2, 2]', "JSON object"),
         ("4part-from-3dm", '{"x": [[1]], "y": [1], "z": [1], "triples": []}', "'x'"),
         ("verify-4part", '{"x": [1], "y": [1], "z": [1], "triples": [5]}', "'triples'"),
+        # a JSON float may have lost digits and a bool is no number: once read as 12, inf, 1
+        ("verify-bps", '{"weights": ["3", "3", "3", "3"], "bound": 12.5}', "'bound'"),
+        ("verify-bps", '{"weights": ["3", "3", "3", "3"], "bound": 1e400}', "'bound'"),
+        ("bps-from-4part", '{"weights": [true, true, true, true], "bound": 4}', "'weights'"),
     ])
     def test_malformed_instance_exit_code(self, tmp_path, action, body, field):
         path = tmp_path / "bad.json"
@@ -411,6 +424,18 @@ def test_zero_denominator_is_bad_input(args):
     proc = run_cli(*args, "--pseudoknots", check=False)
     assert proc.returncode == 4
     assert "bad input: zero denominator in '1/0'" in proc.stderr
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("delta = 1/1", "delta = 1/0", "[global] delta"),
+    ("AAAA = -2", "AAAA = -2/0", "[stack] AAAA"),
+])
+def test_nn_params_zero_denominator_is_bad_input(tmp_path, old, new, key):
+    path = tmp_path / "params.txt"
+    path.write_text(Path(toy_params_file("toy_nn_a")).read_text().replace(old, new, 1))
+    proc = run_cli("solve", "GGGAAACCC", "--model", "nn", "--params", str(path), check=False)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == f"bad input: {key} has a zero denominator: {new.split()[-1]!r}\n"
 
 
 def test_help_exit_code():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -218,6 +219,32 @@ class TestBPSGeneration:
         with pytest.raises(InvalidInput):
             gen_bps_from_4part(FourPartitionInstance((2, 2, 2, 2), 9))
 
+    def test_strand_budget_counts_every_base(self, monkeypatch):
+        from exfold import hardness
+        for weights, bound in (((5, 5, 5, 5), 20), ((2,) * 8, 8), ((), 5)):
+            inst = FourPartitionInstance(weights, bound)
+            length = len(gen_bps_from_4part(inst).strand)
+            monkeypatch.setattr(hardness, "BPS_STRAND_BASES", length)
+            assert len(gen_bps_from_4part(inst).strand) == length
+            monkeypatch.setattr(hardness, "BPS_STRAND_BASES", length - 1)
+            with pytest.raises(BudgetExceeded, match=f"{length} strand bases"):
+                gen_bps_from_4part(inst)
+
+    def test_3dm_derived_strand_is_refused_unbuilt(self):
+        # one triple: k = 4, bound 6 611 728 523, a 13e9-base strand
+        inst = gen_4part_from_3dm(tdm(1, ((1, 1, 1),))).instance
+        assert sum(inst.weights) + inst.bound + 6 == 13_223_457_052
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="13223457052 strand bases"):
+                gen_bps_from_4part(inst)
+            report = verify_parsimony_bps(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == "skipped" and report.coefficient == 24
+        assert peak < 1 << 20
+
 
 class TestStackCounting:
     def test_ggcc(self):
@@ -332,6 +359,13 @@ class TestParsimonyBPS:
     def test_invalid_slack_instance(self):
         report = verify_parsimony_bps(FourPartitionInstance((2, 2, 2, 2), 9))
         assert report.status == "invalid"
+
+    def test_chain_state_ceiling(self):
+        # eight 5s, bound 20: the chain-length multisets and their placement
+        # states grow without a polynomial bound; the count stops at the ceiling
+        report = verify_parsimony_bps(FourPartitionInstance((5,) * 8, 20))
+        assert report.status == "skipped" and report.coefficient == 1152
+        assert report.notes == "chain counting exceeds 32768 placement states"
 
 
 class TestParsimony4Part:

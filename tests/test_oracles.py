@@ -66,6 +66,13 @@ class TestDos:
         assert dos.total() == 20 and dos.mfe() == -1
         assert dos.counts == nn_level_counts(s, s.ids, model.params)
 
+    def test_nn_space_takes_the_parameters_min_hairpin(self):
+        p = toy_params_a()
+        model = nn_model(replace(p, min_hairpin=1, hairpin={**p.hairpin, 1: 5, 2: 5}))
+        dos = dos_brute(sys_of("GGGACCC"), nn_space(1), model)
+        assert dos.total() == 20 and dos.mfe() == -1
+        assert nn_space().min_hairpin == 3
+
 
     def test_empty_ensemble_has_no_mfe_and_no_oracle(self):
         s = sys_of("AAAA", "AAAA")
