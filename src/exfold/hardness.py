@@ -5,15 +5,18 @@ strands.
 The 3DM -> 4-PARTITION step uses a carry-free radix encoding.  The
 parsimony verifiers trust no weight: they recount both sides exactly, by
 exhaustive searches memoised on what the rest of the search depends on, and
-check the predicted multiplicative factor.
+check the predicted multiplicative factor.  Both recounts skip work without
+rounding: a 4-PARTITION anchor's last partner is bisected and a run of equal
+weights counted at once, and the stack search packs each state's histogram
+into one int whose slots no count can overflow.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -72,14 +75,12 @@ class ThreeDMInstance:
     triples: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(self.x))
-        object.__setattr__(self, "y", tuple(self.y))
-        object.__setattr__(self, "z", tuple(self.z))
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "triples", tuple(tuple(t) for t in self.triples))
         if not (len(self.x) == len(self.y) == len(self.z)):
             raise InvalidInput("X, Y, Z must have equal sizes")
-        if len(set(self.x)) != len(self.x) or len(set(self.y)) != len(self.y) \
-                or len(set(self.z)) != len(self.z):
+        if any(len(set(axis)) != len(axis) for axis in (self.x, self.y, self.z)):
             raise InvalidInput("element sets contain duplicates")
         if len(set(self.triples)) != len(self.triples):
             raise InvalidInput("triples must be distinct")
@@ -146,7 +147,7 @@ class FourPartitionInstance:
         if bound <= 0:
             raise InvalidInput("bound must be positive")
         for w in self.weights:
-            if not (Fraction(bound, 5) < w < Fraction(bound, 3)):
+            if not (bound < 5 * w and 3 * w < bound):
                 raise InvalidInput(
                     f"weight {w} is not strictly between {bound}/5 and {bound}/3")
 
@@ -179,7 +180,10 @@ def count_4part_brute(inst: FourPartitionInstance, budget: int = 20) -> int:
     Memoised on the sorted tuple of the remaining weights, since the count
     depends only on that multiset.  The lowest remaining weight anchors each
     tuple, so a partition is counted once, and its partners are chosen by
-    position, so equal weights still count as distinct elements."""
+    position, so equal weights still count as distinct elements.  Partner
+    pairs are walked in order while the third can still be the largest; it
+    is bisected, and a run of equal thirds counts once times its length,
+    since equal weights at different positions leave the same remainder."""
     k = inst.k
     if k > budget:
         raise BudgetExceeded(f"k = {k} exceeds the 4-PARTITION budget {budget}")
@@ -193,9 +197,16 @@ def count_4part_brute(inst: FourPartitionInstance, budget: int = 20) -> int:
             return hit
         need, rest = inst.bound - remaining[0], remaining[1:]
         total = 0
-        for trio in itertools.combinations(range(len(rest)), 3):
-            if sum(rest[i] for i in trio) == need:
-                total += rec(tuple(w for i, w in enumerate(rest) if i not in trio))
+        for a in range(len(rest) - 2):
+            for b in range(a + 1, len(rest) - 1):
+                third = need - rest[a] - rest[b]
+                if third < rest[b]:
+                    break
+                lo = bisect_left(rest, third, b + 1)
+                hi = bisect_right(rest, third, lo)
+                if hi > lo:
+                    child = rest[:a] + rest[a + 1:b] + rest[b + 1:lo] + rest[lo + 1:]
+                    total += (hi - lo) * rec(child)
         memo[remaining] = total
         return total
 
@@ -241,22 +252,14 @@ def gen_4part_from_3dm(inst: ThreeDMInstance) -> FourPartitionConstruction:
     rho = 4 * q + 40
     offset = 10 * rho**5
 
-    def weight(tag, d1=0, d2=0, d3=0, d4=0):
-        return offset + tag + d1 * rho + d2 * rho**2 + d3 * rho**3 + d4 * rho**4
-
-    xi, yi, zi = ({a: i + 1 for i, a in enumerate(axis)} for axis in (inst.x, inst.y, inst.z))
-
-    weights = [weight(8, d1=q - xi[tx], d2=q - yi[ty], d3=q - zi[tz])
-               for (tx, ty, tz) in inst.triples]
-    for a in inst.x:
-        for copy in range(1, occurrences[(0, a)] + 1):
-            weights.append(weight(1, d1=xi[a], d4=0 if copy == 1 else 1))
-    for a in inst.y:
-        for copy in range(1, occurrences[(1, a)] + 1):
-            weights.append(weight(2, d2=yi[a], d4=0 if copy == 1 else 1))
-    for a in inst.z:
-        for copy in range(1, occurrences[(2, a)] + 1):
-            weights.append(weight(4, d3=zi[a], d4=4 if copy == 1 else 2))
+    index = [{a: i + 1 for i, a in enumerate(axis)} for axis in (inst.x, inst.y, inst.z)]
+    weights = [offset + 8 + sum((q - index[axis][a]) * rho ** (axis + 1) for axis, a in enumerate(t))
+               for t in inst.triples]
+    # x, y, z elements: tag 1, 2, 4; the actual/dummy digit of the first and later copies
+    for axis, (tag, first, later) in enumerate(((1, 0, 1), (2, 0, 1), (4, 4, 2))):
+        for a, i in index[axis].items():
+            weights += [offset + tag + i * rho ** (axis + 1) + d4 * rho**4
+                        for d4 in [first] + [later] * (occurrences[(axis, a)] - 1)]
     bound = 4 * offset + 15 + q * rho + q * rho**2 + q * rho**3 + 4 * rho**4
 
     alpha = 1
@@ -327,9 +330,11 @@ def count_bps_brute(strand: str, target: int,
     bitmask, partners of the watched positions)``, the watched positions
     being the neighbours of the C's from ``cpos[idx]`` on that are a G or a
     C paired earlier: equal keys have equal futures.  Each state returns its
-    completions as a histogram by stacks gained, and the count is its entry
-    at ``target``.  Past ``BPS_MEMO_STATES`` states the search raises
-    ``BudgetExceeded``; the default pairable-base budget stays far below."""
+    completions as a histogram by stacks gained, packed into one int whose
+    slots are as wide as the strand's matching count sum_p C(c,p) C(g,p) p!:
+    that count bounds every entry, so no slot carries into the next.  The
+    answer is the slot at ``target``.  Past ``BPS_MEMO_STATES`` states the
+    search raises ``BudgetExceeded``; the default pairable-base budget stays far below."""
     cpos, gpos = _cg_positions(strand)
     if len(cpos) + len(gpos) > budget:
         raise BudgetExceeded(
@@ -338,38 +343,34 @@ def count_bps_brute(strand: str, target: int,
     watched = [sorted({p for c in cpos[idx:] for p in (c - 1, c + 1)
                        if p in gset or p in cpos[:idx]})
                for idx in range(len(cpos))]
-    partner: dict[int, int] = {}
-    memo: dict[tuple, list] = {}
+    width = sum(comb(len(cpos), p) * comb(len(gpos), p) * factorial(p)
+                for p in range(len(cpos) + 1)).bit_length()
+    partner: list = [None] * (len(strand) + 2)
+    memo: dict[tuple, int] = {}
 
-    def rec(idx: int, used: int) -> list:
+    def rec(idx: int, used: int) -> int:
         if idx == len(cpos):
-            return [1]
-        key = (idx, used, tuple(partner.get(p) for p in watched[idx]))
+            return 1
+        key = (idx, used, *map(partner.__getitem__, watched[idx]))
         hit = memo.get(key)
         if hit is not None:
             return hit
         c = cpos[idx]
-        hist = list(rec(idx + 1, used))  # c stays unpaired
+        hist = rec(idx + 1, used)  # c stays unpaired
         for gi, g in enumerate(gpos):
             if used >> gi & 1:
                 continue
-            gained = (partner.get(c - 1) == g + 1) + (partner.get(c + 1) == g - 1)
-            partner[c] = g
-            partner[g] = c
-            sub = rec(idx + 1, used | 1 << gi)
-            del partner[c]
-            del partner[g]
-            hist.extend([0] * (len(sub) + gained - len(hist)))
-            for stacks, n in enumerate(sub):
-                hist[stacks + gained] += n
+            gained = (partner[c - 1] == g + 1) + (partner[c + 1] == g - 1)
+            partner[c], partner[g] = g, c
+            hist += rec(idx + 1, used | 1 << gi) << width * gained
+            partner[c] = partner[g] = None
         if len(memo) == BPS_MEMO_STATES:
             raise BudgetExceeded(
                 f"stack counting needs more than {BPS_MEMO_STATES} matching states")
         memo[key] = hist
         return hist
 
-    hist = rec(0, 0)
-    return hist[target] if 0 <= target < len(hist) else 0
+    return (rec(0, 0) >> width * target) & ((1 << width) - 1) if target >= 0 else 0
 
 
 def _runs(strand: str, letter: str) -> tuple[int, ...]:

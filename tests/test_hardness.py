@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 import tracemalloc
@@ -88,6 +89,76 @@ def plain_bps_count(strand, target):
     return rec(0, 0)
 
 
+def palette_instance(rng, k, colours, balance):
+    """k weights from a palette of ``colours`` values strictly inside
+    (bound/5, bound/3), moved towards a total of bound * k/4 with
+    probability ``balance``: equal weights and partitions both occur often."""
+    bound = rng.randint(11, 24)
+    lo, hi = bound // 5 + 1, -(-bound // 3) - 1
+    palette = [rng.randint(lo, hi) for _ in range(colours)]
+    weights = [rng.choice(palette) for _ in range(k)]
+    if rng.random() < balance:
+        gap = bound * (k // 4) - sum(weights)
+        for i in range(k):
+            step = max(lo - weights[i], min(hi - weights[i], gap))
+            weights[i] += step
+            gap -= step
+    rng.shuffle(weights)
+    return weights, bound
+
+
+def trio_4part_count(weights, bound):
+    """Reference: the memoised search testing every index trio of the sorted
+    remainder for the anchor's partners."""
+    if sum(weights) != bound * (len(weights) // 4):
+        return 0
+    memo = {(): 1}
+
+    def rec(remaining):
+        if remaining not in memo:
+            need, rest = bound - remaining[0], remaining[1:]
+            memo[remaining] = sum(
+                rec(tuple(w for i, w in enumerate(rest) if i not in trio))
+                for trio in itertools.combinations(range(len(rest)), 3)
+                if sum(rest[i] for i in trio) == need)
+        return memo[remaining]
+
+    return rec(tuple(sorted(weights)))
+
+
+def list_histogram_bps(strand):
+    """Reference: the memoised matching search returning each state's
+    histogram by stacks gained as a list; entry s counts s stacks."""
+    cpos = [i for i, b in enumerate(strand, 1) if b == "C"]
+    gpos = [i for i, b in enumerate(strand, 1) if b == "G"]
+    watched = [sorted({p for c in cpos[idx:] for p in (c - 1, c + 1)
+                       if p in gpos or p in cpos[:idx]})
+               for idx in range(len(cpos))]
+    partner, memo = {}, {}
+
+    def rec(idx, used):
+        if idx == len(cpos):
+            return [1]
+        key = (idx, used, tuple(partner.get(p) for p in watched[idx]))
+        if key not in memo:
+            c = cpos[idx]
+            hist = list(rec(idx + 1, used))
+            for gi, g in enumerate(gpos):
+                if used >> gi & 1:
+                    continue
+                gained = (partner.get(c - 1) == g + 1) + (partner.get(c + 1) == g - 1)
+                partner[c], partner[g] = g, c
+                sub = rec(idx + 1, used | 1 << gi)
+                del partner[c], partner[g]
+                hist.extend([0] * (len(sub) + gained - len(hist)))
+                for stacks, n in enumerate(sub):
+                    hist[stacks + gained] += n
+            memo[key] = hist
+        return memo[key]
+
+    return rec(0, 0)
+
+
 def random_strands(rng, alphabet, count, max_pairable):
     out = []
     while len(out) < count:
@@ -149,22 +220,36 @@ class TestFourPartition:
         nonzero = 0
         for k in (4, 8, 12):
             for _ in range(40):
-                bound = rng.randint(11, 24)
-                lo, hi = bound // 5 + 1, -(-bound // 3) - 1
-                palette = [rng.randint(lo, hi) for _ in range(3)]
-                weights = [rng.choice(palette) for _ in range(k)]
-                if rng.random() < 0.7:  # move the total towards bound * k/4
-                    gap = bound * (k // 4) - sum(weights)
-                    for i in range(k):
-                        step = max(lo - weights[i], min(hi - weights[i], gap))
-                        weights[i] += step
-                        gap -= step
-                rng.shuffle(weights)
+                weights, bound = palette_instance(rng, k, 3, 0.7)
                 want = plain_4part_count(weights, bound)
                 assert count_4part_brute(FourPartitionInstance(weights, bound)) == want, \
                     (weights, bound)
                 nonzero += want > 0
         assert nonzero >= 30
+
+    def test_bisected_partners_match_trio_search(self, monkeypatch):
+        # a palette of two or three weights makes runs of equal third partners
+        # common; the spy counts the runs longer than one that were taken
+        from exfold import hardness
+        runs = []
+
+        def spy(rest, third, lo):
+            hi = bisect.bisect_right(rest, third, lo)
+            runs.append(hi - lo)
+            return hi
+
+        monkeypatch.setattr(hardness, "bisect_right", spy)
+        rng = random.Random(29)
+        nonzero = 0
+        for k in (4, 8, 12, 16):
+            for _ in range(25):
+                weights, bound = palette_instance(rng, k, rng.choice((2, 3)), 0.8)
+                want = trio_4part_count(weights, bound)
+                assert count_4part_brute(FourPartitionInstance(weights, bound)) == want, \
+                    (weights, bound)
+                nonzero += want > 0
+        assert nonzero >= 30
+        assert sum(n > 1 for n in runs) >= 100
 
 
 class TestGen4Part:
@@ -321,6 +406,32 @@ class TestStackCounting:
         report = verify_parsimony_bps(FourPartitionInstance((3, 3, 3, 3, 3, 3, 3, 3), 12),
                                       enum_budget=100)
         assert report.status == "skipped" and "matching states" in report.notes
+
+    @pytest.mark.parametrize("strand,target,states", [
+        ("CCACCACCACCAAAGGGGGGGG", 4, 2944),
+        ("CCCCCCGGCGGCGGCG", 2, 55619),
+        ("C" * 8 + "G" * 8, 3, 10648),
+    ])
+    def test_memo_state_count_is_pinned(self, monkeypatch, strand, target, states):
+        # the memo key decides the state count: a drifting key changes it
+        from exfold import hardness
+        monkeypatch.setattr(hardness, "BPS_MEMO_STATES", states)
+        count = count_bps_brute(strand, target)
+        monkeypatch.setattr(hardness, "BPS_MEMO_STATES", states - 1)
+        with pytest.raises(BudgetExceeded) as err:
+            count_bps_brute(strand, target)
+        assert str(err.value) == f"stack counting needs more than {states - 1} matching states"
+        assert count == list_histogram_bps(strand)[target]
+
+    @pytest.mark.parametrize("strand", ["C" * 8 + "G" * 8, "CG" * 8, "C" * 5 + "G" * 11])
+    def test_packed_slots_hold_the_largest_counts(self, strand):
+        # all-C/G strands with 16 pairable bases fill the slots the most
+        c, g = strand.count("C"), strand.count("G")
+        want = list_histogram_bps(strand)
+        got = [count_bps_brute(strand, k) for k in range(-1, c + g + 2)]
+        assert got == [0] + want + [0] * (c + g + 2 - len(want))
+        matchings = sum(comb(c, p) * comb(g, p) * factorial(p) for p in range(min(c, g) + 1))
+        assert sum(got) == matchings
 
     def test_auto_route_selection(self):
         n, route = count_bps_auto("GGCC", 1)
