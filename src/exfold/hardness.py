@@ -8,7 +8,10 @@ exhaustive searches memoised on what the rest of the search depends on, and
 check the predicted multiplicative factor.  Both recounts skip work without
 rounding: a 4-PARTITION anchor's last partner is bisected and a run of equal
 weights counted at once, and the stack search packs each state's histogram
-into one int whose slots no count can overflow.
+into one int whose slots no count can overflow.  The chain route for
+strands beyond enumeration places only chains of two or more stacked pairs,
+as vectors of chain counts by length, and takes the single pairs left over
+from the closed-form matching count.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .strands import DEFAULT_BPS_ENUM_BUDGET, BudgetExceeded, InvalidInput
 
@@ -52,7 +55,8 @@ def _scalar(value) -> bool:
 
 
 def _json_int(value, kind: str, name: str) -> int:
-    """A JSON integer or integer string; a float may already have lost digits."""
+    """An integer or integer string; a float may already have lost digits
+    and a fraction is no weight, so both are refused."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
@@ -139,8 +143,10 @@ class FourPartitionInstance:
     bound: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        object.__setattr__(self, "bound", int(self.bound))
+        kind = "4-PARTITION"
+        object.__setattr__(self, "weights",
+                           tuple(_json_int(w, kind, "weights") for w in self.weights))
+        object.__setattr__(self, "bound", _json_int(self.bound, kind, "bound"))
         k, bound = len(self.weights), self.bound
         if k % 4 != 0:
             raise InvalidInput("the number of elements must be a multiple of 4")
@@ -167,11 +173,9 @@ class FourPartitionInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "FourPartitionInstance":
-        kind = "4-PARTITION"
-        weights, bound = _json_fields(text, kind, ("weights", "bound"))
-        return cls(tuple(_json_int(w, kind, "weights")
-                         for w in _json_list(weights, kind, "weights", _scalar, "scalars")),
-                   _json_int(bound, kind, "bound"))
+        weights, bound = _json_fields(text, "4-PARTITION", ("weights", "bound"))
+        return cls(tuple(_json_list(weights, "4-PARTITION", "weights", _scalar, "scalars")),
+                   bound)
 
 
 def count_4part_brute(inst: FourPartitionInstance, budget: int = 20) -> int:
@@ -331,8 +335,8 @@ def count_bps_brute(strand: str, target: int,
     being the neighbours of the C's from ``cpos[idx]`` on that are a G or a
     C paired earlier: equal keys have equal futures.  Each state returns its
     completions as a histogram by stacks gained, packed into one int whose
-    slots are as wide as the strand's matching count sum_p C(c,p) C(g,p) p!:
-    that count bounds every entry, so no slot carries into the next.  The
+    slots are as wide as the strand's matching count ``_matchings``: that
+    count bounds every entry, so no slot carries into the next.  The
     answer is the slot at ``target``.  Past ``BPS_MEMO_STATES`` states the
     search raises ``BudgetExceeded``; the default pairable-base budget stays far below."""
     cpos, gpos = _cg_positions(strand)
@@ -343,8 +347,7 @@ def count_bps_brute(strand: str, target: int,
     watched = [sorted({p for c in cpos[idx:] for p in (c - 1, c + 1)
                        if p in gset or p in cpos[:idx]})
                for idx in range(len(cpos))]
-    width = sum(comb(len(cpos), p) * comb(len(gpos), p) * factorial(p)
-                for p in range(len(cpos) + 1)).bit_length()
+    width = _matchings(len(cpos), len(gpos)).bit_length()
     partner: list = [None] * (len(strand) + 2)
     memo: dict[tuple, int] = {}
 
@@ -381,15 +384,17 @@ def _runs(strand: str, letter: str) -> tuple[int, ...]:
 def count_bps_chains(strand: str, target: int) -> int:
     """Exact count of structures with the given stack count.
 
-    A matching decorated with a subset of its stacks decomposes uniquely
-    into "chains": runs of consecutive C's paired to consecutive G's in
-    reverse.  Summing x**(chain length - 1) over all chain packings gives
+    A matching with a chosen subset of its stacks splits uniquely into
+    "chains" of two or more pairs glued by the chosen stacks (consecutive
+    C's paired to consecutive G's in reverse) and an arbitrary matching of
+    the bases the chains leave, so single pairs come from the closed-form
+    ``_matchings``.  Summing x**(pairs - chains) over these splits gives
     sum_M (1+x)**stacks(M), and a binomial inversion isolates each exact
     stack count.  Exact only when no stack can straddle a C/G boundary: at
     most one directly adjacent C/G run pair (generated instances separate
-    every run with A's).  The chain-length multisets up to min(#C, #G) grow
-    faster than any polynomial: past ``CHAIN_MEMO_STATES`` states it raises
-    ``BudgetExceeded``.
+    every run with A's).  The chain multisets grow faster than any
+    polynomial in min(#C, #G): past ``CHAIN_MEMO_STATES`` placement states
+    it raises ``BudgetExceeded``.
     """
     cpos, gpos = _cg_positions(strand)
     if not cpos or not gpos:
@@ -408,97 +413,70 @@ def count_bps_chains(strand: str, target: int) -> int:
 
 @lru_cache(maxsize=CHAIN_CACHE_SIZE)
 def _chain_packings(c_runs: tuple, g_runs: tuple) -> tuple[tuple[int, int], ...]:
-    """(s, number of chain packings with s glued adjacencies) pairs.
+    """(s, number of matchings with s chosen stacks) pairs: the coefficients
+    of sum_M (1+x)**stacks(M).
 
-    Kept for the last CHAIN_CACHE_SIZE run-length profiles, so that every
-    stack target of one strand shares them; the (runs, lam) memo lives for
-    one call, so a process that counts many strands holds bounded memory."""
-    max_len = min(max(c_runs), max(g_runs))
-    max_total = min(sum(c_runs), sum(g_runs))
+    A chain multiset is a count vector whose entry i counts the chains of
+    i + 2 pairs.  Kept for the last CHAIN_CACHE_SIZE run-length profiles, so
+    that every stack target of one strand shares them; the (runs, vector)
+    memo lives for one call, so a process that counts many strands holds
+    bounded memory."""
+    c, g = sum(c_runs), sum(g_runs)
+    room = min(c, g)
+    cap = tuple(room // size for size in range(2, min(max(c_runs), max(g_runs)) + 1))
     memo: dict[tuple, int] = {}
-    q: dict[int, int] = {0: 1}  # the empty packing
-    for lam in _length_multisets(max_len, max_total):
+    q: dict[int, int] = {}
+    for lam in _sub_vectors(cap, room):
         n_c = _placements(c_runs, lam, memo)
-        if n_c == 0:
-            continue
-        n_g = _placements(g_runs, lam, memo)
-        if n_g == 0:
-            continue
-        pairing = 1
-        for _, mult in itertools.groupby(lam):
-            pairing *= factorial(len(list(mult)))
-        s = sum(lam) - len(lam)
-        q[s] = q.get(s, 0) + n_c * n_g * pairing
+        n_g = n_c and _placements(g_runs, lam, memo)  # G states only where C runs hold lam
+        if n_g:
+            pairs = sum(k * size for size, k in enumerate(lam, 2))
+            s = pairs - sum(lam)
+            q[s] = q.get(s, 0) + (n_c * n_g * prod(map(factorial, lam))
+                                  * _matchings(c - pairs, g - pairs))
     return tuple(q.items())
 
 
 def _placements(runs: tuple, lam: tuple, memo: dict) -> int:
-    """Ways to choose disjoint intervals with length-multiset ``lam`` across
-    the given runs, memoised in ``memo`` on (runs, lam)."""
-    if not lam:
+    """Ways to choose disjoint intervals with chain count vector ``lam``
+    across the given runs, memoised in ``memo`` on (runs, lam).  The r
+    intervals a run takes, covering ``used`` of its L bases, are ordered in
+    r!/prod k_i! ways and spread over its gaps in C(L - used + r, r)."""
+    if not any(lam):
         return 1
     if not runs:
         return 0
     total = memo.get((runs, lam))
     if total is None:
-        total = sum(_ways_in_run(runs[0], sub)
-                    * _placements(runs[1:], _multiset_minus(lam, sub), memo)
-                    for sub in _sub_multisets(lam, runs[0]))
+        total = 0
+        for sub in _sub_vectors(lam, runs[0]):
+            r = sum(sub)
+            used = sum(k * size for size, k in enumerate(sub, 2))
+            rest = tuple(a - b for a, b in zip(lam, sub))
+            total += (factorial(r) // prod(map(factorial, sub))
+                      * comb(runs[0] - used + r, r) * _placements(runs[1:], rest, memo))
         if len(memo) == CHAIN_MEMO_STATES:
             raise BudgetExceeded(f"chain counting exceeds {CHAIN_MEMO_STATES} placement states")
         memo[(runs, lam)] = total
     return total
 
 
-def _length_multisets(max_len: int, max_total: int):
-    """Nonempty multisets of interval lengths, as sorted tuples."""
-    def rec(smallest: int, room: int):
-        for first in range(smallest, max_len + 1):
-            if first > room:
-                return
-            yield (first,)
-            for rest in rec(first, room - first):
-                yield (first,) + rest
-    yield from rec(1, max_total)
+def _sub_vectors(cap: tuple, room: int):
+    """Chain count vectors at most ``cap`` entrywise whose pairs fit in
+    ``room`` bases."""
+    if not cap:
+        yield ()
+        return
+    size = len(cap) + 1  # pairs in a chain the last entry counts
+    for take in range(min(cap[-1], room // size) + 1):
+        for rest in _sub_vectors(cap[:-1], room - take * size):
+            yield rest + (take,)
 
 
-def _sub_multisets(multiset: tuple, capacity: int):
-    """Sub-multisets (as sorted tuples) whose total fits in capacity."""
-    items = sorted(set(multiset))
-    counts = {v: multiset.count(v) for v in items}
-
-    def rec(idx: int, room: int):
-        if idx == len(items):
-            yield ()
-            return
-        v = items[idx]
-        top = min(counts[v], room // v)
-        for take in range(top + 1):
-            for rest in rec(idx + 1, room - take * v):
-                yield (v,) * take + rest
-
-    yield from rec(0, capacity)
-
-
-def _multiset_minus(a: tuple, b: tuple) -> tuple:
-    out = list(a)
-    for v in b:
-        out.remove(v)
-    return tuple(out)
-
-
-def _ways_in_run(length: int, lam: tuple) -> int:
-    """Sets of disjoint (possibly touching) intervals with length-multiset
-    lam inside one run: arrangements of the multiset times gap patterns."""
-    if not lam:
-        return 1
-    total, r = sum(lam), len(lam)
-    if total > length:
-        return 0
-    perm = factorial(r)
-    for _, grp in itertools.groupby(lam):
-        perm //= factorial(len(list(grp)))
-    return perm * comb(length - total + r, r)
+def _matchings(c: int, g: int) -> int:
+    """C-G matchings of c C's and g G's, crossings allowed:
+    sum_p C(c,p) C(g,p) p!."""
+    return sum(comb(c, p) * comb(g, p) * factorial(p) for p in range(min(c, g) + 1))
 
 
 def count_bps_auto(strand: str, target: int,

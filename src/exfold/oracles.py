@@ -103,8 +103,8 @@ def _check_magnification(j) -> None:
 @dataclass
 class OracleHandle:
     """The oracle over an exact density of states of ``system``, whatever
-    its source.  Every query takes a magnification j >= 0; pf and dpf also
-    take a ``base`` override for the per-quantum weight n! of the threshold
+    its source.  Every query takes a magnification j >= 0; dpf also takes a
+    ``base`` override for the per-quantum weight n! of the threshold
     reductions.  Their base-n! digits need fewer than n! structures for
     n >= 3, as every ensemble has: n bases form at most T(n) < n! matchings."""
 
@@ -124,9 +124,9 @@ class OracleHandle:
     def n(self) -> int:
         return self.system.n
 
-    def pf(self, j: int = 1, base: Optional[Fraction] = None) -> Fraction:
+    def pf(self, j: int = 1) -> Fraction:
         _check_magnification(j)
-        return self.dos.pf(self.base if base is None else base, j)
+        return self.dos.pf(self.base, j)
 
     def dpf(self, threshold: Fraction, j: int = 1,
             base: Optional[Fraction] = None) -> bool:

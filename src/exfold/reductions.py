@@ -20,6 +20,7 @@ from typing import Optional
 
 from .exactmath import VandermondeSystem, rat_to_str, solve_vandermonde
 from .levels import LevelSet
+from .oracles import check_base
 from .strands import BudgetViolation, InvalidInput, OracleInconsistency
 
 
@@ -169,10 +170,10 @@ def mfe_via_ssel(oracle, levels) -> tuple[int, ReductionTranscript]:
 
 def pf_via_ssel(oracle, levels, base: Fraction) -> tuple[Fraction, ReductionTranscript]:
     """PF as the level-count expansion: sum of ssel(g) * base**(-g)."""
+    base = check_base(base)
     lv = _levels_tuple(levels)
     t = ReductionTranscript("pf-via-ssel", budget=len(lv))
     rec = _Recorder(oracle, t)
-    base = Fraction(base)
     answer = sum((rec.ssel(g) * base**-g for g in lv), Fraction(0))
     t.finish(answer)
     return answer, t
@@ -269,6 +270,7 @@ def pf_via_dpf(oracle, levels, base: Fraction) -> tuple[Fraction, ReductionTrans
     exact prefix; the PF at the requested output base is then assembled
     directly.
     """
+    base = check_base(base)
     lv = _levels_tuple(levels)
     big = _factorial_base(oracle)
     per_level = math.ceil(math.log2(big + 1))
@@ -291,7 +293,6 @@ def pf_via_dpf(oracle, levels, base: Fraction) -> tuple[Fraction, ReductionTrans
                 f"level {g} claims {lo} structures, contradicting the n! bound")
         counts[g] = lo
         prefix += lo * weight
-    base = Fraction(base)
     answer = sum((c * base**-g for g, c in counts.items()), Fraction(0))
     t.details["counts"] = {str(g): str(c) for g, c in sorted(counts.items())}
     t.finish(rat_to_str(answer))

@@ -2,6 +2,7 @@ import bisect
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -159,6 +160,78 @@ def list_histogram_bps(strand):
     return rec(0, 0)
 
 
+def sorted_tuple_chain_count(strand, target):
+    """Reference: the chain route over sorted-tuple length multisets, which
+    places single pairs as chains of length 1, without a state ceiling."""
+    runs = {ch: tuple(len(list(g)) for k, g in itertools.groupby(strand) if k == ch)
+            for ch in "CG"}
+    if not runs["C"] or not runs["G"]:
+        return 1 if target == 0 else 0
+
+    def length_multisets(max_len, max_total):
+        def rec(smallest, room):
+            for first in range(smallest, max_len + 1):
+                if first > room:
+                    return
+                yield (first,)
+                for rest in rec(first, room - first):
+                    yield (first,) + rest
+        yield from rec(1, max_total)
+
+    def sub_multisets(multiset, capacity):
+        items = sorted(set(multiset))
+
+        def rec(idx, room):
+            if idx == len(items):
+                yield ()
+                return
+            v = items[idx]
+            for take in range(min(multiset.count(v), room // v) + 1):
+                for rest in rec(idx + 1, room - take * v):
+                    yield (v,) * take + rest
+        yield from rec(0, capacity)
+
+    def multiset_minus(a, b):
+        out = list(a)
+        for v in b:
+            out.remove(v)
+        return tuple(out)
+
+    def arrangements(lam):
+        perm = factorial(len(lam))
+        for _, grp in itertools.groupby(lam):
+            perm //= factorial(len(list(grp)))
+        return perm
+
+    def ways_in_run(length, lam):
+        if sum(lam) > length:
+            return 0
+        return arrangements(lam) * comb(length - sum(lam) + len(lam), len(lam))
+
+    memo = {}
+
+    def placements(runs, lam):
+        if not lam:
+            return 1
+        if not runs:
+            return 0
+        if (runs, lam) not in memo:
+            memo[(runs, lam)] = sum(ways_in_run(runs[0], sub)
+                                    * placements(runs[1:], multiset_minus(lam, sub))
+                                    for sub in sub_multisets(lam, runs[0]))
+        return memo[(runs, lam)]
+
+    q = {0: 1}  # the empty packing
+    for lam in length_multisets(min(max(runs["C"]), max(runs["G"])),
+                                min(sum(runs["C"]), sum(runs["G"]))):
+        pairing = factorial(len(lam)) // arrangements(lam)
+        s = sum(lam) - len(lam)
+        q[s] = q.get(s, 0) + placements(runs["C"], lam) * placements(runs["G"], lam) * pairing
+    if target < 0:
+        return 0
+    return sum((-1) ** (s - target) * comb(s, target) * n for s, n in q.items() if s >= target)
+
+
 def random_strands(rng, alphabet, count, max_pairable):
     out = []
     while len(out) < count:
@@ -213,6 +286,17 @@ class TestFourPartition:
     def test_json_roundtrip(self):
         inst = FourPartitionInstance((2, 2, 2, 2), 8)
         assert FourPartitionInstance.from_json(inst.to_json()) == inst
+
+    @pytest.mark.parametrize("weights,bound,field", [
+        ((12.5, 12, 12, 12), 48, "'weights'"),
+        ((12.9, 12, 12, 12), 48, "'weights'"),
+        ((12, 12, 12, 12), 48.5, "'bound'"),
+        ((12, 12, 12, 12), Fraction(97, 2), "'bound'"),
+    ])
+    def test_fractional_numbers_refused(self, weights, bound, field):
+        # int() would have read each of these as a nearby integer instance
+        with pytest.raises(InvalidInput, match=f"{field} holds .*, not an integer"):
+            FourPartitionInstance(weights, bound)
 
     def test_memo_matches_plain_search(self):
         # few distinct weights, so that equal weights and many partitions occur
@@ -357,6 +441,46 @@ class TestStackCounting:
                 assert count_bps_chains(strand, k) == count_bps_brute(strand, k), \
                     (strand, k)
 
+    def test_chains_match_sorted_tuple_route(self):
+        # A-separated runs, one adjacent C/G boundary, or a single run on one
+        # side, against the route that places single pairs as chains
+        rng = random.Random(43)
+        strands = ["CCCCAGG", "GAGGACCCCC", "CCCGGGAGGACC", "CCAGGGGACCC"]
+        for i in range(60):
+            runs = [rng.choice("CG") * rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+            if i % 3 == 1:
+                j = rng.randrange(len(runs))
+                runs[j] += ("G" if runs[j][0] == "C" else "C") * rng.randint(1, 3)
+            elif i % 3 == 2:
+                lone = rng.choice("CG")
+                runs = [lone * rng.randint(1, 6)] + ["CG".replace(lone, "") * len(r) for r in runs]
+            strands.append("".join(r + "A" * rng.randint(1, 2) for r in runs))
+        for strand in strands:
+            top = strand.count("C") + strand.count("G")
+            for k in range(-1, top + 2):
+                assert count_bps_chains(strand, k) == sorted_tuple_chain_count(strand, k), \
+                    (strand, k)
+
+    @pytest.mark.parametrize("weights,bound,states", [
+        ((5,) * 8, 20, 16276),
+        ((4,) * 8, 16, 3368),
+        ((3, 3, 4, 4, 3, 3, 4, 4), 14, 2392),
+    ])
+    def test_chain_state_count_is_pinned(self, monkeypatch, weights, bound, states):
+        # the memo key (runs suffix, chain count vector) decides the state count
+        from exfold import hardness
+        inst = FourPartitionInstance(weights, bound)
+        bps = gen_bps_from_4part(inst)
+        monkeypatch.setattr(hardness, "CHAIN_MEMO_STATES", states)
+        hardness._chain_packings.cache_clear()
+        count = count_bps_chains(bps.strand, bps.target_stacks)
+        monkeypatch.setattr(hardness, "CHAIN_MEMO_STATES", states - 1)
+        hardness._chain_packings.cache_clear()
+        with pytest.raises(BudgetExceeded) as err:
+            count_bps_chains(bps.strand, bps.target_stacks)
+        assert str(err.value) == f"chain counting exceeds {states - 1} placement states"
+        assert count == 1152 * count_4part_brute(inst)
+
     def test_chains_guard_mixed_boundaries(self):
         with pytest.raises(InvalidInput):
             count_bps_chains("CGCG", 1)
@@ -467,14 +591,21 @@ class TestParsimonyBPS:
         assert report.ok and report.route == "chain-count"
         assert report.lhs == 35 * 2 * factorial(4) ** 2 == 40320
 
+    @pytest.mark.parametrize("weight", [4, 5])
+    def test_k8_long_runs_chain_route(self, weight):
+        # runs of 4 and 5 bases: counted below the placement-state ceiling
+        report = verify_parsimony_bps(FourPartitionInstance((weight,) * 8, 4 * weight))
+        assert report.ok and report.route == "chain-count"
+        assert report.lhs == report.rhs == 40320
+
     def test_invalid_slack_instance(self):
         report = verify_parsimony_bps(FourPartitionInstance((2, 2, 2, 2), 9))
         assert report.status == "invalid"
 
     def test_chain_state_ceiling(self):
-        # eight 5s, bound 20: the chain-length multisets and their placement
+        # eight 6s, bound 24: the chain-length multisets and their placement
         # states grow without a polynomial bound; the count stops at the ceiling
-        report = verify_parsimony_bps(FourPartitionInstance((5,) * 8, 20))
+        report = verify_parsimony_bps(FourPartitionInstance((6,) * 8, 24))
         assert report.status == "skipped" and report.coefficient == 1152
         assert report.notes == "chain counting exceeds 32768 placement states"
 
