@@ -69,7 +69,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _non_negative(text: str) -> int:
-    """A --budget value."""
+    """A --budget or --decimal value."""
     try:
         value = int(text)
     except ValueError:
@@ -141,6 +141,10 @@ def cmd_solve(args) -> int:
     from .exactmath import rat_to_str
     from .oracles import dos_brute, pf_decimal
 
+    base = None if args.base is None else _rational(args.base)
+    threshold = None if args.pf_threshold is None else _rational(args.pf_threshold)
+    if base is None and threshold is not None:
+        raise InvalidInput("--pf-threshold needs --base")
     system, space, model = _setup(args)
     dos = dos_brute(system, space, model, args.budget)
     payload = {
@@ -149,15 +153,14 @@ def cmd_solve(args) -> int:
         "dos": {str(g): str(c) for g, c in sorted(dos.counts.items())},
         "count": str(dos.total()),
     }
-    if args.base is not None:
-        base = _rational(args.base)
+    if base is not None:
         pf = dos.pf(base)
         payload["base"] = rat_to_str(base)
         payload["pf"] = rat_to_str(pf)
         if args.decimal:
             payload["pf_decimal"] = pf_decimal(pf, args.decimal)
-        if args.pf_threshold is not None:
-            payload["dpf"] = pf >= _rational(args.pf_threshold)
+        if threshold is not None:
+            payload["dpf"] = pf >= threshold
     if args.level is not None:
         payload["ssel"] = str(dos.ssel(args.level))
         payload["dmfe"] = dos.mfe() <= args.level
@@ -185,10 +188,10 @@ def cmd_reduce(args) -> int:
     from .levels import levels_bpm
     from .oracles import make_oracle, pf_decimal
 
-    system, space, model = _setup(args)
     base = _rational(args.base)
-    oracle = make_oracle(system, space, model, base)
     k = None if args.k is None else _rational(args.k)
+    system, space, model = _setup(args)
+    oracle = make_oracle(system, space, model, base)
 
     def argument(kind):
         if kind == "levels":
@@ -219,7 +222,15 @@ def cmd_reduce(args) -> int:
 def cmd_levels(args) -> int:
     from . import levels
 
-    if args.model != "nn":
+    nn = args.model == "nn"
+    unread = [flag for flag, given, read in (
+        ("-n", args.n is not None, not nn and args.strands is None),
+        ("--params", args.params is not None, nn), ("--dp", args.dp, nn),
+        ("--symmetry", args.symmetry, nn)) if given and not read]
+    if unread:
+        raise InvalidInput(f"levels --model {args.model}{' with strands' if args.strands else ''}"
+                           f" does not read {', '.join(unread)}")
+    if not nn:
         if args.n is None and args.strands is None:
             raise InvalidInput("need -n or strands")
         n = args.n if args.n is not None else _load_system(args.strands).n
@@ -277,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="exfold",
         description="exact secondary-structure thermodynamics toolkit")
-    parser.add_argument("--decimal", type=int, default=0,
+    parser.add_argument("--decimal", type=_non_negative, default=0,
                         help="also render rationals with this many decimal digits")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -109,11 +109,11 @@ class NNParams:
     Multiloops use the linear form init + b * per_pair + f * per_free_base.
     The four size tables (``SIZE_TABLES``) are read through ``size_entry``,
     which continues each above its largest explicit size, so a loop of any
-    length has an energy.
+    length has an energy.  The defaults are the field defaults below; a
+    parameter file (``PARAM_FILE``) sets only the fields it names.
     """
 
     delta: Fraction = Fraction(1)
-    temperature: Fraction = Fraction(310)
     kbt: Fraction = Fraction(1)
     assoc: int = 0
     multi_init: int = 0
@@ -128,8 +128,8 @@ class NNParams:
     min_hairpin: int = 3
 
     def __post_init__(self):
-        if self.delta <= 0 or self.temperature <= 0 or self.kbt <= 0:
-            raise InvalidInput("delta, temperature and kbt must be positive")
+        if self.delta <= 0 or self.kbt <= 0 or self.min_hairpin < 0:
+            raise InvalidInput("delta and kbt must be positive and min_hairpin >= 0")
         # size_entry's lookup copies, where it memoises what it extrapolates;
         # the fields, so equality, repr and dump_nn_params, stay explicit
         object.__setattr__(self, "_sizes", {name: dict(getattr(self, name))
@@ -430,90 +430,80 @@ def energy(model: EnergyModel, system: StrandSystem,
 # ---------------------------------------------------------------------------
 # parameter file format: line-oriented "key = value" under [section] headers
 
-_SIZE_SECTIONS = {
-    "hairpin": "hairpin",
-    "bulge": "bulge",
-    "interior.size": "interior_size",
-    "interior.asym": "interior_asym",
+_BASES = frozenset(VALID_BASES)
+# [section] -> {key: NNParams field} for the scalars, or the table field whose
+# keys the section lists; parse_nn_params and dump_nn_params both read it
+PARAM_FILE = {
+    "global": {"delta": "delta", "kbt": "kbt", "assoc": "assoc", "min_hairpin": "min_hairpin"},
+    "multi": {"init": "multi_init", "bp": "multi_bp", "nt": "multi_nt"},
+    "stack": "stack", "mismatch": "mismatch", "hairpin": "hairpin", "bulge": "bulge",
+    "interior.size": "interior_size", "interior.asym": "interior_asym",
 }
-_BASE_SECTIONS = {"stack": "stack", "mismatch": "mismatch"}
 
 
 def dump_nn_params(params: NNParams) -> str:
-    lines = ["[global]",
-             f"delta = {params.delta.numerator}/{params.delta.denominator}",
-             f"temperature = {params.temperature.numerator}/{params.temperature.denominator}",
-             f"kbt = {params.kbt.numerator}/{params.kbt.denominator}",
-             f"assoc = {params.assoc}",
-             f"min_hairpin = {params.min_hairpin}",
-             "", "[multi]",
-             f"init = {params.multi_init}",
-             f"bp = {params.multi_bp}",
-             f"nt = {params.multi_nt}"]
-    for section, attr in _BASE_SECTIONS.items():
-        lines += ["", f"[{section}]"]
-        table = getattr(params, attr)
-        lines += [f"{''.join(k)} = {v}" for k, v in sorted(table.items())]
-    for section, attr in _SIZE_SECTIONS.items():
-        lines += ["", f"[{section}]"]
-        table = getattr(params, attr)
-        lines += [f"{k} = {v}" for k, v in sorted(table.items())]
-    return "\n".join(lines) + "\n"
+    """Every field, in ``PARAM_FILE`` order; ``parse_nn_params`` reads it back."""
+    lines = []
+    for section, fields in PARAM_FILE.items():
+        if isinstance(fields, dict):
+            entries = [(key, getattr(params, attr)) for key, attr in fields.items()]
+        else:
+            entries = [("".join(key) if isinstance(key, tuple) else key, value)
+                       for key, value in sorted(getattr(params, fields).items())]
+        lines += ["", f"[{section}]"] + [
+            f"{key} = {value.numerator}/{value.denominator}" if isinstance(value, Fraction)
+            else f"{key} = {value}" for key, value in entries]
+    return "\n".join(lines[1:]) + "\n"
 
 
 def parse_nn_params(text: str) -> NNParams:
-    sections: dict[str, dict[str, str]] = {}
-    current = None
+    """The ``NNParams`` a parameter file names; a field it leaves out keeps its
+    default.  An unknown section or key, a key given twice, a stack or
+    mismatch key that is not 4 bases from ACGTU, a size key that is not a
+    non-negative integer, and a value that is not a rational, or outside
+    delta and kbt not an integer number of quanta, are bad input."""
+    kwargs: dict = {}
+    section = table = None  # table: kwargs for a scalar section, else its field's dict
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"parameter file line {lineno}"
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            sections.setdefault(current, {})
+            section = line[1:-1].strip().lower()
+            if section not in PARAM_FILE:
+                raise InvalidInput(f"{where}: unknown section [{section}]")
+            fields = PARAM_FILE[section]
+            table = kwargs if isinstance(fields, dict) else kwargs.setdefault(fields, {})
             continue
-        if "=" not in line or current is None:
-            raise InvalidInput(f"parameter file line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        sections[current][key] = value
-
-    def rational(section, key, default=None):
-        raw = sections.get(section, {}).get(key)
-        if raw is None:
-            if default is None:
-                raise InvalidInput(f"missing [{section}] {key}")
-            return Fraction(default)
-        try:
-            return Fraction(raw)
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq or table is None:
+            raise InvalidInput(f"{where}: expected 'key = value'")
+        name = f"[{section}] {key}"
+        if table is kwargs:
+            slot = fields.get(key)
+            if slot is None:
+                raise InvalidInput(f"{where}: unknown key {name}")
+        elif fields in SIZE_TABLES:
+            if not (key.isascii() and key.isdigit()):
+                raise InvalidInput(f"{where}: {name} is not a non-negative integer size")
+            slot = int(key)
+        else:
+            slot = tuple(key.upper())
+            if len(slot) != 4 or not _BASES.issuperset(slot):
+                raise InvalidInput(f"{where}: {name} is not 4 bases from {VALID_BASES}")
+        if slot in table:
+            raise InvalidInput(f"{where}: {name} is given twice")
+        try:  # quanta are integers, and int() is several times faster than Fraction()
+            quantity = int(value) if value.lstrip("-").isdigit() else Fraction(value)
         except ZeroDivisionError:
-            raise InvalidInput(f"[{section}] {key} has a zero denominator: {raw!r}") from None
-
-    def quanta(section, key, default=None):
-        q = rational(section, key, default)
-        if q.denominator != 1:
-            raise InvalidInput(f"[{section}] {key} must be an integer number of quanta")
-        return int(q)
-
-    kwargs = dict(
-        delta=rational("global", "delta", 1),
-        temperature=rational("global", "temperature", 310),
-        kbt=rational("global", "kbt", 1),
-        assoc=quanta("global", "assoc", 0),
-        min_hairpin=quanta("global", "min_hairpin", 3),
-        multi_init=quanta("multi", "init", 0),
-        multi_bp=quanta("multi", "bp", 0),
-        multi_nt=quanta("multi", "nt", 0),
-    )
-    for section, attr in _BASE_SECTIONS.items():
-        table = {}
-        for key, raw in sections.get(section, {}).items():
-            if len(key) != 4:
-                raise InvalidInput(f"[{section}] keys are 4 bases, got {key!r}")
-            table[tuple(key.upper())] = quanta(section, key)
-        kwargs[attr] = table
-    for section, attr in _SIZE_SECTIONS.items():
-        kwargs[attr] = {int(k): quanta(section, k)
-                        for k in sections.get(section, {})}
+            raise InvalidInput(f"{name} has a zero denominator: {value!r}") from None
+        except ValueError:
+            raise InvalidInput(f"{where}: {name} is not a rational: {value!r}") from None
+        rational = table is kwargs and isinstance(getattr(NNParams, slot), Fraction)  # delta, kbt
+        if not rational and quantity.denominator != 1:
+            raise InvalidInput(f"{where}: {name} must be an integer number of quanta")
+        table[slot] = Fraction(quantity) if rational else int(quantity)
     return NNParams(**kwargs)
 
 
@@ -539,7 +529,6 @@ def toy_params_a(n: int = 16) -> NNParams:
     are explicit up to the loops of n bases (``NNParams.size_table``)."""
     params = NNParams(
         delta=Fraction(1),
-        temperature=Fraction(310),
         kbt=Fraction(3, 2),
         assoc=2,
         multi_init=3,
@@ -561,7 +550,6 @@ def toy_params_b(n: int = 16) -> NNParams:
     mismatch terms.  ``n`` as for ``toy_params_a``."""
     params = NNParams(
         delta=Fraction(1, 2),
-        temperature=Fraction(310),
         kbt=Fraction(4, 5),
         assoc=3,
         multi_init=5,

@@ -405,6 +405,7 @@ class TestHardgen:
     ("enumerate", "ACGT", "--bogus"),
     ("enumerate",),
     ("reduce", "mfe-via-ssel", "GCAU", "--budget", "100"),
+    ("--decimal", "-3", "solve", "ACGU"),
     ("frobnicate",),
     (),
 ], ids=lambda a: " ".join(a) or "no-args")
@@ -417,6 +418,9 @@ def test_usage_error_exit_code(args):
 @pytest.mark.parametrize("args", [
     ("solve", "ACGT", "--base", "1/0"),
     ("solve", "ACGT", "--base", "2", "--pf-threshold", "1/0"),
+    ("solve", "ACGT", "--pf-threshold", "1/0"),
+    # parsed before the enumeration, which would exceed its budget (exit 3)
+    ("solve", "GGGGGGGGCCCCCCCC", "--budget", "4", "--base", "1/0"),
     ("reduce", "dmfe-via-mfe", "ACGT", "-k", "1/0"),
     ("reduce", "pf-via-ssel", "ACGT", "--base", "1/0"),
 ], ids=lambda a: " ".join(a))
@@ -424,6 +428,63 @@ def test_zero_denominator_is_bad_input(args):
     proc = run_cli(*args, "--pseudoknots", check=False)
     assert proc.returncode == 4
     assert "bad input: zero denominator in '1/0'" in proc.stderr
+
+
+SOLVE_FLAG_CASES = [
+    (("solve", "ACGU", "--pf-threshold", "nan"), "Invalid literal for Fraction: 'nan'"),
+    (("solve", "ACGU", "--pf-threshold", "1"), "--pf-threshold needs --base"),
+    (("solve", "GGGGGGGGCCCCCCCC", "--pseudoknots", "--budget", "4", "--base", "2",
+      "--pf-threshold", "nan"), "Invalid literal for Fraction: 'nan'"),
+]
+
+
+@pytest.mark.parametrize("args, message", SOLVE_FLAG_CASES,
+                         ids=[" ".join(args) for args, _ in SOLVE_FLAG_CASES])
+def test_solve_flags_are_parsed_whether_or_not_read(args, message):
+    proc = run_cli(*args, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", f"bad input: {message}\n")
+
+
+LEVELS_UNREAD_CASES = [
+    (("ACGT", "--model", "bpm", "--dp"), "--dp"),
+    (("ACGT", "--model", "bps", "--symmetry"), "--symmetry"),
+    (("ACGT", "--model", "bpm", "--params", "nonexistent"), "--params"),
+    (("--model", "nn", "-n", "3"), "-n"),
+    (("ACGT", "-n", "3"), "-n"),
+]
+
+
+@pytest.mark.parametrize("args, flag", LEVELS_UNREAD_CASES,
+                         ids=[" ".join(args) for args, _ in LEVELS_UNREAD_CASES])
+def test_levels_refuses_a_flag_its_model_does_not_read(args, flag):
+    proc = run_cli("levels", *args, check=False)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("bad input: levels --model") \
+        and proc.stderr.endswith(f"does not read {flag}\n")
+
+
+# an edit of the shipped toy_nn_a.txt -> the refusal, naming the line and the key
+NN_PARAM_REFUSALS = [
+    ("kbt = 3/2", "kbt = 3/2\nasoc = 2", "line 4: unknown key [global] asoc"),
+    ("init = 3", "init = 3\nini = 3", "line 9: unknown key [multi] ini"),
+    ("[stack]", "[stak]", "line 12: unknown section [stak]"),
+    ("GCGC = -3", "GCGC = -3\ngcgc = 5", "line 300: [stack] gcgc is given twice"),
+    ("GAGC = -2", "GXGC = -2", "line 274: [stack] GXGC is not 4 bases from ACGTU"),
+    ("3 = 3", "three = 3", "line 1267: [hairpin] three is not a non-negative integer size"),
+    ("delta = 1/1", "delta = 1/1\ntemperature = 310/1",
+     "line 3: unknown key [global] temperature"),
+    ("min_hairpin = 3", "min_hairpin = -2", "delta and kbt must be positive and min_hairpin >= 0"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", NN_PARAM_REFUSALS,
+                         ids=[new.replace("\n", " ") for _, new, _ in NN_PARAM_REFUSALS])
+def test_nn_params_refusals_are_bad_input(tmp_path, old, new, message):
+    path = tmp_path / "params.txt"
+    path.write_text(Path(toy_params_file("toy_nn_a")).read_text().replace(old, new, 1))
+    proc = run_cli("solve", "GGGAAACCC", "--model", "nn", "--params", str(path), check=False)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr in (f"bad input: parameter file {message}\n", f"bad input: {message}\n")
 
 
 @pytest.mark.parametrize("old, new, key", [

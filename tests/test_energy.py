@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exfold.strands import (
     EMPTY_STRUCTURE,
@@ -318,3 +320,71 @@ class TestParamsIO:
         params = toy_params_b(20)
         assert max(params.hairpin) >= 20
         assert max(params.bulge) >= 20
+
+    @pytest.mark.parametrize("name, toy", [("toy_nn_a", toy_params_a),
+                                           ("toy_nn_b", toy_params_b)])
+    def test_shipped_files_are_the_dumped_toy_sets(self, name, toy):
+        assert dump_nn_params(toy()) == Path(toy_params_file(name)).read_text()
+
+    def test_defaults_come_from_the_fields(self):
+        assert parse_nn_params("") == NNParams()
+        assert parse_nn_params("[global]\nkbt = 2\n[hairpin]\n3 = 1\n") \
+            == NNParams(kbt=F(2), hairpin={3: 1})
+
+    # parameter file -> how it is refused: each message names the line and the key
+    REFUSED = {
+        "[global]\ndelta = 1\nasoc = 2\n": "line 3: unknown key [global] asoc",
+        "[multi]\nini = 3\n": "line 2: unknown key [multi] ini",
+        "[global]\ntemperature = 310/1\n": "line 2: unknown key [global] temperature",
+        "[stak]\nGCGC = -3\n": "line 1: unknown section [stak]",
+        "[stack]\nGCGC = -3\n\ngcgc = 5\n": "line 4: [stack] gcgc is given twice",
+        "[interior.size]\n2 = 1\n02 = 1\n": "line 3: [interior.size] 02 is given twice",
+        "[global]\nkbt = 1\n[global]\nkbt = 2\n": "line 4: [global] kbt is given twice",
+        "[stack]\nGXGC = -3\n": "line 2: [stack] GXGC is not 4 bases from ACGTU",
+        "[mismatch]\nGCG = 1\n": "line 2: [mismatch] GCG is not 4 bases from ACGTU",
+        "[hairpin]\nthree = 1\n": "line 2: [hairpin] three is not a non-negative integer size",
+        "[bulge]\n-1 = 1\n": "line 2: [bulge] -1 is not a non-negative integer size",
+        "[global]\nassoc = x\n": "line 2: [global] assoc is not a rational: 'x'",
+        "[multi]\nbp = 1/2\n": "line 2: [multi] bp must be an integer number of quanta",
+        "[global]\ndelta = 1/0\n": "[global] delta has a zero denominator: '1/0'",
+    }
+
+    @pytest.mark.parametrize("text", REFUSED, ids=lambda text: text.split("\n")[-2])
+    def test_refused_with_the_line_and_the_key(self, text):
+        with pytest.raises(InvalidInput) as raised:
+            parse_nn_params(text)
+        assert str(raised.value).endswith(self.REFUSED[text])
+
+    def test_negative_min_hairpin_is_refused(self):
+        with pytest.raises(InvalidInput, match="min_hairpin >= 0"):
+            NNParams(min_hairpin=-2)
+        with pytest.raises(InvalidInput, match="min_hairpin >= 0"):
+            parse_nn_params("[global]\nmin_hairpin = -2\n")
+        assert parse_nn_params("[global]\nmin_hairpin = 0\n").min_hairpin == 0
+
+
+# small alphabets for generated parameter files: real and misspelt sections
+# and keys, bad letters, case repeats, zero denominators and negative sizes
+PARAM_LINES = st.one_of(
+    st.sampled_from(["global", "multi", "stack", "mismatch", "hairpin", "bulge",
+                     "interior.size", "interior.asym", "stak", "GLOBAL", ""]).map("[{}]".format),
+    st.tuples(st.sampled_from(["delta", "kbt", "assoc", "min_hairpin", "temperature", "init",
+                               "bp", "nt", "ini", "GCGC", "gcgc", "GXGC", "AU", "3", "03",
+                               "-3", "three", "0", ""]),
+              st.sampled_from(["1", "-2", "0", "3/2", "2/4", "1/0", "x", "-1", ""]))
+    .map("{0[0]} = {0[1]}".format),
+    st.sampled_from(["", "# note", "junk", "=", "3 = 1 # trailing"]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(PARAM_LINES, max_size=12))
+@example(["[hairpin]", "three = 1"])
+@example(["[stack]", "GCGC = -3", "gcgc = 5"])
+def test_generated_parameter_files_parse_or_are_bad_input(lines):
+    """Any text parses to a set that dumps and reads back equal, or raises
+    InvalidInput; no other exception escapes."""
+    try:
+        params = parse_nn_params("\n".join(lines))
+    except InvalidInput:
+        return
+    assert parse_nn_params(dump_nn_params(params)) == params
