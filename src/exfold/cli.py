@@ -44,8 +44,7 @@ EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
 EXIT_BAD_INPUT = 4
 
-REPORT_EXIT = {"ok": EXIT_OK, "mismatch": EXIT_MISMATCH,
-               "skipped": EXIT_BUDGET, "invalid": EXIT_BAD_INPUT}
+REPORT_EXIT = {"ok": EXIT_OK, "mismatch": EXIT_MISMATCH, "skipped": EXIT_BUDGET}
 
 
 def _emit(payload: dict) -> None:
@@ -53,8 +52,6 @@ def _emit(payload: dict) -> None:
 
 
 def _load_system(token: str) -> StrandSystem:
-    if token.startswith("@"):
-        return read_strand_file(token[1:])
     if set(token) <= set("ACGTUacgtu,"):
         return StrandSystem.from_sequences(*token.upper().split(","))
     return read_strand_file(token)
@@ -69,7 +66,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _non_negative(text: str) -> int:
-    """A --budget or --decimal value."""
+    """A --budget value."""
     try:
         value = int(text)
     except ValueError:
@@ -77,6 +74,13 @@ def _non_negative(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
     return value
+
+
+def _digits(text: str) -> int:
+    """A --decimal value, at most Python's default int-to-text digit limit."""
+    if _non_negative(text) > 4300:
+        raise argparse.ArgumentTypeError(f"{text!r} exceeds 4300 digits")
+    return int(text)
 
 
 # space flag dest -> the flag; each defaults to None, so a given one shows
@@ -139,9 +143,9 @@ def cmd_enumerate(args) -> int:
 
 def cmd_solve(args) -> int:
     from .exactmath import rat_to_str
-    from .oracles import dos_brute, pf_decimal
+    from .oracles import check_base, dos_brute, pf_decimal
 
-    base = None if args.base is None else _rational(args.base)
+    base = None if args.base is None else check_base(_rational(args.base))
     threshold = None if args.pf_threshold is None else _rational(args.pf_threshold)
     if base is None and threshold is not None:
         raise InvalidInput("--pf-threshold needs --base")
@@ -288,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="exfold",
         description="exact secondary-structure thermodynamics toolkit")
-    parser.add_argument("--decimal", type=_non_negative, default=0,
+    parser.add_argument("--decimal", type=_digits, default=0,
                         help="also render rationals with this many decimal digits")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,9 +1,10 @@
 """The three energy functions (BPM, BPS, NN), loop decomposition, rotational
 symmetry, and NN parameter files.
 
-The stack count, the face walk and the rotational symmetry are computed on
-sorted flat pairs under one ``Flattening``.  The NN entry points validate a
-structure first (``_checked_pairs``); BPM and BPS ``energy`` never do.
+The face walk and the rotational symmetry are computed on sorted flat pairs
+under one ``Flattening``.  The NN entry points take them from
+``strands.place``, which checks the structure first; BPM and BPS ``energy``
+never check it, and BPS counts ``SecondaryStructure.stacks``.
 
 Energies are integers counting quanta of a global granularity ``delta``
 (a positive rational): BPM and BPS use delta = 1, NN parameter sets declare
@@ -27,9 +28,9 @@ from .strands import (
     InvalidInput,
     SecondaryStructure,
     StrandSystem,
-    check_structure,
+    checked_flat,
     flattening,
-    is_unpseudoknotted_single,
+    place,
 )
 
 VALID_KINDS = ("bpm", "bps", "nn")
@@ -37,56 +38,6 @@ LOG_ROUND_CACHE_SIZE = 1024
 # NNParams size table -> its name in messages
 SIZE_TABLES = {"hairpin": "hairpin", "bulge": "bulge",
                "interior_size": "interior size", "interior_asym": "interior asymmetry"}
-
-
-class DecompositionError(InvalidInput):
-    """Loop decomposition needs a connected, crossing-free input."""
-
-
-# ---------------------------------------------------------------------------
-# the BaseRef edge, and BPS stacks
-
-
-def _checked_pairs(system: StrandSystem, ordering: Optional[Sequence[int]],
-                   structure: SecondaryStructure) -> tuple[Flattening, list[tuple[int, int]]]:
-    """Check ``structure``; convert it under ``ordering``, or when that is
-    None under each circular ordering in turn until one leaves it
-    crossing-free; then check that it is connected.  Returns the flattening
-    and the sorted flat pairs under it.  An enumerated structure whose
-    witness is ``ordering``'s, or circular when ``ordering`` is None, skips
-    the check and the search, and the connectivity test too if its space
-    required connectivity."""
-    carried = structure._carried
-    if carried is not None:
-        flat_pairs, origin, witness = carried
-        if (witness is not None and origin.flat.system is system
-                and (origin.circular if ordering is None
-                     else tuple(ordering) == witness.ordering)):
-            if not origin.connected and not origin.flat.connected(flat_pairs):
-                raise DecompositionError("structure is disconnected")
-            return witness, witness.from_identity(flat_pairs)
-    check_structure(system, structure)
-    for tried in system.circular_orderings() if ordering is None else [ordering]:
-        flat = flattening(system, tried)
-        pairs = flat.flat_pairs(structure)
-        if is_unpseudoknotted_single(pairs):
-            break
-    else:
-        raise DecompositionError("structure admits no crossing-free ordering"
-                                 if ordering is None
-                                 else "structure is pseudoknotted under this ordering")
-    if not flat.connected(pairs):
-        raise DecompositionError("structure is disconnected")
-    return flat, pairs
-
-
-def _stacks(flat: Flattening, pairs: list[tuple[int, int]]) -> int:
-    """Stacked couples: (i,j) and (i+1,j-1) both pairs, with no nick inside
-    (i, i+1) or (j-1, j).  Strands stay contiguous under every ordering, so
-    the count takes none."""
-    have = set(pairs)
-    return sum(1 for i, j in pairs
-               if (i + 1, j - 1) in have and i not in flat.nicks and j - 1 not in flat.nicks)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +177,7 @@ def decompose_loops(system: StrandSystem, ordering: Sequence[int],
     circular layout) and is an exterior loop; every pair owns exactly one
     further face.  Requires a valid, crossing-free, connected input.
     """
-    return _faces(*_checked_pairs(system, ordering, structure))
+    return _faces(*place(system, structure, ordering))
 
 
 def _faces(flat: Flattening, pairs: list[tuple[int, int]]) -> list[Loop]:
@@ -288,9 +239,8 @@ def max_symmetry_order(system: StrandSystem, ordering: Sequence[int]) -> int:
 def rotational_symmetry(system: StrandSystem, ordering: Sequence[int],
                         structure: SecondaryStructure) -> int:
     """Largest divisor R of v(pi) whose strand rotation fixes the pair set."""
-    check_structure(system, structure)
     flat = flattening(system, ordering)
-    return _symmetry(flat, flat.flat_pairs(structure))
+    return _symmetry(flat, flat.from_identity(checked_flat(system, structure)))
 
 
 def _symmetry(flat: Flattening, pairs: list[tuple[int, int]]) -> int:
@@ -369,7 +319,7 @@ def loop_energy(loop: Loop, flat: Flattening, params: NNParams) -> int:
 
 def energy_nn_detail(system: StrandSystem, ordering: Sequence[int],
                      structure: SecondaryStructure, params: NNParams) -> NNEnergyDetail:
-    return _nn_detail(*_checked_pairs(system, ordering, structure), params)
+    return _nn_detail(*place(system, structure, ordering), params)
 
 
 def _nn_detail(flat: Flattening, pairs: list[tuple[int, int]],
@@ -419,12 +369,8 @@ def energy(model: EnergyModel, system: StrandSystem,
     if model.kind == "bpm":
         return -len(structure)
     if model.kind == "bps":
-        carried = structure._carried
-        if carried is not None and carried[1].flat.system is system:
-            return -_stacks(carried[1].flat, carried[0])
-        flat = flattening(system)
-        return -_stacks(flat, flat.flat_pairs(structure))
-    return _nn_detail(*_checked_pairs(system, ordering, structure), model.params).total
+        return -structure.stacks(system)
+    return _nn_detail(*place(system, structure, ordering), model.params).total
 
 
 # ---------------------------------------------------------------------------

@@ -494,7 +494,7 @@ def count_bps_auto(strand: str, target: int,
 
 @dataclass(frozen=True)
 class ParsimonyReport:
-    status: str  # "ok" | "mismatch" | "skipped" | "invalid"
+    status: str  # "ok" | "mismatch" | "skipped"
     lhs: object = None
     rhs: object = None
     coefficient: object = None
@@ -524,8 +524,6 @@ def verify_parsimony_bps(inst: FourPartitionInstance,
         bps = gen_bps_from_4part(inst)
         partitions = count_4part_brute(inst)
         lhs, route = count_bps_auto(bps.strand, bps.target_stacks, enum_budget)
-    except InvalidInput as exc:
-        return ParsimonyReport("invalid", notes=str(exc))
     except BudgetExceeded as exc:
         return ParsimonyReport("skipped", coefficient=coeff, notes=str(exc))
     rhs = coeff * partitions

@@ -32,6 +32,7 @@ from typing import Sequence
 
 from .exactmath import rat_to_str
 from .strands import (
+    BudgetExceeded,
     InvalidInput,
     StrandSystem,
     complementary,
@@ -44,6 +45,8 @@ from .energy import (
     max_symmetry_order,
     round_log_multiple,
 )
+
+BPM_LEVEL_BASES = 1 << 16  # largest n levels_bpm lists the levels of
 
 
 @dataclass(frozen=True)
@@ -71,9 +74,11 @@ class LevelSet:
 
 def levels_bpm(n: int) -> LevelSet:
     """{0, -1, ..., -floor(n/2)} quanta at delta = 1: one level per possible
-    pair count."""
+    pair count.  n above ``BPM_LEVEL_BASES`` raises ``BudgetExceeded``."""
     if n < 1:
         raise InvalidInput("need at least one base")
+    if n > BPM_LEVEL_BASES:
+        raise BudgetExceeded(f"n exceeds the budget of {BPM_LEVEL_BASES} bases")
     return LevelSet(Fraction(1), tuple(range(-(n // 2), 1)))
 
 

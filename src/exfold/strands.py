@@ -15,8 +15,9 @@ Conventions used throughout the package:
   per (system, ordering); callers must not mutate it.
 
 Sorted flat pairs ``(i, j)``, i < j, under one ``Flattening`` are the form
-every predicate, enumerator and energy model computes on; a public function
-converts a ``SecondaryStructure`` of ``BaseRef`` pairs to it once.
+every predicate, enumerator and energy model computes on;
+``SecondaryStructure.sorted_flat`` converts ``BaseRef`` pairs to it, and
+``place`` puts a checked structure under the ordering it is scored in.
 """
 
 from __future__ import annotations
@@ -168,11 +169,6 @@ class Flattening:
     def base(self, pos: int) -> str:
         return self.sequence[pos - 1]
 
-    def flat_pairs(self, structure: "SecondaryStructure") -> list[tuple[int, int]]:
-        flat = self.flat
-        return sorted((i, j) if i < j else (j, i)
-                      for i, j in ((flat(a), flat(b)) for a, b in structure.pairs))
-
     def from_identity(self, pairs) -> Sequence[tuple[int, int]]:
         """Sorted flat pairs here of sorted flat pairs under the identity
         ordering."""
@@ -282,10 +278,25 @@ class SecondaryStructure:
         return len(self.pairs if carried is None else carried[0])
 
     def sorted_flat(self, system: StrandSystem) -> list[tuple[int, int]]:
+        """The sorted flat pairs under ``system``'s identity ordering."""
         carried = self._carried
         if carried is not None and carried[1].flat.system is system:
             return list(carried[0])
-        return flattening(system).flat_pairs(self)
+        flat = flattening(system).flat
+        return sorted((i, j) if i < j else (j, i)
+                      for i, j in ((flat(a), flat(b)) for a, b in self.pairs))
+
+    def stacks(self, system: StrandSystem) -> int:
+        """Pairs (i,j) stacked on a pair (i+1,j-1) with no nick between: the
+        same count under every ordering, since strands stay contiguous."""
+        carried = self._carried
+        if carried is not None and carried[1].flat.system is system:
+            nicks, pairs = carried[1].flat.nicks, carried[0]
+        else:
+            nicks, pairs = flattening(system).nicks, self.sorted_flat(system)
+        have = set(pairs)
+        return sum(1 for i, j in pairs
+                   if (i + 1, j - 1) in have and i not in nicks and j - 1 not in nicks)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -378,10 +389,12 @@ def validate_structure(system: StrandSystem, structure: SecondaryStructure) -> O
     return None
 
 
-def check_structure(system: StrandSystem, structure: SecondaryStructure) -> None:
+def checked_flat(system: StrandSystem, structure: SecondaryStructure) -> list[tuple[int, int]]:
+    """``structure.sorted_flat(system)``, once ``validate_structure`` finds no fault."""
     msg = validate_structure(system, structure)
     if msg is not None:
         raise InvalidInput(msg)
+    return structure.sorted_flat(system)
 
 
 def is_unpseudoknotted_single(flat_pairs) -> bool:
@@ -391,6 +404,17 @@ def is_unpseudoknotted_single(flat_pairs) -> bool:
                    for (i, j), (k, l) in itertools.combinations(pairs, 2))
 
 
+def _first_crossing_free(system: StrandSystem, pairs, orderings):
+    """(flattening, pairs under it) of the first of ``orderings`` under which
+    the sorted identity-flat ``pairs`` do not cross; None if there is none."""
+    for ordering in orderings:
+        flat = flattening(system, ordering)
+        placed = flat.from_identity(pairs)
+        if is_unpseudoknotted_single(placed):
+            return flat, placed
+    return None
+
+
 def is_unpseudoknotted_multi(
     system: StrandSystem, structure: SecondaryStructure
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -398,23 +422,45 @@ def is_unpseudoknotted_multi(
 
     Returns (True, witness ordering) or (False, None).
     """
-    for ordering in system.circular_orderings():
-        if is_unpseudoknotted_single(flattening(system, ordering).flat_pairs(structure)):
-            return True, ordering
-    return False, None
+    found = _first_crossing_free(system, structure.sorted_flat(system),
+                                 system.circular_orderings())
+    return (False, None) if found is None else (True, found[0].ordering)
+
+
+def place(system: StrandSystem, structure: SecondaryStructure,
+          ordering: Optional[Sequence[int]] = None) -> tuple[Flattening, Sequence]:
+    """(flattening, sorted flat pairs) of a valid, connected ``structure``
+    under ``ordering``, or when None under the first circular ordering that
+    leaves it crossing-free.  An enumerated structure whose witness is that
+    ordering skips the checks its enumeration made."""
+    carried = structure._carried
+    if carried is not None:
+        flat_pairs, origin, witness = carried
+        if (witness is not None and origin.flat.system is system
+                and (origin.circular if ordering is None
+                     else tuple(ordering) == witness.ordering)):
+            if not origin.connected and not origin.flat.connected(flat_pairs):
+                raise InvalidInput("structure is disconnected")
+            return witness, witness.from_identity(flat_pairs)
+    found = _first_crossing_free(system, checked_flat(system, structure),
+                                 system.circular_orderings() if ordering is None else [ordering])
+    if found is None:
+        raise InvalidInput("structure admits no crossing-free ordering" if ordering is None
+                           else "structure is pseudoknotted under this ordering")
+    if not found[0].connected(found[1]):
+        raise InvalidInput("structure is disconnected")
+    return found
 
 
 def is_connected(system: StrandSystem, structure: SecondaryStructure) -> bool:
     """Connectivity of the strand graph with one edge per inter-strand pair."""
-    flat = flattening(system)
-    return flat.connected(flat.flat_pairs(structure))
+    return flattening(system).connected(structure.sorted_flat(system))
 
 
 def min_hairpin_ok(system: StrandSystem, structure: SecondaryStructure, min_hairpin: int) -> bool:
     """Every same-strand pair enclosing only unpaired bases of that strand
     must enclose at least ``min_hairpin`` of them."""
-    flat = flattening(system)
-    return flat.hairpins_ok(flat.flat_pairs(structure), min_hairpin)
+    return flattening(system).hairpins_ok(structure.sorted_flat(system), min_hairpin)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +505,7 @@ def enumerate_structures(
 
     A yielded structure carries its sorted identity-flat pairs and, in a
     knot-free space of complementary pairs, the flattening under its first
-    alive ordering, the witness ``energy`` would otherwise search for.
+    alive ordering, the witness ``place`` would otherwise search for.
     """
     cands = candidate_pairs(system, space)
     if len(cands) > budget:

@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import subprocess
 import sys
@@ -6,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exfold import cli
 from exfold.energy import (
@@ -380,7 +384,8 @@ class TestHardgen:
         path = tmp_path / "slack.json"
         path.write_text('{"weights": ["2", "2", "2", "2"], "bound": "9"}')
         proc = run_cli("hardgen", "verify-bps", str(path), check=False)
-        assert proc.returncode == 4
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr.startswith("bad input: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("action, body, field", [
         ("verify-bps", '{"weights": ["2", "2", "2", "2"]}', "'bound'"),
@@ -406,6 +411,7 @@ class TestHardgen:
     ("enumerate",),
     ("reduce", "mfe-via-ssel", "GCAU", "--budget", "100"),
     ("--decimal", "-3", "solve", "ACGU"),
+    ("--decimal", "4301", "solve", "ACGU", "--base", "2"),
     ("frobnicate",),
     (),
 ], ids=lambda a: " ".join(a) or "no-args")
@@ -435,6 +441,9 @@ SOLVE_FLAG_CASES = [
     (("solve", "ACGU", "--pf-threshold", "1"), "--pf-threshold needs --base"),
     (("solve", "GGGGGGGGCCCCCCCC", "--pseudoknots", "--budget", "4", "--base", "2",
       "--pf-threshold", "nan"), "Invalid literal for Fraction: 'nan'"),
+    # checked before the enumeration, which would exceed its budget (exit 3)
+    (("solve", "GGGGGGGGCCCCCCCC", "--pseudoknots", "--budget", "4", "--base", "0"),
+     "Boltzmann base must be positive and != 1"),
 ]
 
 
@@ -564,3 +573,156 @@ def test_determinism_byte_identical(case):
     second = run_cli(*case)
     assert first.stdout == second.stdout
     assert first.stdout.encode() == second.stdout.encode()
+
+
+def run_main(argv):
+    """``cli.main(argv)`` in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: a usage error
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_levels_n_past_the_budget_exits_3():
+    assert run_main(["levels", "-n", "1" + "0" * 30]) == \
+        (3, "", "budget exceeded: n exceeds the budget of 65536 bases\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    ((), "need -n or strands"),
+    (("--model", "bps"), "need -n or strands"),
+    (("--model", "nn"), "--model nn needs strands and --params FILE"),
+    (("GGGAAACCC", "--model", "nn", "--dp"), "--model nn needs strands and --params FILE"),
+], ids=lambda x: " ".join(x) if isinstance(x, tuple) else None)
+def test_levels_needs_its_input(args, message):
+    assert run_main(["levels", *args]) == (4, "", f"bad input: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# the input contract, by generation: every command line exits 0, 2, 3 or 4,
+# never with a traceback, and prints JSON at exit 0.  Each value is drawn
+# from a pool of good ones, and one time in eight from a pool of bad ones.
+
+HUGE = "9" * 5000
+BAD_NUMBERS = ["nan", "inf", "-inf", "1/0", "x", "", "1e3", "1" + "0" * 30, HUGE, "1/" + HUGE,
+               "-" + HUGE, "-3/2"]
+FLAG_VALUES = {
+    "--budget": (["64", "64", "16", "4"], ["-1"] + BAD_NUMBERS),
+    "--min-hairpin": (["0", "1", "3"], ["-1"] + BAD_NUMBERS),
+    "--level": (["0", "-1", "-2"], BAD_NUMBERS),
+    "-n": (["1", "7", "40"], ["0", "-1"] + BAD_NUMBERS),
+    "--decimal": (["3", "0"], ["-5"] + BAD_NUMBERS),
+    "--base": (["2", "3", "1/2", "2/3"], ["0", "1", "-1"] + BAD_NUMBERS),
+    "--pf-threshold": (["1", "2", "1/2", "10"], BAD_NUMBERS),
+    "-k": (["0", "-1", "-2", "-1/2"], BAD_NUMBERS),
+}
+PARAM_LINES = (["[global]", "delta = 1", "kbt = 3/2", "min_hairpin = 3", "assoc = 2",
+                "[multi]", "init = 3", "[hairpin]", "3 = 3", "[stack]", "GCGC = -3"],
+               ["delta = 1/0", "min_hairpin = -1", "three = 1", "gcgc = 1", "GXGC = 1", "[]",
+                "x", f"assoc = {HUGE}"])
+JSON_VALUES = ([3, 4, "3", "4"], [0, -3, 12.5, True, None, "nan", "1/0", "x", [3], 10 ** 30,
+                                  HUGE])
+
+
+def pools(good, bad):
+    return st.tuples(st.sampled_from(range(8)), st.sampled_from(good),
+                     st.sampled_from(bad)).map(lambda t: t[2] if t[0] == 7 else t[1])
+
+
+@st.composite
+def instance_texts(draw, action):
+    """An instance for ``action``, mostly small, or something else."""
+    value = pools(*JSON_VALUES)
+    kind = draw(pools(["3dm" if action in ("4part-from-3dm", "verify-4part") else "4part"],
+                      ["3dm", "4part", "other"]))
+    if kind == "4part":
+        weights = [draw(value) for _ in range(draw(pools([4], [0, 3, 5])))]
+        return json.dumps({"weights": weights, "bound": draw(pools([13, 14, "14"], [0, "x"]))})
+    if kind == "3dm":
+        axis = list(range(1, draw(st.sampled_from([0, 1, 2])) + 1))
+        axes = [draw(pools([axis], [[1, 1], ["a"], [2.5], [[1]], [3, 4, 5]])) for _ in "xyz"]
+        triples = draw(st.lists(pools([list(t) for t in itertools.product(axis, repeat=3)]
+                                      or [[1, 1, 1]], [[1, 2], [9, 9, 9]]), max_size=4))
+        return json.dumps({"x": axes[0], "y": axes[1], "z": axes[2], "triples": triples})
+    return draw(st.sampled_from(["", "[]", "{", "3", '{"weights": []}', HUGE]))
+
+
+@st.composite
+def command_lines(draw, command, files):
+    """A command line for the subcommand ``command`` and the text of the
+    instance file it may name; ``files`` names the files the test writes."""
+    def maybe(flag, values=None):
+        if values is None and flag in FLAG_VALUES:
+            values = pools(*FLAG_VALUES[flag])
+        if not draw(st.booleans()):
+            return []
+        return [flag] if values is None else [flag, draw(values)]
+
+    strands = draw(pools([None], ["", ",", "ACGX", "AC,,GU", files["strands"]]))
+    if strands is None:
+        strands = ",".join(draw(st.lists(st.text("ACGU", min_size=1, max_size=4),
+                                         min_size=1, max_size=3)))
+    model = maybe("--model", st.sampled_from(["bpm", "bps", "nn"]))
+    params = ["--params", draw(pools([toy_params_file("toy_nn_a"), files["params"]],
+                                     [files["missing"], files["dir"]]))] \
+        if draw(pools([model == ["--model", "nn"]], [True, False])) else []
+    space = maybe("--pseudoknots") + maybe("--connected") + maybe("--min-hairpin")
+    instance = ""
+    if command == "enumerate":
+        tail = [strands] + model + params + space + maybe("--all-pairs") + maybe("--dump") \
+            + maybe("--budget")
+    elif command == "solve":
+        tail = [strands] + model + params + space + maybe("--base") \
+            + maybe("--level") + maybe("--pf-threshold") + maybe("--budget")
+    elif command == "reduce":
+        reduction = draw(st.sampled_from(sorted(cli.REDUCTIONS)))
+        wants_k = {"k", "level"} & set(cli.REDUCTIONS[reduction])
+        k = ["-k", draw(pools(*FLAG_VALUES["-k"]))] if draw(pools([bool(wants_k)], [True])) \
+            else []
+        tail = [reduction, strands] + maybe("--model", st.sampled_from(["bpm", "bps"])) \
+            + space + maybe("--base") + (["=".join(k)] if k else []) \
+            + maybe("--transcript", pools([files["transcript"]], [files["dir"]]))
+    elif command == "levels":
+        nn = model == ["--model", "nn"]
+        by_n = draw(pools([not nn and draw(st.booleans())], [True, False]))
+        tail = (["-n", draw(pools(*FLAG_VALUES["-n"]))] if by_n else [strands]) + model \
+            + params + (maybe("--dp") + maybe("--symmetry") if draw(pools([nn], [True]))
+                        else [])
+    else:
+        action = draw(st.sampled_from(["4part-from-3dm", "bps-from-4part", "verify-bps",
+                                       "verify-4part"]))
+        instance = draw(instance_texts(action))
+        tail = [action, draw(pools([files["instance"]], [files["missing"]]))] \
+            + maybe("--budget", pools(["0", "4", "16"], ["-1", "x"]))
+    return maybe("--decimal") + [command] + tail, instance
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    names = {name: str(root / name) for name in ("strands", "params", "instance",
+                                                 "transcript", "missing")}
+    return {**names, "dir": str(root)}
+
+
+@pytest.mark.parametrize("command", ["enumerate", "solve", "reduce", "levels", "hardgen"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_command_line_exits_with_a_documented_code(contract_files, command, data):
+    files = contract_files
+    Path(files["strands"]).write_text(data.draw(st.text("ACGUx#\n ", max_size=12)))
+    Path(files["params"]).write_text(
+        "\n".join(data.draw(st.lists(pools(*PARAM_LINES), max_size=6))))
+    argv, instance = data.draw(command_lines(command, files))
+    Path(files["instance"]).write_text(instance)
+    code, out, err = run_main(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert out and [json.loads(line) for line in out.splitlines()]
+    if code == 4:
+        assert out == "" and err.endswith("\n") and (
+            err.startswith("bad input: ") or "usage: exfold" in err), (argv, err)

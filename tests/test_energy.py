@@ -230,6 +230,15 @@ class TestModelWrapper:
     """Magnification lives in the oracle: the j-magnified model scales each
     level of the density of states by j."""
 
+    @pytest.mark.parametrize("kind, message", [
+        ("xyz", "unknown energy model kind 'xyz'"),
+        ("nn", "the nn model needs a parameter set"),
+    ])
+    def test_refused(self, kind, message):
+        with pytest.raises(InvalidInput) as raised:
+            EnergyModel(kind)
+        assert str(raised.value) == message
+
     def test_magnified_bpm(self):
         s = sys_of("ACGT")
         st = flat(s, [(1, 4), (2, 3)])

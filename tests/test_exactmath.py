@@ -51,6 +51,17 @@ def test_vandermonde_duplicate_nodes_rejected():
         VandermondeSystem((F(2), F(2)), (F(1), F(1)))
 
 
+@pytest.mark.parametrize("nodes, rhs, message", [
+    ((F(2), F(3)), (F(1),), "nodes and rhs must have the same length"),
+    ((F(2), F(0)), (F(1), F(1)), "nodes must be positive"),
+    ((F(2), F(-1, 2)), (F(1), F(1)), "nodes must be positive"),
+], ids=["length-mismatch", "zero-node", "negative-node"])
+def test_vandermonde_refused(nodes, rhs, message):
+    with pytest.raises(ValueError) as raised:
+        VandermondeSystem(nodes, rhs)
+    assert str(raised.value) == message
+
+
 def test_vandermonde_roundtrip_random():
     rng = random.Random(23)
     for _ in range(30):

@@ -241,6 +241,26 @@ def random_strands(rng, alphabet, count, max_pairable):
     return out
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ThreeDMInstance((1, 2), (1, 2), (1,), ()), InvalidInput,
+     "X, Y, Z must have equal sizes"),
+    (lambda: ThreeDMInstance((1, 1), (1, 2), (1, 2), ()), InvalidInput,
+     "element sets contain duplicates"),
+    (lambda: tdm(2, ((1, 2, 3),)), InvalidInput, "triple (1, 2, 3) is not in X x Y x Z"),
+    (lambda: FourPartitionInstance((3, 3, 3), 9), InvalidInput,
+     "the number of elements must be a multiple of 4"),
+    (lambda: FourPartitionInstance((3, 3, 3, 3), 0), InvalidInput, "bound must be positive"),
+    (lambda: count_3dm_brute(tdm(7, ())), BudgetExceeded, "|X| = 7 exceeds the 3DM budget 6"),
+    (lambda: count_bps_brute("CCAUGG", 1), InvalidInput,
+     "stack counting expects strands over A, C, G only"),
+], ids=["unequal-axes", "duplicate-elements", "triple-outside", "k-not-4m", "bound-0",
+        "3dm-budget", "bps-u-strand"])
+def test_refused_input(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert str(raised.value) == message
+
+
 class TestThreeDM:
     def test_singleton(self):
         assert count_3dm_brute(tdm(1, ((1, 1, 1),))) == 1
@@ -599,8 +619,8 @@ class TestParsimonyBPS:
         assert report.lhs == report.rhs == 40320
 
     def test_invalid_slack_instance(self):
-        report = verify_parsimony_bps(FourPartitionInstance((2, 2, 2, 2), 9))
-        assert report.status == "invalid"
+        with pytest.raises(InvalidInput, match="G-side slack"):
+            verify_parsimony_bps(FourPartitionInstance((2, 2, 2, 2), 9))
 
     def test_chain_state_ceiling(self):
         # eight 6s, bound 24: the chain-length multisets and their placement
@@ -617,6 +637,11 @@ class TestParsimony4Part:
     def test_no_matching(self):
         report = verify_parsimony_4part(tdm(1, ()))
         assert report.ok and report.lhs == 0
+
+    def test_skipped_past_the_3dm_budget(self):
+        report = verify_parsimony_4part(tdm(7, ()))
+        assert report.status == "skipped" and report.lhs is None
+        assert report.notes == "|X| = 7 exceeds the 3DM budget 6"
 
     def test_sweep_small(self):
         univ = list(itertools.product((1, 2), (1, 2), (1, 2)))

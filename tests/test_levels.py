@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exfold.strands import (
+    BudgetExceeded,
     InvalidInput,
     StrandSystem,
     StructureSpace,
@@ -174,6 +175,12 @@ class TestClosedForms:
     def test_size_formula(self):
         for n in range(1, 12):
             assert len(levels_bpm(n)) == n // 2 + 1
+
+    def test_budget(self):
+        assert len(levels_bpm(1 << 16)) == (1 << 15) + 1
+        for n in ((1 << 16) + 1, 10 ** 30):
+            with pytest.raises(BudgetExceeded, match="n exceeds the budget of 65536 bases"):
+                levels_bpm(n)
 
 
 class TestSumset:

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from exfold.strands import InvalidInput, StrandSystem, StructureSpace
 from exfold.energy import BPM, BPS
-from exfold.levels import levels_bpm, levels_bps
-from exfold.oracles import DensityOfStates, OracleHandle, make_oracle
+from exfold.levels import LevelSet, levels_bpm, levels_bps
+from exfold.oracles import DensityOfStates, OracleHandle, make_oracle, pf_decimal
 from exfold.reductions import (
     OracleInconsistency,
     dmfe_via_dpf,
@@ -34,6 +34,21 @@ def sys_of(*seqs):
 
 def acgt_oracle(base=F(2)):
     return make_oracle(sys_of("ACGT"), PK, BPM, base)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: mfe_via_dmfe(acgt_oracle(), []), "empty candidate level set"),
+    (lambda: mfe_via_ssel(acgt_oracle(), LevelSet(F(1), ())), "empty candidate level set"),
+    (lambda: LevelSet(F(0), (0,)), "delta must be positive"),
+    (lambda: LevelSet(F(-1, 2), (0,)), "delta must be positive"),
+    (lambda: levels_bpm(0), "need at least one base"),
+    (lambda: pf_decimal(F(1, 3), 0), "need at least one digit"),
+], ids=["mfe-via-dmfe", "mfe-via-ssel", "delta-0", "delta-negative", "levels-bpm-0",
+        "pf-decimal-0"])
+def test_refused_input(build, message):
+    with pytest.raises(InvalidInput) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 class TestStraightforward:

@@ -12,6 +12,7 @@ import pytest
 
 from exfold.strands import (
     DEFAULT_PAIR_BUDGET,
+    BaseRef,
     BudgetExceeded,
     EMPTY_STRUCTURE,
     Flattening,
@@ -48,6 +49,12 @@ def flat(system, pairs):
                                                  for i, j in pairs])
 
 
+def looked_up(under, structure):
+    """The sorted flat pairs of ``structure`` under the flattening ``under``,
+    looked up base by base."""
+    return sorted(tuple(sorted((under.flat(a), under.flat(b)))) for a, b in structure.pairs)
+
+
 @pytest.mark.parametrize("a,b,expected", [
     ("A", "T", True), ("T", "A", True), ("A", "U", True), ("C", "G", True),
     ("G", "C", True), ("A", "A", False), ("G", "T", False), ("G", "U", False),
@@ -74,7 +81,6 @@ class TestValidation:
         assert msg is not None and "not complementary" in msg
 
     def test_out_of_range(self):
-        from exfold.strands import BaseRef
         s = sys_of("ACGT")
         out = SecondaryStructure(frozenset({(BaseRef(1, 1), BaseRef(1, 9))}))
         msg = validate_structure(s, out)
@@ -89,6 +95,31 @@ class TestValidation:
             (a, b), = ok.pairs
             msg = validate_structure(s, rev)
             assert msg is not None and "reversed" in msg and f"({b}, {a})" in msg
+
+
+    @pytest.mark.parametrize("pair, message", [
+        (((1, 2), (1, 2)), "pair (BaseRef(strand=1, index=2), BaseRef(strand=1, index=2)) "
+                           "joins a base to itself"),
+        (((1, 1), (3, 1)), "base BaseRef(strand=3, index=1) names an unknown strand"),
+    ], ids=["self-pair", "unknown-strand"])
+    def test_refused_pair(self, pair, message):
+        s = sys_of("ACGT")
+        st = SecondaryStructure(frozenset({tuple(BaseRef(*ref) for ref in pair)}))
+        assert validate_structure(s, st) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Strand(1, ""), "strand 1 has an empty sequence"),
+    (lambda: StrandSystem(()), "a strand system needs at least one strand"),
+    (lambda: StrandSystem((Strand(1, "AC"), Strand(1, "GU"))), "duplicate strand ids in [1, 1]"),
+    (lambda: sys_of("AC", "GU").strand_by_id(3), "no strand with id 3"),
+    (lambda: StructureSpace(pairing="wobble"), "unknown pairing rule 'wobble'"),
+    (lambda: StructureSpace(min_hairpin=-1), "min_hairpin must be >= 0"),
+], ids=["empty-strand", "no-strands", "duplicate-ids", "missing-id", "pairing", "min-hairpin"])
+def test_refused_input(build, message):
+    with pytest.raises(InvalidInput) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 class TestPseudoknots:
@@ -107,7 +138,7 @@ class TestPseudoknots:
         pairs = [((1, 1), (2, 2)), ((1, 2), (2, 1)), ((3, 1), (4, 2)), ((3, 2), (4, 1))]
         st = SecondaryStructure.from_refs(s, pairs)
         from exfold.strands import Flattening
-        crossed = Flattening(s, (1, 3, 2, 4)).flat_pairs(st)
+        crossed = looked_up(Flattening(s, (1, 3, 2, 4)), st)
         assert not is_unpseudoknotted_single(crossed)
         ok, witness = is_unpseudoknotted_multi(s, st)
         assert ok and witness == (1, 2, 3, 4)
@@ -200,7 +231,7 @@ class TestEnumeration:
                 assert [st.pairs for st in
                         enumerate_structures(s, knot_free, fixed_ordering=ordering)] == \
                     [st.pairs for st in everything if is_unpseudoknotted_single(
-                        flattening(s, ordering).flat_pairs(st))]
+                        looked_up(flattening(s, ordering), st))]
                 assert [st.pairs for st in enumerate_structures(s, nn_space())] == \
                     [st.pairs for st in everything
                      if is_unpseudoknotted_multi(s, st)[0] and is_connected(s, st)
@@ -368,7 +399,7 @@ class TestEnumeratedStructure:
             lengths = [len(st) for st in fresh]
             flats = [st.sorted_flat(s) for st in fresh]
             assert lengths == [len(st.pairs) for st in fresh]
-            assert flats == [flattening(s).flat_pairs(st) for st in fresh]
+            assert flats == [looked_up(flattening(s), st) for st in fresh]
             assert flats == [SecondaryStructure(st.pairs).sorted_flat(s) for st in fresh]
 
     def test_another_system_reads_the_base_ref_pairs(self):
@@ -378,7 +409,7 @@ class TestEnumeratedStructure:
         models = (BPM, BPS, nn_model(toy_params_a()))
         for st in enumerate_structures(s, nn_space()):
             rebuilt = SecondaryStructure(st.pairs)
-            assert st.sorted_flat(other) == flattening(other).flat_pairs(st) == \
+            assert st.sorted_flat(other) == looked_up(flattening(other), st) == \
                 [(i + 2, j + 2) for i, j in st.sorted_flat(s)]
             # NN raises under both: disconnected, and a base past the end of a strand
             for model, system in itertools.product(models, (other, sys_of("GGGAAAC"))):
