@@ -7,8 +7,9 @@ byte-identical output.
 
 ``_setup`` builds the system, space and model with the library's own
 constructors.  The NN space is knot-free, connected and takes
-``min_hairpin`` from the --params file, so a space flag given with it is bad
-input; the bpm/bps spaces come from the space flags.
+``min_hairpin`` from the --params file; the bpm/bps spaces come from the
+space flags.  A flag of ``MODEL_FLAGS`` that the chosen model does not read
+is bad input, whatever the subcommand.
 
 Each ``cmd_*`` imports the modules it runs beyond ``strands`` and ``energy``.
 
@@ -83,9 +84,11 @@ def _digits(text: str) -> int:
     return int(text)
 
 
-# space flag dest -> the flag; each defaults to None, so a given one shows
-SPACE_FLAGS = {"pseudoknots": "--pseudoknots", "connected": "--connected",
-               "min_hairpin": "--min-hairpin", "all_pairs": "--all-pairs"}
+# model-dependent flag -> the models that read it; each defaults to None,
+# so a given one shows, a zero included
+MODEL_FLAGS = {"--params": ("nn",), "--dp": ("nn",), "--symmetry": ("nn",),
+               "--pseudoknots": ("bpm", "bps"), "--connected": ("bpm", "bps"),
+               "--min-hairpin": ("bpm", "bps"), "--all-pairs": ("bpm", "bps")}
 
 
 def _setup(args):
@@ -96,11 +99,6 @@ def _setup(args):
     if args.model == "nn":
         if not args.params:
             raise InvalidInput("--model nn needs --params FILE")
-        given = [flag for dest, flag in SPACE_FLAGS.items()
-                 if getattr(args, dest, None) is not None]
-        if given:
-            raise InvalidInput(f"--model nn takes its space from --params; "
-                               f"drop {', '.join(given)}")
         params = load_nn_params(args.params)
         return system, nn_space(params.min_hairpin), nn_model(params)
     space = StructureSpace(
@@ -227,13 +225,9 @@ def cmd_levels(args) -> int:
     from . import levels
 
     nn = args.model == "nn"
-    unread = [flag for flag, given, read in (
-        ("-n", args.n is not None, not nn and args.strands is None),
-        ("--params", args.params is not None, nn), ("--dp", args.dp, nn),
-        ("--symmetry", args.symmetry, nn)) if given and not read]
-    if unread:
+    if args.n is not None and (nn or args.strands is not None):
         raise InvalidInput(f"levels --model {args.model}{' with strands' if args.strands else ''}"
-                           f" does not read {', '.join(unread)}")
+                           " does not read -n")
     if not nn:
         if args.n is None and args.strands is None:
             raise InvalidInput("need -n or strands")
@@ -243,13 +237,14 @@ def cmd_levels(args) -> int:
     if args.strands is None or args.params is None:
         raise InvalidInput("--model nn needs strands and --params FILE")
     system, _, model = _setup(args)
-    if args.dp:
-        lv = levels.levels_nn_dp(system, system.ids, model.params)
-    else:
-        lv = levels.levels_nn_grid(system, model.params)
-    if args.symmetry:
-        lv = levels.augment_symmetry(lv, system, system.ids, model.params)
-    print(lv.to_json())
+    params, out = model.params, set()
+    grid = None if args.dp else levels.levels_nn_grid(system, params)
+    for ordering in system.circular_orderings():  # each structure is crossing-free under one
+        lv = levels.levels_nn_dp(system, ordering, params) if args.dp else grid
+        if args.symmetry:
+            lv = levels.augment_symmetry(lv, system, ordering, params)
+        out.update(lv.levels)
+    print(levels.LevelSet(params.delta, tuple(out)).to_json())
     return EXIT_OK
 
 
@@ -335,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("bpm", "bps", "nn"), default="bpm")
     p.add_argument("-n", type=int, help="base count for bpm/bps closed forms")
     p.add_argument("--params", help="nn parameter file")
-    p.add_argument("--dp", action="store_true",
+    p.add_argument("--dp", action="store_true", default=None,
                    help="nn: exact occupied levels (symmetry-free) via the count DP")
-    p.add_argument("--symmetry", action="store_true",
+    p.add_argument("--symmetry", action="store_true", default=None,
                    help="augment with rotational-symmetry penalty levels")
     p.set_defaults(func=cmd_levels)
 
@@ -355,6 +350,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        model = getattr(args, "model", None)
+        unread = [flag for flag, models in MODEL_FLAGS.items() if model not in models
+                  and getattr(args, flag[2:].replace("-", "_"), None) is not None]
+        if unread:
+            raise InvalidInput(f"{args.command} --model {model} does not read "
+                               f"{', '.join(unread)}")
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

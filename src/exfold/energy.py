@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -406,10 +407,12 @@ def parse_nn_params(text: str) -> NNParams:
     """The ``NNParams`` a parameter file names; a field it leaves out keeps its
     default.  An unknown section or key, a key given twice, a stack or
     mismatch key that is not 4 bases from ACGTU, a size key that is not a
-    non-negative integer, and a value that is not a rational, or outside
-    delta and kbt not an integer number of quanta, are bad input."""
+    non-negative integer, and a value that is not a rational, has a
+    numerator or denominator of more than 4300 digits, or outside delta and
+    kbt is not an integer number of quanta, are bad input."""
     kwargs: dict = {}
     section = table = None  # table: kwargs for a scalar section, else its field's dict
+    huge_exponent = re.compile(r"[eE][-+]?0*[1-9]\d{4}").search  # 10**10000 and up
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -440,12 +443,18 @@ def parse_nn_params(text: str) -> NNParams:
                 raise InvalidInput(f"{where}: {name} is not 4 bases from {VALID_BASES}")
         if slot in table:
             raise InvalidInput(f"{where}: {name} is given twice")
+        if huge_exponent(value) or len(value) > 4300 and any(  # past int()'s own limit
+                len(run) - run.count(".") > 4300 for run in re.findall(r"[\d.]+", value)):
+            raise InvalidInput(f"{where}: {name} has more than 4300 digits")
         try:  # quanta are integers, and int() is several times faster than Fraction()
             quantity = int(value) if value.lstrip("-").isdigit() else Fraction(value)
         except ZeroDivisionError:
             raise InvalidInput(f"{name} has a zero denominator: {value!r}") from None
         except ValueError:
             raise InvalidInput(f"{where}: {name} is not a rational: {value!r}") from None
+        if type(quantity) is Fraction and max(abs(quantity.numerator),
+                                               quantity.denominator) >= 10**4300:
+            raise InvalidInput(f"{where}: {name} has more than 4300 digits")
         rational = table is kwargs and isinstance(getattr(NNParams, slot), Fraction)  # delta, kbt
         if not rational and quantity.denominator != 1:
             raise InvalidInput(f"{where}: {name} must be an integer number of quanta")

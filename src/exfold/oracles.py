@@ -3,7 +3,8 @@
 A ``DensityOfStates`` answers MFE, PF, SSEL and their decision versions, and
 ``dos_brute`` enumerates the reference one.  ``OracleHandle`` wraps any of
 them as the oracle the reductions call, and is the one place where
-magnification is applied: the j-magnified model scales each level by j.
+magnification is applied, as the weight of a PF query: the j-magnified PF
+weighs level g by base**(-j*g), and dpf takes the per-quantum weight itself.
 
 The partition function stays exact because the Boltzmann factor per
 quantum, e**(delta/kT), is replaced by a positive rational base b != 1: a
@@ -95,18 +96,14 @@ def pf_decimal(value: Fraction, digits: int = 12) -> str:
     return f"{sign}{whole // 10**digits}.{whole % 10**digits:0{digits}d}"
 
 
-def _check_magnification(j) -> None:
-    if not isinstance(j, int) or j < 0:
-        raise InvalidInput("magnification must be a non-negative integer")
-
-
 @dataclass
 class OracleHandle:
     """The oracle over an exact density of states of ``system``, whatever
-    its source.  Every query takes a magnification j >= 0; dpf also takes a
-    ``base`` override for the per-quantum weight n! of the threshold
-    reductions.  Their base-n! digits need fewer than n! structures for
-    n >= 3, as every ensemble has: n bases form at most T(n) < n! matchings."""
+    its source.  Magnification is a PF weight: ``pf(j)`` weighs each
+    structure by base**(-j * quanta), and ``dpf`` by the per-quantum weight
+    it is given, n! in the threshold reductions.  Their base-n! digits need
+    fewer than n! structures for n >= 3, as every ensemble has: n bases form
+    at most T(n) < n! matchings."""
 
     system: StrandSystem
     dos: DensityOfStates
@@ -125,29 +122,21 @@ class OracleHandle:
         return self.system.n
 
     def pf(self, j: int = 1) -> Fraction:
-        _check_magnification(j)
+        if not isinstance(j, int) or j < 0:
+            raise InvalidInput("magnification must be a non-negative integer")
         return self.dos.pf(self.base, j)
 
-    def dpf(self, threshold: Fraction, j: int = 1,
-            base: Optional[Fraction] = None) -> bool:
-        _check_magnification(j)
-        return self.dos.pf(self.base if base is None else base, j) >= threshold
+    def dpf(self, threshold: Fraction, base: Fraction) -> bool:
+        return self.dos.pf(base) >= threshold
 
-    def mfe(self, j: int = 1) -> int:
-        _check_magnification(j)
-        return self.dos.mfe() * j
+    def mfe(self) -> int:
+        return self.dos.mfe()
 
-    def dmfe(self, threshold, j: int = 1) -> bool:
-        _check_magnification(j)
-        return self.dos.mfe() * j <= threshold
+    def dmfe(self, threshold) -> bool:
+        return self.dos.mfe() <= threshold
 
-    def ssel(self, level_quanta, j: int = 1) -> int:
-        _check_magnification(j)
-        if j == 0:
-            return self.dos.total() if level_quanta == 0 else 0
-        if level_quanta % j != 0:
-            return 0
-        return self.dos.ssel(level_quanta // j)
+    def ssel(self, level) -> int:
+        return self.dos.ssel(level)
 
 
 def make_oracle(system: StrandSystem, space: StructureSpace, model: EnergyModel,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -39,6 +40,7 @@ _COMPLEMENTARY = {
 DEFAULT_PAIR_BUDGET = 64
 DEFAULT_BPS_ENUM_BUDGET = 16  # hardness enumerates up to this many C's plus G's
 FLATTENING_CACHE_SIZE = 128
+ORDERING_BUDGET = 5040  # most circular orderings, (c-1)!, a search may read: 8 strands
 
 
 class BudgetExceeded(RuntimeError):
@@ -128,10 +130,13 @@ class StrandSystem:
         raise InvalidInput(f"no strand with id {sid}")
 
     def circular_orderings(self) -> Iterator[tuple[int, ...]]:
-        """All (c-1)! circular orderings, first strand pinned, deterministic."""
+        """All (c-1)! circular orderings, first strand pinned, deterministic;
+        more than ``ORDERING_BUDGET`` of them raises ``BudgetExceeded``."""
+        if math.factorial(self.c - 1) > ORDERING_BUDGET:
+            raise BudgetExceeded(f"{self.c} strands have {self.c - 1}! circular orderings, "
+                                 f"over the budget of {ORDERING_BUDGET}")
         first, rest = self.ids[0], sorted(self.ids[1:])
-        for perm in itertools.permutations(rest):
-            yield (first,) + perm
+        return ((first,) + perm for perm in itertools.permutations(rest))
 
 
 class Flattening:

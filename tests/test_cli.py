@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exfold import cli
 from exfold.energy import (
@@ -472,6 +472,46 @@ def test_levels_refuses_a_flag_its_model_does_not_read(args, flag):
         and proc.stderr.endswith(f"does not read {flag}\n")
 
 
+# (subcommand, model) -> the model-dependent flags it does not read; reduce
+# reads every flag it has, its models being bpm and bps, and hardgen has none
+UNREAD_FLAGS = {
+    ("enumerate", "bpm"): ["--params"],
+    ("enumerate", "bps"): ["--params"],
+    ("enumerate", "nn"): ["--pseudoknots", "--connected", "--min-hairpin", "--all-pairs"],
+    ("solve", "bpm"): ["--params"],
+    ("solve", "bps"): ["--params"],
+    ("solve", "nn"): ["--pseudoknots", "--connected", "--min-hairpin"],
+    ("levels", "bpm"): ["--params", "--dp", "--symmetry"],
+    ("levels", "bps"): ["--params", "--dp", "--symmetry"],
+}
+UNREAD_CASES = [(command, model, flag) for (command, model), flags in UNREAD_FLAGS.items()
+                for flag in flags]
+FLAG_VALUE = {"--params": ["/nonexistent"], "--min-hairpin": ["0"]}  # a zero is given too
+
+
+@pytest.mark.parametrize("command, model, flag", UNREAD_CASES,
+                         ids=[" ".join(case) for case in UNREAD_CASES])
+def test_a_flag_the_model_does_not_read_is_bad_input(command, model, flag):
+    params = ["--params", toy_params_file("toy_nn_a")] if model == "nn" else []
+    argv = [command, "GGGAAAACCC", "--model", model, *params, flag, *FLAG_VALUE.get(flag, [])]
+    assert run_main(argv) == (4, "", f"bad input: {command} --model {model} "
+                                     f"does not read {flag}\n")
+
+
+def test_every_unread_flag_is_named_and_nothing_runs():
+    assert run_main(["levels", "ACGT", "--params", "/nonexistent", "--dp", "--symmetry"]) \
+        == (4, "", "bad input: levels --model bpm does not read --params, --dp, --symmetry\n")
+    for argv, flag in ((("solve", "ACGT", "--params", "/nonexistent"), "--params"),
+                       (("enumerate", "ACGT", "--model", "bps", "--params", "/nonexistent"),
+                        "--params"),
+                       (("enumerate", "GGGAAAACCC", "--model", "nn", "--params",
+                         "src/exfold/data/toy_nn_a.txt", "--min-hairpin", "0"), "--min-hairpin")):
+        proc = subprocess.run(RUN + list(argv), cwd=ROOT, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr.startswith("bad input: ") and proc.stderr.count("\n") == 1
+        assert proc.stderr.endswith(f"does not read {flag}\n")
+
+
 # an edit of the shipped toy_nn_a.txt -> the refusal, naming the line and the key
 NN_PARAM_REFUSALS = [
     ("kbt = 3/2", "kbt = 3/2\nasoc = 2", "line 4: unknown key [global] asoc"),
@@ -483,6 +523,7 @@ NN_PARAM_REFUSALS = [
     ("delta = 1/1", "delta = 1/1\ntemperature = 310/1",
      "line 3: unknown key [global] temperature"),
     ("min_hairpin = 3", "min_hairpin = -2", "delta and kbt must be positive and min_hairpin >= 0"),
+    ("assoc = 2", "assoc = 1e5000", "line 4: [global] assoc has more than 4300 digits"),
 ]
 
 
@@ -584,6 +625,28 @@ def run_main(argv):
         except SystemExit as exc:  # argparse: a usage error
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.text("ACGU", min_size=1, max_size=3), min_size=3, max_size=4))
+@example(["UCC", "AGG", "AGAG"])  # its one structure at level 7 is knot-free under (1, 3, 2)
+def test_nn_levels_hold_every_level_solve_finds(strands):
+    system = ",".join(strands)
+    nn = ["--model", "nn", "--params", toy_params_file("toy_nn_a")]
+    code, out, err = run_main(["solve", system, *nn])
+    assert code == 0 or err == f"bad input: {EMPTY_ENSEMBLE}\n"
+    solved = json.loads(out)["dos"] if code == 0 else {}
+    for flags in (["--dp", "--symmetry"], ["--symmetry"]):
+        code, out, _ = run_main(["levels", system, *nn, *flags])
+        assert code == 0 and set(solved) <= set(json.loads(out)["levels"]), flags
+
+
+def test_enumerate_past_the_ordering_budget_exits_3():
+    # 10! orderings: without the budget, hours of flattenings
+    proc = subprocess.run(RUN + ["enumerate", ",".join("A" * 11)], capture_output=True,
+                          text=True, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "budget exceeded: 11 strands have 10! circular orderings, over the budget of 5040\n")
 
 
 def test_levels_n_past_the_budget_exits_3():

@@ -228,7 +228,8 @@ class TestNNEnergy:
 
 class TestModelWrapper:
     """Magnification lives in the oracle: the j-magnified model scales each
-    level of the density of states by j."""
+    level of the density of states by j, so its PF weighs a quantum by
+    base**j, as ``pf(j)`` and ``dpf`` at that weight do."""
 
     @pytest.mark.parametrize("kind, message", [
         ("xyz", "unknown energy model kind 'xyz'"),
@@ -244,8 +245,10 @@ class TestModelWrapper:
         st = flat(s, [(1, 4), (2, 3)])
         assert energy(BPM, s, st) == -2
         oracle = make_oracle(s, StructureSpace(allow_pseudoknots=True), BPM, F(2))
-        assert oracle.mfe(3) == -6
-        assert oracle.ssel(-6, 3) == 1
+        assert oracle.mfe() == -2 and oracle.ssel(-2) == 1
+        # levels -2, -1, 0 of the 3-magnified model weigh 8**2, 8, 1
+        assert oracle.pf(3) == 64 + 2 * 8 + 1 == oracle.dos.pf(F(8))
+        assert oracle.dpf(F(81), F(8)) and not oracle.dpf(F(82), F(8))
 
     def test_bps_passthrough(self):
         s = sys_of("GGCC")
@@ -256,16 +259,17 @@ class TestModelWrapper:
         model = nn_model(toy_params_a(10))
         base = energy(model, s, flat(s, [(1, 10), (2, 9), (3, 8)]))
         oracle = make_oracle(s, nn_space(), model, F(2))
-        assert oracle.ssel(2 * base, 2) == oracle.ssel(base) >= 1
+        assert oracle.ssel(base) >= 1 and oracle.mfe() <= base
+        assert oracle.pf(2) == sum((oracle.ssel(g) * F(4) ** -g for g in oracle.dos.counts),
+                                   F(0)) == oracle.dos.pf(F(4))
 
     def test_fractional_magnification_integrality(self):
         oracle = make_oracle(sys_of("ACGT"), StructureSpace(allow_pseudoknots=True),
                              BPM, F(2))
         for j in (F(1, 2), 0.5, -1):
-            with pytest.raises(InvalidInput):
-                oracle.mfe(j)
-            with pytest.raises(InvalidInput):
+            with pytest.raises(InvalidInput, match="magnification must be a non-negative"):
                 oracle.pf(j)
+        assert oracle.pf(0) == 4 and oracle.pf(2) == 25
 
     def test_magnification_preserves_argmin_and_counts(self):
         rng = random.Random(3)
@@ -274,9 +278,12 @@ class TestModelWrapper:
             oracle = make_oracle(sys_of(seq), StructureSpace(allow_pseudoknots=True),
                                  BPM, F(2))
             dos = oracle.dos
-            assert all(oracle.ssel(3 * g, 3) == c for g, c in dos.counts.items())
-            assert sum(oracle.ssel(g, 3) for g in range(3 * dos.mfe(), 1)) == dos.total()
-            assert oracle.mfe(3) == 3 * dos.mfe()
+            assert all(oracle.ssel(g) == c for g, c in dos.counts.items())
+            assert sum(oracle.ssel(g) for g in range(dos.mfe(), 1)) == dos.total()
+            assert oracle.mfe() == dos.mfe() and oracle.dmfe(dos.mfe())
+            assert not oracle.dmfe(dos.mfe() - 1)
+            # the 3-magnified PF: each structure at weight 8 per quantum
+            assert oracle.pf(3) == sum((c * F(8) ** -g for g, c in dos.counts.items()), F(0))
 
 
 class TestParamsIO:
@@ -294,6 +301,22 @@ class TestParamsIO:
     def test_bad_section_line(self):
         with pytest.raises(InvalidInput):
             parse_nn_params("delta = 1\n")
+
+    def test_the_digit_bound(self):
+        # at most 4300 digits of numerator and denominator, Python's default
+        # int-to-text limit: past it dump_nn_params could not write the value
+        for line in ("assoc = " + "9" * 4300, "assoc = -" + "9" * 4300, "assoc = 1e4299",
+                     "kbt = 1/" + "9" * 4300, "kbt = 3e-4299", "kbt = 3/2"):
+            params = parse_nn_params(f"[global]\n{line}\n")
+            assert parse_nn_params(dump_nn_params(params)) == params
+        for line in ("assoc = 1e5000", "assoc = 1e4300", "assoc = 1e100000",
+                     "assoc = " + "9" * 4301, "assoc = -" + "9" * 5000,
+                     "kbt = 1/" + "9" * 4301, "kbt = 1e-5000", "kbt = 1." + "0" * 4300 + "1"):
+            key = line.split()[0]
+            with pytest.raises(InvalidInput) as raised:
+                parse_nn_params(f"[global]\n{line}\n")
+            assert str(raised.value) == \
+                f"parameter file line 2: [global] {key} has more than 4300 digits"
 
     @pytest.mark.parametrize("name, toy", [("toy_nn_a", toy_params_a),
                                            ("toy_nn_b", toy_params_b)])

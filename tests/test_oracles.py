@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from dataclasses import replace
@@ -124,9 +125,13 @@ class TestScalars:
 
     def test_dpf(self):
         oracle = make_oracle(sys_of("ACGT"), PK, BPM, F(24))
-        assert oracle.dpf(F(24)) is True  # PF = 625
-        assert oracle.dpf(F(626)) is False
-        assert make_oracle(sys_of("AAAA"), PK, BPM, F(2)).dpf(F(0)) is True
+        assert oracle.dpf(F(24), F(24)) is True  # PF = 625
+        assert oracle.dpf(F(626), F(24)) is False
+        # the weight is the one passed, not the handle's base: PF = 9 at 2
+        assert oracle.dpf(F(9), F(2)) is True and oracle.dpf(F(10), F(2)) is False
+        assert make_oracle(sys_of("AAAA"), PK, BPM, F(2)).dpf(F(0), F(2)) is True
+        with pytest.raises(InvalidInput):
+            oracle.dpf(F(1), F(1))
 
     def test_pf_at_least_one(self):
         # the empty structure always contributes weight 1
@@ -159,15 +164,21 @@ class TestOracleHandle:
 
     def test_dmfe_scaling(self):
         oracle = make_oracle(sys_of("ACGT"), PK, BPM, F(2))
+        for k in (-3, -2, -1, 0):
+            assert oracle.dmfe(k) == (oracle.dos.mfe() <= k)
+        # the j-magnified model weighs a quantum by base**j: pf(j) is the
+        # boundary of dpf at that weight
         for j in (1, 2, 5):
-            for k in (-3, -2, -1, 0):
-                assert oracle.dmfe(j * k, j) == oracle.dmfe(k, 1)
+            weight = oracle.base ** j
+            assert oracle.dpf(oracle.pf(j), weight)
+            assert not oracle.dpf(oracle.pf(j) + F(1, 10**9), weight)
 
     def test_ssel_magnified_levels(self):
         oracle = make_oracle(sys_of("ACGT"), PK, BPM, F(2))
-        assert oracle.ssel(-2, 2) == 2  # level -1 doubled
-        assert oracle.ssel(-1, 2) == 0  # odd level unoccupied after doubling
-        assert oracle.ssel(0, 0) == 4
+        assert [oracle.ssel(g) for g in (-3, -2, -1, 0, 1)] == [0, 1, 2, 1, 0]
+        assert sum(oracle.ssel(g) for g in (-2, -1, 0)) == oracle.pf(0) == 4
+        # level -1 weighs 2**2 at magnification 2
+        assert oracle.pf(2) == sum(oracle.ssel(g) * F(4) ** -g for g in (-2, -1, 0)) == 25
 
     def test_mfe_is_min_occupied_level(self):
         oracle = make_oracle(sys_of("GCAU"), PK, BPM, F(2))
@@ -191,11 +202,24 @@ class TestOracleHandle:
         oracle = OracleHandle(sys_of("ACGT"), dos, 2)
         assert oracle.base == F(2) and oracle.dos is dos and oracle.n == 4
         assert [oracle.pf(j) for j in (1, 2, 3)] == [9, 25, 81]
-        assert oracle.mfe(2) == -4 and oracle.ssel(-2, 2) == 2
+        assert oracle.mfe() == -2 and oracle.ssel(-1) == 2 and oracle.dmfe(-2)
+        assert oracle.dpf(F(25), F(4)) and not oracle.dpf(F(26), F(4))
         with pytest.raises(InvalidInput, match="ensemble is empty"):
             OracleHandle(sys_of("ACGT"), DensityOfStates({}, F(1)), F(2))
         with pytest.raises(InvalidInput):
             OracleHandle(sys_of("ACGT"), dos, F(1))
+
+    def test_the_queries_take_what_the_reductions_pass(self):
+        # dos_via_pf passes j to pf, the threshold reductions a weight to dpf
+        assert {op: [(p.name, p.default) for p in
+                     inspect.signature(getattr(OracleHandle, op)).parameters.values()][1:]
+                for op in ("pf", "dpf", "mfe", "dmfe", "ssel")} == {
+            "pf": [("j", 1)],
+            "dpf": [("threshold", inspect.Parameter.empty), ("base", inspect.Parameter.empty)],
+            "mfe": [],
+            "dmfe": [("threshold", inspect.Parameter.empty)],
+            "ssel": [("level", inspect.Parameter.empty)],
+        }
 
     def test_base_validation(self):
         with pytest.raises(InvalidInput):
@@ -217,21 +241,25 @@ ORACLES = st.builds(
 
 
 class TestMagnificationProperties:
-    """The oracle's j is the only magnification: level g of the j-magnified
-    model is j*g, so its per-quantum weight is base**j."""
+    """Magnification is a PF weight: level g of the j-magnified model is
+    j*g, so its per-quantum weight is base**j, which pf(j) applies and dpf
+    takes as given."""
 
     @PROPERTY_SETTINGS
     @given(ORACLES)
     def test_magnified_queries_rescale_the_dos(self, oracle):
         dos = oracle.dos
         assert oracle.pf(0) == dos.total()
-        assert oracle.ssel(0, 0) == dos.total()
-        for j in range(0, 5):
-            assert oracle.mfe(j) == j * dos.mfe()
+        assert oracle.mfe() == dos.mfe()
+        for g in range(dos.mfe() - 1, 2):
+            assert oracle.ssel(g) == dos.ssel(g)
+            assert oracle.dmfe(g) == (dos.mfe() <= g)
         for j in range(1, 5):
-            assert oracle.pf(j) == dos.pf(oracle.base ** j)
-            for g in range(dos.mfe() - 1, 2):
-                assert oracle.ssel(j * g, j) == dos.ssel(g)
+            weight = oracle.base ** j
+            pf = oracle.pf(j)
+            assert pf == dos.pf(weight) == sum(
+                (oracle.ssel(g) * weight ** -g for g in range(dos.mfe(), 1)), F(0))
+            assert oracle.dpf(pf, weight) and not oracle.dpf(pf + F(1, 10**9), weight)
 
     @PROPERTY_SETTINGS
     @given(ORACLES)

@@ -207,9 +207,8 @@ class TestComposition:
             self.base = base
             self.n = inner.n
 
-        def pf(self, j=1, base=None):
-            b = self.base if base is None else base
-            return sum((self.inner.ssel(g) * F(b) ** (-j * g) for g in self.levels),
+        def pf(self, j=1):
+            return sum((self.inner.ssel(g) * F(self.base) ** (-j * g) for g in self.levels),
                        F(0))
 
     def test_cycle_is_identity_on_counts(self):
@@ -266,10 +265,10 @@ class TestTranscripts:
         class Liar:
             n = 4
 
-            def dmfe(self, k, j=1):
+            def dmfe(self, k):
                 return False
 
-            def ssel(self, g, j=1):
+            def ssel(self, g):
                 return 0
 
         with pytest.raises(OracleInconsistency):
@@ -286,7 +285,7 @@ class TestTranscripts:
         class Liar:
             base = F(2)
 
-            def pf(self, j=1, base=None):
+            def pf(self, j=1):
                 return sum(c * self.base ** (-g * j) for g, c in counts.items())
 
         with pytest.raises(OracleInconsistency, match=message):
@@ -351,15 +350,17 @@ def test_any_density_of_states_answers_like_the_brute_oracle(seq, model, base):
     system = sys_of(seq)
     brute = make_oracle(system, PK, model, base)
     handmade = OracleHandle(system, DensityOfStates(dict(brute.dos.counts), F(1)), base)
+    assert handmade.mfe() == brute.mfe()
+    for g in range(-(len(seq) // 2) - 1, 2):
+        assert handmade.ssel(g) == brute.ssel(g)
+        assert handmade.dmfe(g) == brute.dmfe(g)
     for j in range(4):
-        assert handmade.pf(j) == brute.pf(j) and handmade.mfe(j) == brute.mfe(j)
-        for g in range(-j * (len(seq) // 2) - 1, 2):
-            assert handmade.ssel(g, j) == brute.ssel(g, j)
-            assert handmade.dmfe(g, j) == brute.dmfe(g, j)
+        assert handmade.pf(j) == brute.pf(j)
         for threshold in (F(1), brute.pf(j), brute.pf(j) + F(1, 7)):
-            assert handmade.dpf(threshold, j) == brute.dpf(threshold, j)
-            assert (handmade.dpf(threshold, j, base=F(5))
-                    == brute.dpf(threshold, j, base=F(5)))
+            for weight in ({base ** j, F(5)} - {1}):
+                assert handmade.dpf(threshold, weight) == brute.dpf(threshold, weight)
+            if j:  # pf(j) answers at the weight base**j
+                assert brute.dpf(threshold, base ** j) == (brute.pf(j) >= threshold)
     lv = levels_bpm(system.n)
     for (name, a, t), (_, b, u) in zip(all_reductions(handmade, lv, base),
                                         all_reductions(brute, lv, base)):

@@ -12,6 +12,7 @@ import pytest
 
 from exfold.strands import (
     DEFAULT_PAIR_BUDGET,
+    ORDERING_BUDGET,
     BaseRef,
     BudgetExceeded,
     EMPTY_STRUCTURE,
@@ -33,6 +34,7 @@ from exfold.strands import (
     min_hairpin_ok,
     nn_space,
     parse_strands,
+    place,
     validate_structure,
 )
 
@@ -525,6 +527,23 @@ class TestOrderings:
         for c in (1, 2, 3, 4):
             s = sys_of(*(["GC"] * c))
             assert len(list(s.circular_orderings())) == math.factorial(c - 1)
+
+    def test_orderings_past_the_budget_are_refused(self):
+        knot_free = StructureSpace(allow_pseudoknots=False)
+        assert len(list(sys_of(*"A" * 8).circular_orderings())) == ORDERING_BUDGET == 7 * 720
+        nine = sys_of(*"GCGCGCGCG")
+        st = SecondaryStructure.from_refs(nine, [(BaseRef(1, 1), BaseRef(2, 1))])
+        for search in (nine.circular_orderings, lambda: is_unpseudoknotted_multi(nine, st),
+                       lambda: place(nine, st),
+                       lambda: next(enumerate_structures(nine, knot_free))):
+            with pytest.raises(BudgetExceeded) as raised:
+                search()
+            assert str(raised.value) == \
+                "9 strands have 8! circular orderings, over the budget of 5040"
+        # a pseudoknotted space and a fixed ordering read no circular ordering
+        for space, fixed in ((StructureSpace(), None), (knot_free, nine.ids)):
+            assert next(enumerate_structures(nine, space, fixed_ordering=fixed)) \
+                == EMPTY_STRUCTURE
 
 
 class TestStrandSystemHash:
