@@ -24,7 +24,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .energy import BPM, BPS, load_nn_params, nn_model
+from .energy import BPM, BPS, load_nn_params, nn_model, parse_rational
 from .strands import (
     DEFAULT_BPS_ENUM_BUDGET,
     DEFAULT_PAIR_BUDGET,
@@ -58,10 +58,10 @@ def _load_system(token: str) -> StrandSystem:
     return read_strand_file(token)
 
 
-def _rational(text: str) -> Fraction:
-    """A --base, -k or --pf-threshold value; a zero denominator is bad input."""
+def _rational(text: str, flag: str) -> Fraction:
+    """A --base, -k or --pf-threshold value; a zero denominator or 4300+ digits is bad input."""
     try:
-        return Fraction(text)
+        return Fraction(parse_rational(text, flag))
     except ZeroDivisionError:
         raise InvalidInput(f"zero denominator in {text!r}") from None
 
@@ -143,8 +143,9 @@ def cmd_solve(args) -> int:
     from .exactmath import rat_to_str
     from .oracles import check_base, dos_brute, pf_decimal
 
-    base = None if args.base is None else check_base(_rational(args.base))
-    threshold = None if args.pf_threshold is None else _rational(args.pf_threshold)
+    base = None if args.base is None else check_base(_rational(args.base, "--base"))
+    threshold = None if args.pf_threshold is None else _rational(args.pf_threshold,
+                                                                 "--pf-threshold")
     if base is None and threshold is not None:
         raise InvalidInput("--pf-threshold needs --base")
     system, space, model = _setup(args)
@@ -190,8 +191,8 @@ def cmd_reduce(args) -> int:
     from .levels import levels_bpm
     from .oracles import make_oracle, pf_decimal
 
-    base = _rational(args.base)
-    k = None if args.k is None else _rational(args.k)
+    base = _rational(args.base, "--base")
+    k = None if args.k is None else _rational(args.k, "-k")
     system, space, model = _setup(args)
     oracle = make_oracle(system, space, model, base)
 
@@ -237,9 +238,12 @@ def cmd_levels(args) -> int:
     if args.strands is None or args.params is None:
         raise InvalidInput("--model nn needs strands and --params FILE")
     system, _, model = _setup(args)
-    params, out = model.params, set()
+    params, out, firsts = model.params, set(), {}
     grid = None if args.dp else levels.levels_nn_grid(system, params)
     for ordering in system.circular_orderings():  # each structure is crossing-free under one
+        # orderings of one tuple of sequences share flat sequence, nicks and symmetry: levels
+        firsts.setdefault(tuple(system.strand_by_id(t).sequence for t in ordering), ordering)
+    for ordering in firsts.values():
         lv = levels.levels_nn_dp(system, ordering, params) if args.dp else grid
         if args.symmetry:
             lv = levels.augment_symmetry(lv, system, ordering, params)

@@ -403,6 +403,20 @@ def dump_nn_params(params: NNParams) -> str:
     return "\n".join(lines[1:]) + "\n"
 
 
+def parse_rational(text: str, name: str):
+    """``text`` as an int, or else a Fraction, for parameter files and CLI flags.
+    More than 4300 digits in its numerator or denominator is bad input named
+    ``name``; ValueError and ZeroDivisionError reach the caller."""
+    # an exponent of 10000 or more, or a run of more digits than int() reads
+    if re.search(r"[eE][-+]?0*[1-9]\d{4}", text) or len(text) > 4300 and any(
+            len(run) - run.count(".") > 4300 for run in re.findall(r"[\d.]+", text)):
+        raise InvalidInput(f"{name} has more than 4300 digits")
+    q = int(text) if text.lstrip("-").isdigit() else Fraction(text)  # int() is the faster
+    if type(q) is Fraction and max(abs(q.numerator), q.denominator) >= 10**4300:
+        raise InvalidInput(f"{name} has more than 4300 digits")
+    return q
+
+
 def parse_nn_params(text: str) -> NNParams:
     """The ``NNParams`` a parameter file names; a field it leaves out keeps its
     default.  An unknown section or key, a key given twice, a stack or
@@ -412,7 +426,6 @@ def parse_nn_params(text: str) -> NNParams:
     kbt is not an integer number of quanta, are bad input."""
     kwargs: dict = {}
     section = table = None  # table: kwargs for a scalar section, else its field's dict
-    huge_exponent = re.compile(r"[eE][-+]?0*[1-9]\d{4}").search  # 10**10000 and up
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -443,18 +456,14 @@ def parse_nn_params(text: str) -> NNParams:
                 raise InvalidInput(f"{where}: {name} is not 4 bases from {VALID_BASES}")
         if slot in table:
             raise InvalidInput(f"{where}: {name} is given twice")
-        if huge_exponent(value) or len(value) > 4300 and any(  # past int()'s own limit
-                len(run) - run.count(".") > 4300 for run in re.findall(r"[\d.]+", value)):
-            raise InvalidInput(f"{where}: {name} has more than 4300 digits")
-        try:  # quanta are integers, and int() is several times faster than Fraction()
-            quantity = int(value) if value.lstrip("-").isdigit() else Fraction(value)
+        try:
+            quantity = parse_rational(value, f"{where}: {name}")
         except ZeroDivisionError:
             raise InvalidInput(f"{name} has a zero denominator: {value!r}") from None
+        except InvalidInput:
+            raise
         except ValueError:
             raise InvalidInput(f"{where}: {name} is not a rational: {value!r}") from None
-        if type(quantity) is Fraction and max(abs(quantity.numerator),
-                                               quantity.denominator) >= 10**4300:
-            raise InvalidInput(f"{where}: {name} has more than 4300 digits")
         rational = table is kwargs and isinstance(getattr(NNParams, slot), Fraction)  # delta, kbt
         if not rational and quantity.denominator != 1:
             raise InvalidInput(f"{where}: {name} must be an integer number of quanta")

@@ -360,12 +360,13 @@ def count_bps_brute(strand: str, target: int,
             return hit
         c = cpos[idx]
         hist = rec(idx + 1, used)  # c stays unpaired
-        for gi, g in enumerate(gpos):
-            if used >> gi & 1:
-                continue
+        free = ~used & ((1 << len(gpos)) - 1)
+        while free:  # the unused G's, lowest first
+            bit = free & -free
+            g, free = gpos[bit.bit_length() - 1], free ^ bit
             gained = (partner[c - 1] == g + 1) + (partner[c + 1] == g - 1)
             partner[c], partner[g] = g, c
-            hist += rec(idx + 1, used | 1 << gi) << width * gained
+            hist += rec(idx + 1, used | bit) << width * gained
             partner[c] = partner[g] = None
         if len(memo) == BPS_MEMO_STATES:
             raise BudgetExceeded(

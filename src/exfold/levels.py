@@ -10,17 +10,15 @@ of structures at each.
 The count DP is a multistranded partition-function recursion (McCaskill
 1990; Dirks, Bois, Schaeffer, Winfree & Pierce 2007) over exact integers.
 Each cell is a count polynomial sum_k c_k x**(lo + k), stored as the pair
-(lo, packed) with packed = sum_k c_k * 2**(W*k) (Kronecker substitution):
-union is + after aligning the lows, the product of two cells (the sumset of
-their levels) is one integer multiplication, and an energy shift only moves
-lo.  None is Phi, "no structure of this shape".  Every coefficient counts
-crossing-free structures on at most n flat bases, fewer than 3**n, so slots
-of W = (3**n).bit_length() + 1 bits never carry.  Splitting on the
-rightmost pair makes every branch but the O(n**2) interior scan O(n) per
-cell: O(n**3) big-integer products and O(n**4) interior terms at most.  An
-interior term is a few reads of tables built once per call and one integer
-addition into its cell's {level: packed} sum; the shifted union runs once
-per distinct level of the cell.
+(lo, packed) with packed = sum_k c_k * 2**(W*k) (Kronecker substitution)
+and lo its lowest level: a term joins a sum by one shift and one addition,
+the product of two cells (the sumset of their levels) is one integer
+multiplication, and an energy shift only moves lo.  Every coefficient
+counts crossing-free structures on at most n flat bases, fewer than 3**n,
+so slots of W = (3**n).bit_length() + 1 bits never carry.  Splitting on
+the rightmost pair makes every branch but the O(n**2) interior scan O(n)
+per cell: O(n**3) big-integer products and O(n**4) interior terms at
+most.  The loops do this algebra in line, with no call per term.
 """
 
 from __future__ import annotations
@@ -152,82 +150,57 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
     params.delta.
 
     Cells over the flat subsequence [i, j], each a packed count polynomial
-    (see the module docstring) or None for Phi, "no structure of this shape":
-      gb[i][j]  given that (i, j) is a pair;
+    (see the module docstring) or a false value for Phi, "no structure":
+      gb[i][j]  given that (i, j) is a pair, kept in ends[i] and starts[j];
       g[i][j]   exterior-loop contents, no nick outside a pair; g[i][i-1] = 1;
       gm[i][j]  multiloop contents with at least one pair; each pair carries
                 multi_bp, each unpaired base multi_nt, and no nick lies
                 outside a pair;
       gm2[i][j] the same with at least two pairs;
       s1[i][j]  multiloop contents with one pair, which ends at j.
-    g, gm and gm2 are trails over the rightmost pair (d, e): with A[i, e] the
-    contents whose last pair ends at e,
-      T[i, j] = A[i, j] + [no nick at j-1] * shift(T[i, j-1], unpaired cost).
-    The interior branch of gb scans the non-empty gb[d][e] with nick-free
-    flanks in (d, e) order, cells by length then i.  A term's energy is
-    ``interior_like_energy``'s formula on per-call tables: the padded flat
-    sequence, the outer mismatch of (i, j), the inner mismatch of gb[d][e]
-    (kept in ends[d]), and the bulge, interior size and asymmetry entries
-    for sizes 0..n from ``size_entry``.  A slot they cannot fill is None, and
-    a term that meets one calls ``interior_like_energy``, which raises its
-    error: a missing entry raises at the first loop that needs it, never
-    earlier.
+    g, gm and gm2 sum over the rightmost pair (d, j), then add the trail
+    [no nick at j-1] * shift(T[i, j-1], unpaired cost).  gb[i][j] sums its
+    terms by level and packs them from the lowest.  Its interior terms scan
+    the non-empty gb[d][e] with nick-free flanks in (d, e) order, cells by
+    length then i, reading ``interior_like_energy``'s formula off per-call
+    tables (the two mismatches, the size entries for 0..n); a term that
+    meets an empty slot calls it, so a missing entry raises at the first
+    loop that needs it.
     """
-    flat = flattening(system, ordering)
-    n = system.n
+    flat, n = flattening(system, ordering), system.n
     width = (3 ** n).bit_length() + 1
     seq = " " + flat.sequence + " "  # seq[p] is base p; the pads match no table key
     stack, mismatch = params.stack, params.mismatch
 
-    def sizes(name):  # None where size_entry raises: the scan raises there, if it goes there
-        out = []
-        for m in range(n + 1):
-            try:
-                out.append(params.size_entry(name, m))
-            except InvalidInput:
-                out.append(None)
-        return out
+    def entry(name, m):  # None where size_entry raises: the scan raises there, if it goes there
+        try:
+            return params.size_entry(name, m)
+        except InvalidInput:
+            return None
 
-    bulge, size, asym = (sizes(name) for name in ("bulge", "interior_size", "interior_asym"))
+    bulge, size, asym = ([entry(name, m) for m in range(n + 1)]
+                         for name in ("bulge", "interior_size", "interior_asym"))
+    pairable = {(a, b) for a in set(seq) for b in set(seq) if complementary(a, b)}
     nick = [p in flat.nicks for p in range(n + 1)]  # nick[p]: between p and p+1
-    next_nick = [n] * (n + 1)  # first nick at or after p, n when none
-    for p in range(n - 1, 0, -1):
-        next_nick[p] = p if nick[p] else next_nick[p + 1]
-    last_nick = [0] * (n + 1)  # last nick at or before p, 0 when none
-    for p in range(1, n + 1):
-        last_nick[p] = p if nick[p] else last_nick[p - 1]
+    next_nick = [min([q for q in flat.nicks if q >= p], default=n) for p in range(n + 1)]
+    last_nick = [max([q for q in flat.nicks if q <= p], default=0) for p in range(n + 1)]
     bp, nt = params.multi_bp, params.multi_nt
 
-    def add(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        if a[0] > b[0]:
-            a, b = b, a
-        return a[0], a[1] + (b[1] << width * (b[0] - a[0]))
-
-    def mul(a, b):
-        return None if a is None or b is None else (a[0] + b[0], a[1] * b[1])
-
-    def shift(a, k):
-        return None if a is None else (a[0] + k, a[1])
-
-    g, gb, gm, gm2, s1 = ([[None] * (n + 2) for _ in range(n + 2)] for _ in range(5))
+    g, gm, gm2, s1 = ([[None] * (n + 2) for _ in range(n + 2)] for _ in range(4))
     for i in range(1, n + 2):
         g[i][i - 1] = (0, 1)
     ends = [[] for _ in range(n + 2)]    # ends[d]: (e, *gb[d][e], inner mismatch), e ascending
-    starts = [[] for _ in range(n + 2)]  # starts[e]: d with gb[d][e] non-empty
+    starts = [[] for _ in range(n + 2)]  # starts[e]: (d, *gb[d][e], no nick at d-1)
 
     for l in range(1, n + 1):
         for i in range(1, n - l + 2):
             j = i + l - 1
             cb = None
-            if complementary(seq[i], seq[j]):
+            if (seq[i], seq[j]) in pairable:
+                terms = {}  # gb[i][j]'s terms: level -> summed packed counts
                 if next_nick[i] >= j and j - i - 1 >= params.min_hairpin:
-                    cb = (params.size_entry("hairpin", j - i - 1), 1)
+                    terms[params.size_entry("hairpin", j - i - 1)] = 1
                 outer = mismatch.get((seq[i], seq[j], seq[i + 1], seq[j - 1]))
-                by_level = {}  # interior terms: level -> summed packed counts
                 e_min = last_nick[j - 1] + 1  # with d <= next_nick[i]: nick-free flanks
                 for d in range(i + 1, min(j - 2, next_nick[i]) + 1):
                     l1 = d - i - 1
@@ -246,42 +219,69 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
                                 lo += stack.get((seq[i], seq[d], seq[e], seq[j]))
                         except TypeError:  # a part is None: raise its InvalidInput
                             lo += interior_like_energy(flat, i, d, e, j, params)
-                        by_level[lo] = by_level.get(lo, 0) + packed
-                for lo, packed in by_level.items():
-                    cb = add(cb, (lo, packed))
-                if not nick[i] and not nick[j - 1]:
-                    cb = add(cb, shift(gm2[i + 1][j - 1], params.multi_init + bp))
-                for x in range(i, j):
-                    if not nick[x]:
-                        continue
-                    if ((not nick[i] and not nick[j - 1]) or i == j - 1
-                            or (x == i and not nick[j - 1])
-                            or (x == j - 1 and not nick[i])):
-                        cb = add(cb, mul(g[i + 1][x], g[x + 1][j - 1]))
-            if cb is not None:
-                gb[i][j] = cb
-                ends[i].append((j, *cb, mismatch.get((seq[j], seq[i], seq[j + 1], seq[i - 1]))))
-                starts[j].append(i)
-            s1[i][j] = add(shift(cb, bp), None if nick[i] else shift(s1[i + 1][j], nt))
+                        terms[lo] = terms.get(lo, 0) + packed
+                inside = not nick[i] and not nick[j - 1] and gm2[i + 1][j - 1]
+                if inside:  # (i, j) closes a multiloop
+                    lo = inside[0] + params.multi_init + bp
+                    terms[lo] = terms.get(lo, 0) + inside[1]
+                x = next_nick[i]
+                while x < j:  # (i, j) closes an exterior loop across the nick x in [i, j-1]
+                    left, right = g[i + 1][x], g[x + 1][j - 1]
+                    if left and right and ((not nick[i] and not nick[j - 1]) or i == j - 1
+                                           or (x == i and not nick[j - 1])
+                                           or (x == j - 1 and not nick[i])):
+                        lo = left[0] + right[0]
+                        terms[lo] = terms.get(lo, 0) + left[1] * right[1]
+                    x = next_nick[x + 1]
+                if terms:
+                    lo, packed = min(terms), 0
+                    for v, p in terms.items():
+                        packed += p << width * (v - lo)
+                    cb = lo, packed
+                    inner = mismatch.get((seq[j], seq[i], seq[j + 1], seq[i - 1]))
+                    ends[i].append((j, *cb, inner))
+                    starts[j].append((i, *cb, not nick[i - 1]))
 
-            exterior = multi = None  # contents whose last pair is (d, j)
-            for d in starts[j]:
-                if d == i or not nick[d - 1]:
-                    exterior = add(exterior, mul(g[i][d - 1], gb[d][j]))
-                if not nick[d - 1]:
-                    multi = add(multi, mul(gm[i][d - 1], gb[d][j]))
-            multi = shift(multi, bp)
-            trail = j == i or not nick[j - 1]
-            g[i][j] = add(exterior, g[i][j - 1] if trail else None)
-            gm[i][j] = add(add(s1[i][j], multi), shift(gm[i][j - 1], nt) if trail else None)
-            gm2[i][j] = add(multi, shift(gm2[i][j - 1], nt) if trail else None)
+            # the other cells add their terms (v, p) to running sums (lo, packed), lo
+            # their lowest level so far and packed 0 for Phi; i or j unpaired costs nt
+            trail = j == i or not nick[j - 1]  # j may be unpaired
+            o_lo, o = not nick[i] and s1[i + 1][j] or (0, 0)
+            e_lo, e = trail and g[i][j - 1] or (0, 0)
+            m_lo, m = trail and gm[i][j - 1] or (0, 0)
+            m2_lo, m2 = trail and gm2[i][j - 1] or (0, 0)
+            o_lo, m_lo, m2_lo = o_lo + nt, m_lo + nt, m2_lo + nt
+            if cb:
+                v = cb[0] + bp
+                if not o or v < o_lo:  # v is the lowest level so far
+                    o, o_lo = o and o << width * (o_lo - v), v
+                o += cb[1] << width * (v - o_lo)
+            s1[i][j] = o and (o_lo, o)
+            if o:
+                if not m or o_lo < m_lo:
+                    m, m_lo = m and m << width * (m_lo - o_lo), o_lo
+                m += o << width * (o_lo - m_lo)
+            g_i, gm_i = g[i], gm[i]
+            for d, lo, packed, free in starts[j]:  # terms whose last pair is (d, j)
+                left = (free or d == i) and g_i[d - 1]
+                if left:
+                    v, p = left[0] + lo, left[1] * packed
+                    if not e or v < e_lo:
+                        e, e_lo = e and e << width * (e_lo - v), v
+                    e += p << width * (v - e_lo)
+                left = free and gm_i[d - 1]
+                if left:  # a pair or more before d
+                    v, p = left[0] + lo + bp, left[1] * packed
+                    if not m or v < m_lo:
+                        m, m_lo = m and m << width * (m_lo - v), v
+                    m += p << width * (v - m_lo)
+                    if not m2 or v < m2_lo:
+                        m2, m2_lo = m2 and m2 << width * (m2_lo - v), v
+                    m2 += p << width * (v - m2_lo)
+            g[i][j], gm[i][j], gm2[i][j] = e and (e_lo, e), m and (m_lo, m), m2 and (m2_lo, m2)
 
-    counts: dict[int, int] = {}
-    if g[1][n] is None:
-        return counts
-    level, packed = g[1][n]
+    level, packed = g[1][n] or (0, 0)
     level += (system.c - 1) * params.assoc
-    mask = (1 << width) - 1
+    counts, mask = {}, (1 << width) - 1
     while packed:
         if packed & mask:
             counts[level] = packed & mask

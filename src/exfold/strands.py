@@ -240,6 +240,10 @@ class _Origin(NamedTuple):
     circular: bool  # witnesses are circular orderings, not a fixed_ordering
     connected: bool  # every structure yielded is connected
 
+    def is_for(self, system: StrandSystem) -> bool:
+        """Of ``system``, or of an equal one: ``flattening`` caches by equality."""
+        return self.flat.system is system or self.flat.system == system  # "is" spares __eq__
+
 
 class SecondaryStructure:
     """A set of base pairs; each pair is a canonical 2-tuple of BaseRefs
@@ -285,7 +289,7 @@ class SecondaryStructure:
     def sorted_flat(self, system: StrandSystem) -> list[tuple[int, int]]:
         """The sorted flat pairs under ``system``'s identity ordering."""
         carried = self._carried
-        if carried is not None and carried[1].flat.system is system:
+        if carried is not None and carried[1].is_for(system):
             return list(carried[0])
         flat = flattening(system).flat
         return sorted((i, j) if i < j else (j, i)
@@ -295,7 +299,7 @@ class SecondaryStructure:
         """Pairs (i,j) stacked on a pair (i+1,j-1) with no nick between: the
         same count under every ordering, since strands stay contiguous."""
         carried = self._carried
-        if carried is not None and carried[1].flat.system is system:
+        if carried is not None and carried[1].is_for(system):
             nicks, pairs = carried[1].flat.nicks, carried[0]
         else:
             nicks, pairs = flattening(system).nicks, self.sorted_flat(system)
@@ -441,7 +445,7 @@ def place(system: StrandSystem, structure: SecondaryStructure,
     carried = structure._carried
     if carried is not None:
         flat_pairs, origin, witness = carried
-        if (witness is not None and origin.flat.system is system
+        if (witness is not None and origin.is_for(system)
                 and (origin.circular if ordering is None
                      else tuple(ordering) == witness.ordering)):
             if not origin.connected and not origin.flat.connected(flat_pairs):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from exfold import cli
 from exfold.energy import (
     dump_nn_params, load_nn_params, nn_model, toy_params_a, toy_params_file)
-from exfold.levels import levels_nn_dp, levels_nn_grid
+from exfold.levels import augment_symmetry, levels_nn_dp, levels_nn_grid
 from exfold.oracles import EMPTY_ENSEMBLE, dos_brute
 from exfold.reductions import BudgetViolation, OracleInconsistency
 from exfold.strands import BudgetExceeded, InvalidInput, StrandSystem, StructureSpace, nn_space
@@ -454,6 +454,29 @@ def test_solve_flags_are_parsed_whether_or_not_read(args, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", f"bad input: {message}\n")
 
 
+HUGE_NUMBER_CASES = [
+    (("solve", "ACGU", "--base", "1e1000000000"), "--base"),
+    (("solve", "ACGU", "--base", "2", "--pf-threshold=-1E+0999999999"), "--pf-threshold"),
+    (("reduce", "dmfe-via-mfe", "ACGU", "-k", "1e1000000000"), "-k"),
+    (("reduce", "pf-via-dpf", "ACGU", "--base", "1/" + "9" * 4301), "--base"),
+    (("reduce", "dmfe-via-dpf", "ACGU", "-k=1e-5000"), "-k"),
+]
+
+
+@pytest.mark.parametrize("args, flag", HUGE_NUMBER_CASES,
+                         ids=[" ".join(a[:16] for a in args) for args, _ in HUGE_NUMBER_CASES])
+def test_a_number_of_more_than_4300_digits_is_bad_input_at_once(args, flag):
+    # Fraction("1e1000000000") would compute 10**1000000000 first
+    proc = subprocess.run(RUN + list(args), capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (4, "", f"bad input: {flag} has more than 4300 digits\n")
+
+
+def test_a_number_of_4300_digits_is_read():
+    code, out, _ = run_main(["reduce", "dmfe-via-mfe", "ACGU", "-k", "9" * 4300])
+    assert (code, json.loads(out)["answer"]) == (0, True)
+
+
 LEVELS_UNREAD_CASES = [
     (("ACGT", "--model", "bpm", "--dp"), "--dp"),
     (("ACGT", "--model", "bps", "--symmetry"), "--symmetry"),
@@ -641,6 +664,44 @@ def test_nn_levels_hold_every_level_solve_finds(strands):
         assert code == 0 and set(solved) <= set(json.loads(out)["levels"]), flags
 
 
+EIGHT_STRANDS = "GCA,UGC,GCA,UGC,GCA,UGC,GCA,UGC"  # 7! = 5040 orderings, 35 distinct
+
+
+def test_nn_levels_run_one_dp_per_tuple_of_sequences(monkeypatch):
+    from exfold import levels
+    orderings = []
+
+    def counted(system, ordering, params):
+        orderings.append(ordering)
+        return levels_nn_dp(system, ordering, params)
+
+    monkeypatch.setattr(levels, "levels_nn_dp", counted)
+    code, out, _ = run_main(["levels", EIGHT_STRANDS, "--model", "nn", "--dp", "--symmetry",
+                             "--params", toy_params_file("toy_nn_a")])
+    assert code == 0 and len(orderings) == len(set(orderings)) == 35
+    assert out == json.dumps({"delta": "1/1", "levels": [str(v) for v in range(2, 42)]},
+                             sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("strands", ["GC,GC,GC", "GCA,UGC,GCA,UGC", "GGC,GCC,GGC,GCC",
+                                     "AU,GC,AU,GC,GC", "G,C,G,C"])
+@pytest.mark.parametrize("flags", [("--dp", "--symmetry"), ("--dp",), ("--symmetry",)],
+                         ids=" ".join)
+def test_nn_levels_are_the_union_over_every_ordering(strands, flags):
+    params = load_nn_params(toy_params_file("toy_nn_a"))
+    system = StrandSystem.from_sequences(*strands.split(","))
+    union = set()
+    for ordering in system.circular_orderings():
+        lv = levels_nn_dp(system, ordering, params) if "--dp" in flags \
+            else levels_nn_grid(system, params)
+        if "--symmetry" in flags:
+            lv = augment_symmetry(lv, system, ordering, params)
+        union |= set(lv.levels)
+    code, out, _ = run_main(["levels", strands, "--model", "nn", *flags,
+                             "--params", toy_params_file("toy_nn_a")])
+    assert code == 0 and json.loads(out)["levels"] == [str(v) for v in sorted(union)]
+
+
 def test_enumerate_past_the_ordering_budget_exits_3():
     # 10! orderings: without the budget, hours of flattenings
     proc = subprocess.run(RUN + ["enumerate", ",".join("A" * 11)], capture_output=True,
@@ -671,7 +732,7 @@ def test_levels_needs_its_input(args, message):
 
 HUGE = "9" * 5000
 BAD_NUMBERS = ["nan", "inf", "-inf", "1/0", "x", "", "1e3", "1" + "0" * 30, HUGE, "1/" + HUGE,
-               "-" + HUGE, "-3/2"]
+               "-" + HUGE, "-3/2", "1e1000000000"]
 FLAG_VALUES = {
     "--budget": (["64", "64", "16", "4"], ["-1"] + BAD_NUMBERS),
     "--min-hairpin": (["0", "1", "3"], ["-1"] + BAD_NUMBERS),

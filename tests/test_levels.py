@@ -340,10 +340,12 @@ def brute_counts(system, ordering, params) -> dict:
 
 
 def reference_counts(system, ordering, params) -> dict:
-    """``nn_level_counts`` with every interior term scored by
-    ``interior_like_energy`` and folded into its cell one at a time: the
-    same packed recursion, cells and scan order, without the per-call
-    tables, so the count maps and the first missing entry must agree."""
+    """``nn_level_counts``'s recursion written with ``add``, ``mul`` and
+    ``shift`` on packed cells, a table s1 of one-pair multiloop contents,
+    every interior term scored by ``interior_like_energy`` and folded into
+    its cell one at a time, and every x in [i, j-1] tested for a nick: the
+    same interior scan order without the per-call tables, so the count maps
+    and the first missing entry must agree."""
     flat = flattening(system, ordering)
     n = system.n
     width = (3 ** n).bit_length() + 1
@@ -488,6 +490,24 @@ class TestCountDP:
                 == reference_levels(system, ordering, params), (system, ordering)
             assert nn_level_counts(system, ordering, params) \
                 == reference_counts(system, ordering, params), (system, ordering)
+
+    @pytest.mark.parametrize("lens", [(1, 1), (1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 1, 1),
+                                      (1, 3, 1, 2), (2, 1, 1, 3), (3, 1, 3, 1), (2, 2, 2, 2)],
+                             ids=lambda lens: "-".join(map(str, lens)))
+    def test_nicks_at_both_ends_of_a_cell(self, lens):
+        """One-base strands and three or four strands put a nick right after
+        i and right before j of many cells (i, j), so every case of the
+        exterior loop across a nick is read: both ends nicked, one of them,
+        and the pair (i, i+1) across its own nick."""
+        rng = random.Random(len(lens) * 100 + sum(lens))
+        params = PARAMS + (tiny_params(),)
+        for case in range(6):
+            system = sys_of(*("".join(rng.choice("GCGCAU") for _ in range(k)) for k in lens))
+            for ordering in system.circular_orderings():
+                p = params[case % 3]
+                counts = nn_level_counts(system, ordering, p)
+                assert counts == reference_counts(system, ordering, p), (system, ordering)
+                assert counts == brute_counts(system, ordering, p), (system, ordering)
 
 
 class TestMissingTableEntries:

@@ -418,6 +418,32 @@ class TestEnumeratedStructure:
                 got, want = (outcome(lambda x=x: energy(model, system, x)) for x in (st, rebuilt))
                 assert got == want
 
+    def test_an_equal_system_takes_the_carried_paths(self, monkeypatch):
+        # ``flattening`` caches by equality, so an equal system built afresh
+        # shares the enumeration's flattening and its structures' carried pairs
+        from exfold import strands
+        from exfold.energy import load_nn_params, nn_model, toy_params_file
+        from exfold.oracles import dos_brute
+        seqs = ("GGGAAACCC", "GGGUUUCCC")
+        first = sys_of(*seqs)
+        structures = list(enumerate_structures(first, StructureSpace()))
+        flats = [st.sorted_flat(first) for st in structures]
+        stacks = [st.stacks(first) for st in structures]
+        params = load_nn_params(toy_params_file("toy_nn_a"))
+        space, model = nn_space(params.min_hairpin), nn_model(params)
+        dos = dos_brute(first, space, model)
+        fresh = sys_of(*seqs)
+        assert flattening(fresh).system is not fresh
+
+        def refuse(*args):
+            raise AssertionError("the slow path ran")
+
+        monkeypatch.setattr(strands, "validate_structure", refuse)
+        assert dos_brute(fresh, space, model) == dos
+        monkeypatch.setattr(strands, "flattening", refuse)
+        assert [st.sorted_flat(fresh) for st in structures] == flats
+        assert [st.stacks(fresh) for st in structures] == stacks
+
 
 class TestEnumerationReference:
     """The explicit-stack search yields the reference's structures in the
