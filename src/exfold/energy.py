@@ -2,9 +2,9 @@
 symmetry, and NN parameter files.
 
 The face walk and the rotational symmetry are computed on sorted flat pairs
-under one ``Flattening``.  The NN entry points take them from
-``strands.place``, which checks the structure first; BPM and BPS ``energy``
-never check it, and BPS counts ``SecondaryStructure.stacks``.
+under one ``Flattening``, for NN from ``strands.place``, which checks the
+structure; BPM and BPS ``energy`` never check it.  ``Loop`` and
+``NNEnergyDetail`` records are built only at the API edge.
 
 Energies are integers counting quanta of a global granularity ``delta``
 (a positive rational): BPM and BPS use delta = 1, NN parameter sets declare
@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from .strands import (
@@ -172,53 +171,47 @@ class Loop:
 
 def decompose_loops(system: StrandSystem, ordering: Sequence[int],
                     structure: SecondaryStructure) -> list[Loop]:
-    """Face decomposition of the polymer graph under ``ordering``.
+    """Face decomposition of the polymer graph under ``ordering``: a ``Loop``
+    for each face of ``_faces``, the walk ``energy`` reads without them.
 
     The root face always exists (it contains the wrap-around gap of the
     circular layout) and is an exterior loop; every pair owns exactly one
     further face.  Requires a valid, crossing-free, connected input.
     """
-    return _faces(*place(system, structure, ordering))
+    flat, pairs = place(system, structure, ordering)
+    loops = [Loop(_kind(closing, kids, nicks), closing, tuple(kids), free, nicks)
+             for closing, kids, free, nicks in _faces(flat, pairs)]
+    assert sum(loop.free_bases for loop in loops) == len(flat.sequence) - 2 * len(pairs)
+    return loops
 
 
-def _faces(flat: Flattening, pairs: list[tuple[int, int]]) -> list[Loop]:
-    """Faces of crossing-free sorted flat pairs: the root, then one per pair."""
-    children: dict[Optional[tuple[int, int]], list[tuple[int, int]]] = {None: []}
-    open_pairs: list[tuple[int, int]] = []
-    for pair in pairs:  # sorted; nesting resolved with a sweep
-        while open_pairs and open_pairs[-1][1] < pair[0]:
-            open_pairs.pop()
-        children[open_pairs[-1] if open_pairs else None].append(pair)
-        children[pair] = []
-        open_pairs.append(pair)
-    n = len(flat.sequence)
-    before = flat.nicks_before  # so nick_count(lo, hi - 1) is before[hi] - before[lo]
-
-    def face(closing: Optional[tuple[int, int]]) -> Loop:
-        kids = tuple(children[closing])
-        lo, hi = closing or (0, n + 1)
-        free = hi - lo - 1 - sum(e - d + 1 for d, e in kids)
-        # nicks bordering the face: inside the closing span, outside every child's
-        nicks = before[hi] - before[lo] - sum(before[e] - before[d] for d, e in kids)
-        if closing is None:
-            return Loop("exterior", None, kids, free, nicks + 1)  # +1: wrap gap
-        if nicks:
-            return Loop("exterior", closing, kids, free, nicks)
-        if not kids:
-            return Loop("hairpin", closing, kids, free, 0)
-        if len(kids) == 1:
-            (d, e), (i, j) = kids[0], closing
-            l1, l2 = d - i - 1, j - e - 1
-            if l1 == 0 and l2 == 0:
-                return Loop("stack", closing, kids, 0, 0)
-            if l1 == 0 or l2 == 0:
-                return Loop("bulge", closing, kids, l1 + l2, 0)
-            return Loop("interior", closing, kids, l1 + l2, 0)
-        return Loop("multiloop", closing, kids, free, 0)
-
-    faces = [face(None)] + [face(pair) for pair in pairs]
-    assert sum(f.free_bases for f in faces) == n - 2 * len(pairs)
+def _faces(flat: Flattening, pairs: Sequence[tuple[int, int]]) -> list[list]:
+    """The face walk of crossing-free sorted flat pairs: ``[closing pair,
+    children, free bases, nicks bordering it]`` for the root (closing None),
+    then for each pair in sorted order.  One sweep nests each pair in the
+    innermost open one and takes its span, and the nicks inside it, off
+    that face's.  The root's nicks count the wrap-around gap, so a face is
+    an exterior loop exactly when it has a nick."""
+    n, before = len(flat.sequence), flat.nicks_before  # nicks in [lo, hi-1]: before[hi] - before[lo]
+    faces = [[None, [], n, before[n + 1] + 1]]  # +1: the wrap gap
+    stack = [(n + 1, faces[0])]  # (end, face) of the root and the open pairs
+    for d, e in pairs:
+        while stack[-1][0] < d:
+            stack.pop()
+        parent, face = stack[-1][1], [(d, e), [], e - d - 1, before[e] - before[d]]
+        parent[1].append(face[0])
+        parent[2] -= e - d + 1
+        parent[3] -= face[3]
+        faces.append(face)
+        stack.append((e, face))
     return faces
+
+
+def _kind(closing: Optional[tuple[int, int]], kids: list, nicks: int) -> str:
+    if nicks or len(kids) != 1:
+        return "exterior" if nicks else "multiloop" if kids else "hairpin"
+    (d, e), (i, j) = kids[0], closing
+    return ("interior", "bulge", "stack")[(d == i + 1) + (e == j - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +221,7 @@ def _faces(flat: Flattening, pairs: list[tuple[int, int]]) -> list[Loop]:
 def max_symmetry_order(system: StrandSystem, ordering: Sequence[int]) -> int:
     """v(pi): the largest order of a rotation of the circular ordering that
     maps every strand onto one with an identical sequence."""
-    seqs = [system.strand_by_id(t).sequence for t in ordering]
-    c = len(seqs)
-    best = 1
-    for shift in range(1, c):
-        if all(seqs[i] == seqs[(i + shift) % c] for i in range(c)):
-            best = max(best, c // gcd(c, shift))
-    return best
+    return flattening(system, ordering).symmetry_order
 
 
 def rotational_symmetry(system: StrandSystem, ordering: Sequence[int],
@@ -244,23 +231,20 @@ def rotational_symmetry(system: StrandSystem, ordering: Sequence[int],
     return _symmetry(flat, flat.from_identity(checked_flat(system, structure)))
 
 
-def _symmetry(flat: Flattening, pairs: list[tuple[int, int]]) -> int:
+def _symmetry(flat: Flattening, pairs: Sequence[tuple[int, int]]) -> int:
     """Rotating by c/R strand slots, for R dividing v(pi), maps strands onto
     strands with equal sequences, so it shifts every flat position by n/R
     (mod n)."""
-    n = len(flat.sequence)
-    v = max_symmetry_order(flat.system, flat.ordering)
-    have = set(pairs)
-    best = 1
-    for r in range(2, v + 1):
-        if v % r:
-            continue
+    v = flat.symmetry_order
+    if v == 1:
+        return 1
+    n, have = len(flat.sequence), set(pairs)
+    for r in range(v, 1, -1):  # the largest R first
         k = n // r
-        rotated = {tuple(sorted(((i + k - 1) % n + 1, (j + k - 1) % n + 1)))
-                   for i, j in pairs}
-        if rotated == have:
-            best = r
-    return best
+        if v % r == 0 and have == {tuple(sorted(((i + k - 1) % n + 1, (j + k - 1) % n + 1)))
+                                   for i, j in pairs}:
+            return r
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -301,35 +285,45 @@ def interior_like_energy(flat: Flattening, i: int, d: int, e: int, j: int,
 
 
 def loop_energy(loop: Loop, flat: Flattening, params: NNParams) -> int:
-    if loop.kind == "exterior":
+    if loop.kind not in ("exterior", "hairpin", "stack", "bulge", "interior", "multiloop"):
+        raise InvalidInput(f"unknown loop kind {loop.kind}")
+    return _face_energy(flat, loop.closing, loop.children, loop.free_bases,
+                        loop.kind == "exterior", params)
+
+
+def _face_energy(flat: Flattening, closing: Optional[tuple[int, int]], kids: Sequence,
+                 free: int, nicks: int, params: NNParams) -> int:
+    """Energy of a face of ``_faces``: 0 for an exterior loop (one with a
+    nick), else a hairpin, a loop with one inner pair
+    (``interior_like_energy``) or a multiloop."""
+    if nicks:
         return 0
-    i, j = loop.closing
-    if loop.kind == "hairpin":
-        m = j - i - 1
-        if m < params.min_hairpin:
-            raise InvalidInput(f"hairpin of size {m} is geometrically prohibited")
-        return params.size_entry("hairpin", m)
-    if loop.kind in ("stack", "bulge", "interior"):
-        d, e = loop.children[0]
+    i, j = closing
+    if not kids:
+        if free < params.min_hairpin:
+            raise InvalidInput(f"hairpin of size {free} is geometrically prohibited")
+        return params.size_entry("hairpin", free)
+    if len(kids) == 1:
+        d, e = kids[0]
         return interior_like_energy(flat, i, d, e, j, params)
-    if loop.kind == "multiloop":
-        b = len(loop.children) + 1
-        return params.multi_init + b * params.multi_bp + loop.free_bases * params.multi_nt
-    raise InvalidInput(f"unknown loop kind {loop.kind}")
+    return params.multi_init + (len(kids) + 1) * params.multi_bp + free * params.multi_nt
 
 
 def energy_nn_detail(system: StrandSystem, ordering: Sequence[int],
                      structure: SecondaryStructure, params: NNParams) -> NNEnergyDetail:
-    return _nn_detail(*place(system, structure, ordering), params)
+    terms = _nn_terms(*place(system, structure, ordering), params)
+    return NNEnergyDetail(*terms, terms[2] > 1)
 
 
-def _nn_detail(flat: Flattening, pairs: list[tuple[int, int]],
-               params: NNParams) -> NNEnergyDetail:
-    loop_sum = sum(loop_energy(loop, flat, params) for loop in _faces(flat, pairs))
-    assoc = (len(flat.ordering) - 1) * params.assoc
+def _nn_terms(flat: Flattening, pairs: Sequence[tuple[int, int]],
+              params: NNParams) -> tuple[int, int, int, int]:
+    """Loop quanta, association quanta, symmetry order R and symmetry quanta
+    of placed pairs.  The loops are scored in face order, before the
+    symmetry term, so a missing entry or a short hairpin raises first."""
+    loops = sum(_face_energy(flat, *face, params) for face in _faces(flat, pairs))
     r = _symmetry(flat, pairs)
     sym = round_log_multiple(params.kbt, r, params.delta) if r > 1 else 0  # ln 1 = 0
-    return NNEnergyDetail(loop_sum, assoc, r, sym, r > 1)
+    return loops, (len(flat.ordering) - 1) * params.assoc, r, sym
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +358,16 @@ def energy(model: EnergyModel, system: StrandSystem,
            structure: SecondaryStructure,
            ordering: Optional[Sequence[int]] = None) -> int:
     """Energy in quanta of ``model.delta``: minus the pair count (BPM), minus
-    the stack count (BPS), or the NN energy.  NN needs a crossing-free
-    ordering; without one the first circular ordering that has no crossing
-    is used."""
+    the stack count (BPS), or the NN energy, summed over the faces of
+    ``_faces`` without a ``Loop`` or an ``NNEnergyDetail``.  NN needs a
+    crossing-free ordering; without one the first circular ordering that
+    has no crossing is used."""
     if model.kind == "bpm":
         return -len(structure)
     if model.kind == "bps":
         return -structure.stacks(system)
-    return _nn_detail(*place(system, structure, ordering), model.params).total
+    loops, assoc, _, sym = _nn_terms(*place(system, structure, ordering), model.params)
+    return loops + assoc + sym
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,11 @@ class Flattening:
             raise InvalidInput(f"ordering {ordering} does not permute strand ids {system.ids}")
         self.system = system
         self.ordering = ordering
-        self.sequence = "".join(system.strand_by_id(t).sequence for t in ordering)
-        lengths = [len(system.strand_by_id(t)) for t in ordering]
+        seqs = [system.strand_by_id(t).sequence for t in ordering]
+        self.sequence, lengths = "".join(seqs), [len(seq) for seq in seqs]
+        # v(pi): the order of the cyclic group of the strand rotations that map
+        # every strand onto one with an identical sequence
+        self.symmetry_order = sum(seqs[s:] + seqs[:s] == seqs for s in range(len(seqs)))
         self._ref_of = [BaseRef(t, i) for t, m in zip(ordering, lengths) for i in range(1, m + 1)]
         self._flat_of = {ref: pos for pos, ref in enumerate(self._ref_of, 1)}
         # a nick after each strand but the last, between p and p + 1
@@ -297,15 +300,16 @@ class SecondaryStructure:
 
     def stacks(self, system: StrandSystem) -> int:
         """Pairs (i,j) stacked on a pair (i+1,j-1) with no nick between: the
-        same count under every ordering, since strands stay contiguous."""
+        same count under every ordering, since strands stay contiguous.  In
+        sorted order (i+1,j-1) directly follows (i,j) when each base pairs
+        once: no other pair starts at i or i+1."""
         carried = self._carried
         if carried is not None and carried[1].is_for(system):
             nicks, pairs = carried[1].flat.nicks, carried[0]
         else:
             nicks, pairs = flattening(system).nicks, self.sorted_flat(system)
-        have = set(pairs)
-        return sum(1 for i, j in pairs
-                   if (i + 1, j - 1) in have and i not in nicks and j - 1 not in nicks)
+        return sum(1 for (i, j), (d, e) in itertools.pairwise(pairs)
+                   if d == i + 1 and e == j - 1 and i not in nicks and e not in nicks)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -7,8 +7,11 @@ systems go beyond the acceptance range: up to four strands, repeated
 strands, both toy parameter sets and random strand orderings.
 """
 
+import importlib
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +22,7 @@ from exfold.strands import (
     SecondaryStructure,
     StrandSystem,
     StructureSpace,
+    candidate_pairs,
     enumerate_structures,
     flattening,
     is_connected,
@@ -29,9 +33,12 @@ from exfold.strands import (
 from exfold.energy import (
     BPM,
     BPS,
+    Loop,
+    NNEnergyDetail,
     decompose_loops,
     energy,
     energy_nn_detail,
+    interior_like_energy,
     loop_energy,
     max_symmetry_order,
     nn_model,
@@ -40,6 +47,7 @@ from exfold.energy import (
     toy_params_a,
     toy_params_b,
 )
+from exfold.oracles import dos_brute
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                              database=None)
@@ -84,11 +92,20 @@ def ref_face(flat, loop):
     return free, nicks + (loop.closing is None)
 
 
+def ref_symmetry_order(system, ordering):
+    """v(pi) as the largest order c / gcd(c, k) of a rotation by k strand
+    slots that maps every strand onto one with an identical sequence."""
+    seqs = [system.strand_by_id(t).sequence for t in ordering]
+    c = len(seqs)
+    return max((c // gcd(c, k) for k in range(1, c)
+                if all(seqs[i] == seqs[(i + k) % c] for i in range(c))), default=1)
+
+
 def ref_symmetry(system, ordering, structure):
     """Map each strand slot onto the slot c/R further on, base by base."""
     ordering = tuple(ordering)
     c = len(ordering)
-    v = max_symmetry_order(system, ordering)
+    v = ref_symmetry_order(system, ordering)
     under = flattening(system, ordering)
     pairs = {tuple(sorted((under.flat(a), under.flat(b)))) for a, b in structure.pairs}
     starts, pos = {}, 1
@@ -243,6 +260,164 @@ class TestCarriedFlatForm:
             assert got == outcome(model, s, SecondaryStructure(structure.pairs), None)
             seen.add(got[1] if isinstance(got, tuple) else "ok")
         assert any(error in message for message in seen) and "ok" in seen
+
+
+# ---------------------------------------------------------------------------
+# scoring without per-structure records
+
+
+def attempt(compute):
+    try:
+        return compute()
+    except InvalidInput as exc:
+        return type(exc), str(exc)
+
+
+def ref_nn_terms(system, ordering, structure, params):
+    """(loop, association and symmetry quanta, symmetry order) of the NN
+    energy, face by face: each pair's face is found by walking its span
+    through a partner map and its nicks by scanning every nick; the loops
+    are scored in sorted order of their closing pairs."""
+    under = flattening(system, ordering)
+    partner = {}
+    for a, b in structure.pairs:
+        i, j = sorted((under.flat(a), under.flat(b)))
+        partner[i], partner[j] = j, i
+    loops = 0
+    for i in sorted(p for p, q in partner.items() if p < q):
+        j, p, kids, free = partner[i], i + 1, [], 0
+        while p < j:
+            if p in partner:
+                kids.append((p, partner[p]))
+                p = partner[p]
+            else:
+                free += 1
+            p += 1
+        if any(i <= q < j and not any(d <= q < e for d, e in kids) for q in under.nicks):
+            continue  # an exterior loop
+        if not kids:
+            if free < params.min_hairpin:
+                raise InvalidInput(f"hairpin of size {free} is geometrically prohibited")
+            loops += params.size_entry("hairpin", free)
+        elif len(kids) == 1:
+            loops += interior_like_energy(under, i, *kids[0], j, params)
+        else:
+            loops += params.multi_init + (len(kids) + 1) * params.multi_bp + free * params.multi_nt
+    r = ref_symmetry(system, ordering, structure)
+    sym = round_log_multiple(params.kbt, r, params.delta) if r > 1 else 0
+    return loops, (system.c - 1) * params.assoc, sym, r
+
+
+# stack, hairpin, bulge and mismatch entries missing, so that loops of each
+# kind raise, and the first to raise decides the error
+SPARSE = replace(PARAMS["a"], hairpin={5: 2}, bulge={},
+                 stack={k: v for k, v in PARAMS["a"].stack.items() if k[0] != "A"},
+                 mismatch={k: v for k, v in PARAMS["a"].mismatch.items() if k[1] != "U"})
+NN_PARAMS = dict(PARAMS, sparse=SPARSE)
+
+
+def check_nn_against_reference(s, ordering, structure, params):
+    """``energy`` and ``energy_nn_detail`` against ``ref_nn_terms``: the same
+    terms, or the same first error; the symmetry order, or None on error."""
+    want = attempt(lambda: ref_nn_terms(s, ordering, structure, params))
+    got = attempt(lambda: energy(nn_model(params), s, structure, ordering))
+    detail = attempt(lambda: energy_nn_detail(s, ordering, structure, params))
+    if isinstance(want[0], type):
+        assert got == detail == want
+        return None
+    loops, assoc, sym, r = want
+    assert got == loops + assoc + sym
+    assert detail == NNEnergyDetail(loops, assoc, r, sym, r > 1)
+    return r
+
+
+@st.composite
+def nicked_systems(draw, max_n=14):
+    """Two to four strands cut from one sequence of up to ``max_n`` bases."""
+    seq = draw(st.text(alphabet="GCAU", min_size=2, max_size=max_n))
+    cuts = draw(st.sets(st.integers(1, len(seq) - 1), min_size=1, max_size=3))
+    ends = [0, *sorted(cuts), len(seq)]
+    return StrandSystem.from_sequences(*(seq[a:b] for a, b in zip(ends, ends[1:])))
+
+
+class TestRecordFreeScoring:
+    """``energy`` scores an enumerated structure from its flat pairs alone:
+    the NN face walk builds no ``Loop`` and no ``NNEnergyDetail``, and the
+    BPS stack count builds no set."""
+
+    def test_dos_brute_builds_no_records(self, monkeypatch):
+        s = StrandSystem.from_sequences("GGACA", "UGUCC")
+        model = nn_model(toy_params_a(s.n))
+        want = {kind: dos_brute(s, space, m).counts for kind, space, m in
+                (("nn", nn_space(), model), ("bps", StructureSpace(), BPS))}
+        structure = max(enumerate_structures(s, nn_space()), key=len)
+        assert all(isinstance(loop, Loop) for loop in decompose_loops(s, s.ids, structure))
+        assert isinstance(energy_nn_detail(s, s.ids, structure, model.params), NNEnergyDetail)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-structure record was built")
+        module = importlib.import_module("exfold.energy")
+        monkeypatch.setattr(module, "Loop", refuse)
+        monkeypatch.setattr(module, "NNEnergyDetail", refuse)
+        assert dos_brute(s, nn_space(), model).counts == want["nn"]
+        assert dos_brute(s, StructureSpace(), BPS).counts == want["bps"]
+        with pytest.raises(AssertionError, match="record"):
+            decompose_loops(s, s.ids, structure)
+        with pytest.raises(AssertionError, match="record"):
+            energy_nn_detail(s, s.ids, structure, model.params)
+
+    @PROPERTY_SETTINGS
+    @given(systems(), st.randoms(use_true_random=False), st.sampled_from(sorted(NN_PARAMS)),
+           st.integers(0, 3), st.integers(0, 3))
+    def test_nn_energy_equals_a_per_face_reference(self, s, rng, name, min_hairpin, enumerated):
+        params = replace(NN_PARAMS[name], min_hairpin=min_hairpin)
+        ordering = tuple(rng.sample(s.ids, s.c))
+        space = StructureSpace(allow_pseudoknots=False, require_connected=True,
+                               min_hairpin=enumerated)
+        for structure in enumerate_structures(s, space, fixed_ordering=ordering):
+            check_nn_against_reference(s, ordering, structure, params)
+            check_nn_against_reference(s, ordering, SecondaryStructure(structure.pairs), params)
+
+    @pytest.mark.parametrize("strands, top", [
+        (("GC", "GC"), 2), (("GGCC", "GGCC"), 2), (("AU", "AU", "AU"), 3),
+        (("GC", "GC", "GC", "GC"), 4), (("GAC", "GUC", "GAC", "GUC"), 2), (("CG", "CG", "GC"), 1),
+    ])
+    def test_repeated_strands_reach_their_symmetry_order(self, strands, top):
+        s = StrandSystem.from_sequences(*strands)
+        orders = set()
+        for ordering in s.circular_orderings():
+            assert max_symmetry_order(s, ordering) == ref_symmetry_order(s, ordering)
+            for name, params in NN_PARAMS.items():
+                for min_hairpin in range(4):
+                    space = StructureSpace(allow_pseudoknots=False, require_connected=True)
+                    for structure in enumerate_structures(s, space, fixed_ordering=ordering):
+                        orders.add(check_nn_against_reference(
+                            s, ordering, structure, replace(params, min_hairpin=min_hairpin)))
+        assert max(orders - {None}) == top
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(nicked_systems())
+    def test_bps_stack_count_equals_a_set_based_count(self, s):
+        space = StructureSpace(allow_pseudoknots=True)
+        assume(len(candidate_pairs(s, space)) <= 24)
+        nicks = flattening(s).nicks
+        fresh = StrandSystem.from_sequences(*(strand.sequence for strand in s.strands))
+        for structure in enumerate_structures(s, space):
+            pairs = structure.sorted_flat(s)
+            have = set(pairs)
+            want = sum(1 for i, j in pairs if (i + 1, j - 1) in have
+                       and i not in nicks and j - 1 not in nicks)
+            assert structure.stacks(s) == structure.stacks(fresh) == want
+            assert SecondaryStructure(structure.pairs).stacks(s) == want
+
+    def test_no_stack_across_a_nick(self):
+        # (1, 6) stacks on (2, 5), and (2, 5) on (3, 4); a nick after 1 or 5
+        # breaks the outer stack, after 2 or 4 the inner one, after 3 neither
+        for cut, want in ((1, 1), (2, 1), (3, 2), (4, 1), (5, 1)):
+            s = StrandSystem.from_sequences("GGGCCC"[:cut], "GGGCCC"[cut:])
+            structure = next(st for st in enumerate_structures(s, StructureSpace())
+                             if st.sorted_flat(s) == [(1, 6), (2, 5), (3, 4)])
+            assert structure.stacks(s) == SecondaryStructure(structure.pairs).stacks(s) == want
 
 
 # ---------------------------------------------------------------------------
