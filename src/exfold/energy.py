@@ -2,8 +2,8 @@
 symmetry, and NN parameter files.
 
 The face walk and the rotational symmetry are computed on sorted flat pairs
-under one ``Flattening``, for NN from ``strands.place``, which checks the
-structure; BPM and BPS ``energy`` never check it.  ``Loop`` and
+under one ``Flattening``, for NN from ``strands.place``; every model checks
+a structure its enumeration did not (``checked_flat``).  ``Loop`` and
 ``NNEnergyDetail`` records are built only at the API edge.
 
 Energies are integers counting quanta of a global granularity ``delta``
@@ -15,7 +15,6 @@ is exact.  Magnification is applied by the oracles, not by a model.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
@@ -113,17 +112,20 @@ class NNParams:
             total[k] = offset + round_log_multiple(coef, k, self.delta)
         return total[m]
 
+    def loop_sizes(self, name: str, n: int) -> range:
+        """The sizes of the loops of table ``name``'s kind on n bases: from the
+        smallest legal one up to max(n, 3) for hairpins, max(n, 1) for bulges,
+        max(n, 2) for interior sizes and max(n - 2, 0) for asymmetries."""
+        first, floor, less = {"hairpin": (self.min_hairpin, 3, 0), "bulge": (1, 1, 0),
+                              "interior_size": (2, 2, 0), "interior_asym": (0, 0, 2)}[name]
+        return range(first, max(n - less, floor) + 1)
+
     def size_table(self, name: str, n: int) -> dict:
         """The size table ``name`` continued up to the largest loop of its
-        kind on n bases, taken as max(n, 3) for hairpins, max(n, 1) for
-        bulges, max(n, 2) for interior sizes and max(n - 2, 0) for
-        asymmetries; empty when the table is."""
-        limit = {"hairpin": max(n, 3), "bulge": max(n, 1), "interior_size": max(n, 2),
-                 "interior_asym": max(n - 2, 0)}[name]
-        table, total = getattr(self, name), self._sizes[name]
-        if limit > max(table, default=limit):
-            self.size_entry(name, limit)  # memoises every size up to limit
-        return {m: v for m, v in total.items() if m in table or m <= limit}
+        kind on n bases (``loop_sizes``); empty when the table is."""
+        table = getattr(self, name)
+        above = range(max(table) + 1, self.loop_sizes(name, n).stop) if table else ()
+        return {**table, **{m: self.size_entry(name, m) for m in above}}
 
 
 def round_log_multiple(coef: Fraction, arg: int, delta: Fraction) -> int:
@@ -361,9 +363,12 @@ def energy(model: EnergyModel, system: StrandSystem,
     the stack count (BPS), or the NN energy, summed over the faces of
     ``_faces`` without a ``Loop`` or an ``NNEnergyDetail``.  NN needs a
     crossing-free ordering; without one the first circular ordering that
-    has no crossing is used."""
+    has no crossing is used.  A structure is checked unless its enumeration
+    checked it in ``system`` (``_Origin.checked_in``)."""
     if model.kind == "bpm":
-        return -len(structure)
+        carried = structure._carried
+        return -len(carried[0] if carried is not None and carried[1].checked_in(system)
+                    else checked_flat(system, structure))
     if model.kind == "bps":
         return -structure.stacks(system)
     loops, assoc, _, sym = _nn_terms(*place(system, structure, ordering), model.params)
@@ -479,48 +484,26 @@ def toy_params_file(name: str) -> str:
     return str(files("exfold").joinpath(f"data/{name}.txt"))
 
 
-def _full_base_table(value_of) -> dict:
-    """Table entry for every 4-base key."""
-    return {key: value_of(*key) for key in itertools.product(VALID_BASES, repeat=4)}
+_load_shipped = functools.lru_cache(maxsize=None)(load_nn_params)
+
+
+def _toy_params(name: str, n: int) -> NNParams:
+    """The shipped set ``name``, parsed once per process, with copies of its
+    tables, the size tables cut or continued to the loops of max(n, 4)
+    bases: a cut lower would move the top they continue from."""
+    params = _load_shipped(toy_params_file(name))
+    return replace(params, stack=dict(params.stack), mismatch=dict(params.mismatch), **{
+        table: {m: params.size_entry(table, m) for m in params.loop_sizes(table, max(n, 4))}
+        for table in SIZE_TABLES})
 
 
 def toy_params_a(n: int = 16) -> NNParams:
-    """Stabilizing stacks, mildly costly loops; delta = 1.  The size tables
-    are explicit up to the loops of n bases (``NNParams.size_table``)."""
-    params = NNParams(
-        delta=Fraction(1),
-        kbt=Fraction(3, 2),
-        assoc=2,
-        multi_init=3,
-        multi_bp=1,
-        multi_nt=1,
-        stack=_full_base_table(
-            lambda a, b, c, d: -3 if {a, d} == {"G", "C"} and {b, c} == {"G", "C"} else -2),
-        hairpin={3: 3, 4: 2, 5: 2},
-        bulge={1: 3, 2: 3, 3: 4},
-        interior_size={2: 2, 3: 2, 4: 3},
-        interior_asym={0: 0, 1: 1},
-        mismatch=_full_base_table(lambda a, b, c, d: 1 if a == "G" else 0),
-    )
-    return replace(params, **{name: params.size_table(name, n) for name in SIZE_TABLES})
+    """``toy_nn_a.txt``: stabilizing stacks, mildly costly loops; delta = 1.
+    Its size tables are explicit up to the loops of max(n, 4) bases."""
+    return _toy_params("toy_nn_a", n)
 
 
 def toy_params_b(n: int = 16) -> NNParams:
-    """Finer quantum (delta = 1/2) with positive hairpin shelf and zero
+    """``toy_nn_b.txt``: delta = 1/2, a positive hairpin shelf and zero
     mismatch terms.  ``n`` as for ``toy_params_a``."""
-    params = NNParams(
-        delta=Fraction(1, 2),
-        kbt=Fraction(4, 5),
-        assoc=3,
-        multi_init=5,
-        multi_bp=2,
-        multi_nt=1,
-        stack=_full_base_table(
-            lambda a, b, c, d: -5 if (a, d) in (("G", "C"), ("C", "G")) else -4),
-        hairpin={3: 4, 4: 3},
-        bulge={1: 4, 2: 5},
-        interior_size={2: 3, 3: 4},
-        interior_asym={0: 0, 1: 1, 2: 2},
-        mismatch=_full_base_table(lambda a, b, c, d: 0),
-    )
-    return replace(params, **{name: params.size_table(name, n) for name in SIZE_TABLES})
+    return _toy_params("toy_nn_b", n)

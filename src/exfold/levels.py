@@ -23,6 +23,7 @@ most.  The loops do this algebra in line, with no call per term.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,9 +126,20 @@ def levels_nn_grid(system: StrandSystem, params: NNParams) -> LevelSet:
     pair), at most n multiloop-bordering pairs and n multiloop free bases in
     total, the association term exactly (c-1) times, and a symmetry term in
     [0, max divisor term].  Summing worst cases in each direction gives a
-    superset of the occupied levels, O(n / delta) wide.
-    """
+    superset of the occupied levels, O(n / delta) wide.  It first reads each
+    entry a loop on n bases can read (the sizes of ``loop_sizes``, mismatches
+    opening with a complementary pair, stacks of two), so as to refuse an
+    incomplete set."""
     n, c = system.n, system.c
+    letters = sorted({b for strand in system.strands for b in strand.sequence})
+    pairs = [(a, b) for a in letters for b in letters if complementary(a, b)]
+    for name in SIZE_TABLES:
+        for m in params.loop_sizes(name, n):
+            params.size_entry(name, m)
+    for (a, b), x, y in itertools.product(pairs, letters, letters):
+        params.table_entry(params.mismatch, (a, b, x, y), "mismatch")
+        if (x, y) in pairs:
+            params.table_entry(params.stack, (a, x, y, b), "stack")
     lo_pool, hi_pool = _pool(params, n)
     assoc = (c - 1) * params.assoc
     low = ((n // 2) * min(0, lo_pool)

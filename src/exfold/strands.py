@@ -242,10 +242,12 @@ class _Origin(NamedTuple):
     flat: Flattening  # the system's identity flattening
     circular: bool  # witnesses are circular orderings, not a fixed_ordering
     connected: bool  # every structure yielded is connected
+    complementary: bool  # every pair is complementary
 
-    def is_for(self, system: StrandSystem) -> bool:
-        """Of ``system``, or of an equal one: ``flattening`` caches by equality."""
-        return self.flat.system is system or self.flat.system == system  # "is" spares __eq__
+    def checked_in(self, system: StrandSystem) -> bool:
+        """Its structures pass ``validate_structure`` in ``system``, or in an
+        equal one: ``flattening`` caches by equality."""
+        return self.complementary and (self.flat.system is system or self.flat.system == system)
 
 
 class SecondaryStructure:
@@ -291,8 +293,9 @@ class SecondaryStructure:
 
     def sorted_flat(self, system: StrandSystem) -> list[tuple[int, int]]:
         """The sorted flat pairs under ``system``'s identity ordering."""
-        carried = self._carried
-        if carried is not None and carried[1].is_for(system):
+        carried = self._carried  # enumerated in system or an equal one; "is" spares __eq__
+        if carried is not None and (carried[1].flat.system is system
+                                    or carried[1].flat.system == system):
             return list(carried[0])
         flat = flattening(system).flat
         return sorted((i, j) if i < j else (j, i)
@@ -302,12 +305,12 @@ class SecondaryStructure:
         """Pairs (i,j) stacked on a pair (i+1,j-1) with no nick between: the
         same count under every ordering, since strands stay contiguous.  In
         sorted order (i+1,j-1) directly follows (i,j) when each base pairs
-        once: no other pair starts at i or i+1."""
+        once, as ``checked_flat`` makes sure unless the enumeration did."""
         carried = self._carried
-        if carried is not None and carried[1].is_for(system):
+        if carried is not None and carried[1].checked_in(system):
             nicks, pairs = carried[1].flat.nicks, carried[0]
         else:
-            nicks, pairs = flattening(system).nicks, self.sorted_flat(system)
+            nicks, pairs = flattening(system).nicks, checked_flat(system, self)
         return sum(1 for (i, j), (d, e) in itertools.pairwise(pairs)
                    if d == i + 1 and e == j - 1 and i not in nicks and e not in nicks)
 
@@ -449,7 +452,7 @@ def place(system: StrandSystem, structure: SecondaryStructure,
     carried = structure._carried
     if carried is not None:
         flat_pairs, origin, witness = carried
-        if (witness is not None and origin.is_for(system)
+        if (witness is not None and origin.checked_in(system)
                 and (origin.circular if ordering is None
                      else tuple(ordering) == witness.ordering)):
             if not origin.connected and not origin.flat.connected(flat_pairs):
@@ -549,8 +552,9 @@ def enumerate_structures(
         compat.append([free[idx] & ~(inside[max(at[i], at[j]) - 1] ^ inside[min(at[i], at[j])])
                        for idx, (i, j) in enumerate(cands)])
 
-    origin = _Origin(flat, fixed_ordering is None, space.require_connected or system.c == 1)
-    witnesses = unders if unders and space.pairing == "complementary" else [None] * len(compat)
+    origin = _Origin(flat, fixed_ordering is None, space.require_connected or system.c == 1,
+                     space.pairing == "complementary")
+    witnesses = unders if unders and origin.complementary else [None] * len(compat)
     check_connected = space.require_connected and system.c > 1
     check_hairpins = space.min_hairpin and not knot_free
     always = not (check_connected or check_hairpins)

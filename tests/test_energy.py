@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -14,6 +15,7 @@ from exfold.strands import (
     enumerate_structures,
     flattening,
     nn_space,
+    validate_structure,
 )
 from exfold.energy import (
     BPM,
@@ -62,9 +64,22 @@ class TestPairCountModels:
     def test_bps_stacked(self):
         s = sys_of("GGCC")
         assert energy(BPS, s, flat(s, [(1, 4), (2, 3)])) == -1
+        # pairs against the flat order are refused, as validate_structure does
         reversed_pairs = SecondaryStructure(frozenset(
             (b, a) for a, b in flat(s, [(1, 4), (2, 3)]).pairs))
-        assert energy(BPS, s, reversed_pairs) == -1
+        for model in (BPM, BPS):
+            with pytest.raises(InvalidInput, match="is reversed"):
+                energy(model, s, reversed_pairs)
+
+    def test_a_base_in_two_pairs_is_refused(self):
+        s = sys_of("GGAAACCCCC")
+        twice = flat(s, [(1, 10), (2, 9), (2, 8)])
+        message = validate_structure(s, twice)
+        assert message == "base BaseRef(strand=1, index=2) appears in more than one pair"
+        for model in (BPM, BPS, nn_model(toy_params_a(s.n))):
+            with pytest.raises(InvalidInput) as raised:
+                energy(model, s, twice)
+            assert str(raised.value) == message
 
     def test_bps_crossed_pairs_do_not_stack(self):
         s = sys_of("GGCC")
@@ -321,13 +336,17 @@ class TestParamsIO:
     @pytest.mark.parametrize("name, toy", [("toy_nn_a", toy_params_a),
                                            ("toy_nn_b", toy_params_b)])
     def test_shipped_files_and_toy_sets_share_one_anchor(self, name, toy):
-        # the files are explicit up to 16 and toy(64) up to 64, each continued
-        # from its own top: both give every size up to 64 the same energy
-        shipped, wide = load_nn_params(toy_params_file(name)), toy(64)
+        # the files are explicit up to 16 and toy(n) up to the loops of n
+        # bases, each continued from its own top: all give every size the
+        # same energy, also where toy(n) is cut below the file's top
+        shipped = load_nn_params(toy_params_file(name))
         assert max(shipped.hairpin) == 16
-        for table in SIZE_TABLES:
-            explicit = getattr(wide, table)
-            assert {m: shipped.size_entry(table, m) for m in explicit} == explicit
+        for n in [*range(1, 21), 64]:
+            params = toy(n)
+            for table in SIZE_TABLES:
+                sizes = range(min(getattr(shipped, table)), 81)
+                assert [params.size_entry(table, m) for m in sizes] \
+                    == [shipped.size_entry(table, m) for m in sizes], (n, table)
 
     def test_extrapolation_is_invisible_to_equality_and_dump(self):
         for name in ("toy_nn_a", "toy_nn_b"):
@@ -356,7 +375,34 @@ class TestParamsIO:
     @pytest.mark.parametrize("name, toy", [("toy_nn_a", toy_params_a),
                                            ("toy_nn_b", toy_params_b)])
     def test_shipped_files_are_the_dumped_toy_sets(self, name, toy):
-        assert dump_nn_params(toy()) == Path(toy_params_file(name)).read_text()
+        # each file is in canonical form, and its tables stop at the loops of 16 bases
+        path = toy_params_file(name)
+        text = Path(path).read_text()
+        assert dump_nn_params(load_nn_params(path)) == text == dump_nn_params(toy())
+
+    # the first 12 hex digits of sha256(dump_nn_params(toy(n))), pinned from the
+    # sets as they were built in code before the shipped files became their source
+    TOY_DUMPS = {
+        "a": {5: "23c392f4e698", 12: "f905f55508af", 16: "8f1f262ce829", 20: "ac3011ff2a65",
+              40: "21720b8ebc7c"},
+        "b": {5: "21495fa18714", 12: "809026372469", 16: "53107f0e71aa", 20: "cd25f01a43a6",
+              40: "7a12b700dec5"},
+    }
+
+    @pytest.mark.parametrize("name, n", [(name, n) for name in "ab" for n in (5, 12, 16, 20, 40)])
+    def test_toy_sets_are_pinned(self, name, n):
+        toy = toy_params_a if name == "a" else toy_params_b
+        digest = hashlib.sha256(dump_nn_params(toy(n)).encode()).hexdigest()
+        assert digest[:12] == self.TOY_DUMPS[name][n]
+
+    @pytest.mark.parametrize("toy", [toy_params_a, toy_params_b])
+    def test_an_edited_toy_set_leaves_the_next_one_unchanged(self, toy):
+        before = dump_nn_params(toy(12))
+        edited = toy(12)
+        edited.stack[("G", "G", "C", "C")] = edited.hairpin[3] = 99
+        for table in ("mismatch", "bulge", "interior_size", "interior_asym"):
+            getattr(edited, table).clear()
+        assert dump_nn_params(toy(12)) == before
 
     def test_defaults_come_from_the_fields(self):
         assert parse_nn_params("") == NNParams()

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exfold.strands import (
+    VALID_BASES,
     BudgetExceeded,
     InvalidInput,
     StrandSystem,
@@ -53,13 +55,14 @@ def sys_of(*seqs):
 def tiny_params():
     """Hairpin floor 1 and a stabilising multi_bp < 0, so that multiloops
     form in short systems."""
-    from exfold.energy import NNParams, _full_base_table
+    from exfold.energy import NNParams
+    keys = list(itertools.product(VALID_BASES, repeat=4))
     return NNParams(
         delta=F(1), kbt=F(1), assoc=1, multi_init=4, multi_bp=-2, multi_nt=1,
-        stack=_full_base_table(lambda a, b, c, d: -2),
+        stack={key: -2 for key in keys},
         hairpin={1: 2, 2: 2, 3: 1}, bulge={1: 2, 2: 3},
         interior_size={2: 1, 3: 2}, interior_asym={0: 0, 1: 1},
-        mismatch=_full_base_table(lambda a, b, c, d: 1 if a == "C" else 0),
+        mismatch={key: 1 if key[0] == "C" else 0 for key in keys},
         min_hairpin=1)
 
 
@@ -230,6 +233,36 @@ class TestGrid:
                 occ = occupied_symfree(system, system.ids, params)
                 assert set(occ) <= grid
                 assert len(grid) <= 1 + system.n * grid_slope(params, system.c)
+
+    def test_grid_refuses_where_the_dp_does(self):
+        # toy sets with entries dropped, on small systems: the grid bounds
+        # every loop n bases can form, so it reads every entry the count DP
+        # can reach and refuses whenever the DP does
+        rng = random.Random(31)
+        refused = 0
+        for _ in range(300):
+            c = rng.choice((1, 1, 2, 3))
+            system = sys_of(*("".join(rng.choice("ACGU") for _ in range(rng.randint(1, 12 // c)))
+                              for _ in range(c)))
+            if rng.random() < 0.2:  # an interior loop, which reads the mismatch table
+                system = sys_of("GAGAAACAC")
+            params, tables = (toy_params_a if rng.random() < 0.5 else toy_params_b)(system.n), {}
+            for table in rng.sample(("stack", "mismatch", *SIZE_TABLES), rng.randint(1, 2)):
+                entries = dict(getattr(params, table))
+                pool = [k for k in entries if isinstance(k, int) or complementary(*k[:2])
+                        or complementary(k[0], k[3])]
+                drop = len(pool) if rng.random() < 0.3 else min(len(pool), rng.randint(1, 3))
+                for key in rng.sample(pool, drop):
+                    del entries[key]
+                tables[table] = entries
+            params = replace(params, **tables)
+            try:
+                levels_nn_dp(system, rng.choice(list(system.circular_orderings())), params)
+            except InvalidInput:
+                refused += 1
+                with pytest.raises(InvalidInput):
+                    levels_nn_grid(system, params)
+        assert refused >= 40
 
 
 class TestSumsetDP:
