@@ -22,7 +22,7 @@ _MODULES = {
     "exactmath": "DuplicateNodes VandermondeSystem rat_to_str solve_vandermonde",
     "strands": """BaseRef BudgetExceeded BudgetViolation EMPTY_STRUCTURE Flattening
         InvalidInput OracleInconsistency SecondaryStructure Strand StrandSystem
-        StructureSpace all_pairs_space candidate_pairs complementary
+        StructureSpace candidate_pairs complementary
         count_structures enumerate_structures is_connected is_unpseudoknotted_multi
         is_unpseudoknotted_single min_hairpin_ok nn_space parse_strands
         read_strand_file validate_structure""",
@@ -31,8 +31,8 @@ _MODULES = {
         max_symmetry_order nn_model parse_nn_params rotational_symmetry
         toy_params_a toy_params_b toy_params_file""",
     "oracles": "DensityOfStates OracleHandle check_base dos_brute make_oracle pf_decimal",
-    "levels": """LevelSet augment_symmetry levels_bpm levels_bps levels_nn_dp
-        levels_nn_grid nn_level_counts""",
+    "levels": """LevelSet augment_symmetry candidate_levels levels_bpm levels_bps
+        levels_nn_dp levels_nn_grid nn_level_counts""",
     "reductions": """ReductionTranscript dmfe_via_dpf dmfe_via_mfe dos_via_pf dpf_via_pf
         magnified_separation_holds mfe_via_dmfe mfe_via_ssel pf_via_dpf
         pf_via_ssel ssel_via_pf""",

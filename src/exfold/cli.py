@@ -92,9 +92,10 @@ MODEL_FLAGS = {"--params": ("nn",), "--dp": ("nn",), "--symmetry": ("nn",),
 
 
 def _setup(args):
-    """(system, space, model) from the strands, --model and the space flags;
-    an NN parameter file is used as loaded, its size tables continuing
-    above their largest entry as in the library."""
+    """(system, space, model) from the strands, --model and the space flags
+    (their defaults in levels, which has none); an NN parameter file is used
+    as loaded, its size tables continuing above their largest entry as in
+    the library."""
     system = _load_system(args.strands)
     if args.model == "nn":
         if not args.params:
@@ -102,12 +103,18 @@ def _setup(args):
         params = load_nn_params(args.params)
         return system, nn_space(params.min_hairpin), nn_model(params)
     space = StructureSpace(
-        allow_pseudoknots=bool(args.pseudoknots),
-        require_connected=bool(args.connected),
-        min_hairpin=args.min_hairpin or 0,
+        allow_pseudoknots=bool(getattr(args, "pseudoknots", None)),
+        require_connected=bool(getattr(args, "connected", None)),
+        min_hairpin=getattr(args, "min_hairpin", None) or 0,
         pairing="all" if getattr(args, "all_pairs", None) else "complementary",
     )
     return system, space, BPM if args.model == "bpm" else BPS
+
+
+def _add_model_flags(p: argparse.ArgumentParser, **strands):
+    p.add_argument("strands", **strands)
+    p.add_argument("--model", choices=("bpm", "bps", "nn"), default="bpm")
+    p.add_argument("--params", help="nn parameter file")
 
 
 def _add_space_flags(p: argparse.ArgumentParser):
@@ -188,7 +195,7 @@ REDUCTIONS = {
 def cmd_reduce(args) -> int:
     from . import reductions
     from .exactmath import rat_to_str
-    from .levels import levels_bpm
+    from .levels import candidate_levels
     from .oracles import make_oracle, pf_decimal
 
     base = _rational(args.base, "--base")
@@ -198,7 +205,7 @@ def cmd_reduce(args) -> int:
 
     def argument(kind):
         if kind == "levels":
-            return levels_bpm(system.n)
+            return candidate_levels(system, model)
         if kind == "base":
             return base
         if kind == "level" and (k is None or k.denominator != 1):
@@ -223,32 +230,20 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_levels(args) -> int:
-    from . import levels
+    from .levels import candidate_levels, levels_bpm
 
     nn = args.model == "nn"
     if args.n is not None and (nn or args.strands is not None):
         raise InvalidInput(f"levels --model {args.model}{' with strands' if args.strands else ''}"
                            " does not read -n")
-    if not nn:
-        if args.n is None and args.strands is None:
-            raise InvalidInput("need -n or strands")
-        n = args.n if args.n is not None else _load_system(args.strands).n
-        print(levels.levels_bpm(n).to_json())
+    if args.n is not None:
+        print(levels_bpm(args.n).to_json())
         return EXIT_OK
-    if args.strands is None or args.params is None:
-        raise InvalidInput("--model nn needs strands and --params FILE")
+    if args.strands is None or (nn and args.params is None):
+        raise InvalidInput("--model nn needs strands and --params FILE" if nn
+                           else "need -n or strands")
     system, _, model = _setup(args)
-    params, out, firsts = model.params, set(), {}
-    grid = None if args.dp else levels.levels_nn_grid(system, params)
-    for ordering in system.circular_orderings():  # each structure is crossing-free under one
-        # orderings of one tuple of sequences share flat sequence, nicks and symmetry: levels
-        firsts.setdefault(tuple(system.strand_by_id(t).sequence for t in ordering), ordering)
-    for ordering in firsts.values():
-        lv = levels.levels_nn_dp(system, ordering, params) if args.dp else grid
-        if args.symmetry:
-            lv = levels.augment_symmetry(lv, system, ordering, params)
-        out.update(lv.levels)
-    print(levels.LevelSet(params.delta, tuple(out)).to_json())
+    print(candidate_levels(system, model, bool(args.dp), bool(args.symmetry)).to_json())
     return EXIT_OK
 
 
@@ -296,9 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list/count structures of a space")
-    p.add_argument("strands")
-    p.add_argument("--model", choices=("bpm", "bps", "nn"), default="bpm")
-    p.add_argument("--params", help="nn parameter file")
+    _add_model_flags(p)
     p.add_argument("--all-pairs", action="store_true", default=None, dest="all_pairs",
                    help="ignore complementarity (calibration mode)")
     p.add_argument("--dump", action="store_true")
@@ -307,9 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("solve", help="exact MFE/DoS/PF answers via the brute oracle")
-    p.add_argument("strands")
-    p.add_argument("--model", choices=("bpm", "bps", "nn"), default="bpm")
-    p.add_argument("--params", help="nn parameter file")
+    _add_model_flags(p)
     p.add_argument("--base", help="rational Boltzmann base per quantum, e.g. 2 or 1/2")
     p.add_argument("--level", type=int, help="energy level (quanta) for ssel/dmfe")
     p.add_argument("--pf-threshold", dest="pf_threshold",
@@ -320,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="run one arrow of the reduction map")
     p.add_argument("reduction", choices=REDUCTIONS)
-    p.add_argument("strands")
-    p.add_argument("--model", choices=("bpm", "bps"), default="bpm")
+    _add_model_flags(p)
     p.add_argument("--base", default="2")
     p.add_argument("-k", help="threshold/level argument where applicable; write a "
                               "negative non-integer as -k=-1/2")
@@ -330,10 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("levels", help="candidate energy-level sets")
-    p.add_argument("strands", nargs="?")
-    p.add_argument("--model", choices=("bpm", "bps", "nn"), default="bpm")
+    _add_model_flags(p, nargs="?")
     p.add_argument("-n", type=int, help="base count for bpm/bps closed forms")
-    p.add_argument("--params", help="nn parameter file")
     p.add_argument("--dp", action="store_true", default=None,
                    help="nn: exact occupied levels (symmetry-free) via the count DP")
     p.add_argument("--symmetry", action="store_true", default=None,

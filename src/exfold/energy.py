@@ -286,13 +286,6 @@ def interior_like_energy(flat: Flattening, i: int, d: int, e: int, j: int,
             + params.table_entry(params.mismatch, inner, "mismatch"))
 
 
-def loop_energy(loop: Loop, flat: Flattening, params: NNParams) -> int:
-    if loop.kind not in ("exterior", "hairpin", "stack", "bulge", "interior", "multiloop"):
-        raise InvalidInput(f"unknown loop kind {loop.kind}")
-    return _face_energy(flat, loop.closing, loop.children, loop.free_bases,
-                        loop.kind == "exterior", params)
-
-
 def _face_energy(flat: Flattening, closing: Optional[tuple[int, int]], kids: Sequence,
                  free: int, nicks: int, params: NNParams) -> int:
     """Energy of a face of ``_faces``: 0 for an exterior loop (one with a

@@ -39,6 +39,7 @@ from .strands import (
 )
 from .energy import (
     SIZE_TABLES,
+    EnergyModel,
     NNParams,
     interior_like_energy,
     max_symmetry_order,
@@ -323,3 +324,24 @@ def augment_symmetry(levels: LevelSet, system: StrandSystem,
         shift = round_log_multiple(params.kbt, r, params.delta)
         out.update(l + shift for l in levels.levels)
     return LevelSet(levels.delta, tuple(out))
+
+
+def candidate_levels(system: StrandSystem, model: EnergyModel, dp: bool = True,
+                     symmetry: bool = True) -> LevelSet:
+    """``levels_bpm(system.n)`` for BPM and BPS.  For NN, the union over the
+    circular orderings (each structure is crossing-free under one) of each
+    ordering's count-DP levels, or the grid when ``dp`` is false, closed
+    under its symmetry penalties when ``symmetry`` is true; one DP per tuple
+    of sequences, whose orderings share flat sequence, nicks and symmetry."""
+    if model.kind != "nn":
+        return levels_bpm(system.n)
+    params, out, firsts = model.params, set(), {}
+    grid = None if dp else levels_nn_grid(system, params)
+    for ordering in system.circular_orderings():
+        firsts.setdefault(tuple(system.strand_by_id(t).sequence for t in ordering), ordering)
+    for ordering in firsts.values():
+        lv = levels_nn_dp(system, ordering, params) if dp else grid
+        if symmetry:
+            lv = augment_symmetry(lv, system, ordering, params)
+        out.update(lv.levels)
+    return LevelSet(params.delta, tuple(out))

@@ -198,7 +198,7 @@ def dos_via_pf(oracle, levels, base: Fraction) -> tuple[dict, ReductionTranscrip
             f"base {rat_to_str(base)} differs from the oracle's base "
             f"{rat_to_str(oracle.base)}")
     lv = _levels_tuple(levels)
-    t = ReductionTranscript("ssel-via-pf", budget=len(lv))
+    t = ReductionTranscript("dos-via-pf", budget=len(lv))
     rec = _Recorder(oracle, t)
     rhs = tuple(rec.pf(j) for j in range(1, len(lv) + 1))
     nodes = tuple(base**-g for g in lv)
@@ -218,7 +218,7 @@ def ssel_via_pf(oracle, levels, base: Fraction, level) -> tuple[int, ReductionTr
     """Count of structures at one level, via the full reconstruction."""
     counts, t = dos_via_pf(oracle, levels, base)
     answer = counts.get(level, 0)
-    t.answer = str(answer)
+    t.reduction, t.answer = "ssel-via-pf", str(answer)
     return answer, t
 
 

@@ -368,11 +368,6 @@ def nn_space(min_hairpin: int = 3) -> StructureSpace:
                           min_hairpin=min_hairpin)
 
 
-def all_pairs_space() -> StructureSpace:
-    """For the acceptance tests' closed-form matching counts."""
-    return StructureSpace(pairing="all")
-
-
 # ---------------------------------------------------------------------------
 # predicates
 

@@ -20,7 +20,6 @@ import pytest
 from exfold.strands import (
     StrandSystem,
     StructureSpace,
-    all_pairs_space,
     count_structures,
     enumerate_structures,
 )
@@ -85,7 +84,8 @@ def test_criterion_1_structure_count_calibration():
     t0 = time.time()
     bound_values = {3: 4, 4: 10, 5: 26}
     for n, bound in bound_values.items():
-        got = count_structures(StrandSystem.from_sequences("A" * n), all_pairs_space())
+        got = count_structures(StrandSystem.from_sequences("A" * n),
+                               StructureSpace(pairing="all"))
         assert got <= bound
         closed_form = sum(math.comb(n, 2 * k) * math.prod(range(2 * k - 1, 0, -2))
                           for k in range(n // 2 + 1))

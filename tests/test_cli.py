@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from exfold import cli
 from exfold.energy import (
     dump_nn_params, load_nn_params, nn_model, toy_params_a, toy_params_file)
+from exfold.exactmath import rat_to_str
 from exfold.levels import augment_symmetry, levels_nn_dp, levels_nn_grid
 from exfold.oracles import EMPTY_ENSEMBLE, dos_brute
 from exfold.reductions import BudgetViolation, OracleInconsistency
@@ -156,10 +158,49 @@ def test_nn_rejects_space_flags(command, flag):
     assert proc.stderr.startswith("bad input:") and flag[0] in proc.stderr
 
 
-def test_reduce_has_no_nn_model():
-    proc = run_cli("reduce", "mfe-via-ssel", "GGGAAAACCC", "--model", "nn",
-                   "--min-hairpin", "3", check=False)
-    assert proc.returncode == 4 and "invalid choice: 'nn'" in proc.stderr
+@pytest.mark.parametrize("strands, name", [("GGGAAAACCC", "toy_nn_a"),
+                                           ("GCAUGC,GCAUGC", "toy_nn_b")])
+def test_reduce_nn_agrees_with_solve(strands, name):
+    """Every reduction over an NN oracle searches ``candidate_levels`` and
+    answers as ``solve`` does; GCAUGC,GCAUGC is rotation-symmetric, at
+    delta 1/2."""
+    nn = ["--model", "nn", "--params", toy_params_file(name)]
+
+    def answer(command, *flags):
+        code, out, err = run_main([command, strands, *nn, *flags])
+        assert code == 0, err
+        return json.loads(out)
+
+    def reduce(reduction, *flags):
+        code, out, err = run_main(["reduce", reduction, strands, *nn, *flags])
+        assert code == 0, err
+        return json.loads(out)["answer"]
+
+    solved = answer("solve", "--base", "2")
+    mfe, pf = int(solved["mfe"]), solved["pf"]
+    assert reduce("mfe-via-dmfe") == reduce("mfe-via-ssel") == mfe
+    assert reduce("pf-via-ssel", "--base", "2") == reduce("pf-via-dpf", "--base", "2") == pf
+    assert reduce("pf-via-ssel", "--base", "1/2") == answer("solve", "--base", "1/2")["pf"]
+    for k in (mfe - 1, mfe, mfe + 1, 0):
+        threshold = rat_to_str(Fraction(pf) + k)
+        solved = answer("solve", "--base", "2", "--level", str(k),
+                        f"--pf-threshold={threshold}")
+        assert reduce("ssel-via-pf", f"-k={k}") == int(solved["ssel"])
+        assert reduce("dmfe-via-mfe", f"-k={k}") == reduce("dmfe-via-dpf", f"-k={k}") \
+            == solved["dmfe"]
+        assert reduce("dpf-via-pf", f"-k={threshold}") == solved["dpf"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    ((), "bad input: --model nn needs --params FILE\n"),
+    (("--params", toy_params_file("toy_nn_a"), "--dp"), "unrecognized arguments: --dp\n"),
+    (("--params", toy_params_file("toy_nn_a"), "--symmetry"),
+     "unrecognized arguments: --symmetry\n"),
+], ids=["no-params", "dp", "symmetry"])
+def test_reduce_nn_needs_params_and_takes_no_level_flags(flags, message):
+    code, out, err = run_main(["reduce", "mfe-via-ssel", "GGGAAAACCC", "--model", "nn",
+                               *flags])
+    assert (code, out) == (4, "") and err.endswith(message)
 
 
 class TestNNSpaceFromParams:
@@ -496,8 +537,8 @@ def test_levels_refuses_a_flag_its_model_does_not_read(args, flag):
         and proc.stderr.endswith(f"does not read {flag}\n")
 
 
-# (subcommand, model) -> the model-dependent flags it does not read; reduce
-# reads every flag it has, its models being bpm and bps, and hardgen has none
+# (subcommand, model) -> the model-dependent flags it does not read; hardgen
+# has none
 UNREAD_FLAGS = {
     ("enumerate", "bpm"): ["--params"],
     ("enumerate", "bps"): ["--params"],
@@ -505,6 +546,9 @@ UNREAD_FLAGS = {
     ("solve", "bpm"): ["--params"],
     ("solve", "bps"): ["--params"],
     ("solve", "nn"): ["--pseudoknots", "--connected", "--min-hairpin"],
+    ("reduce", "bpm"): ["--params"],
+    ("reduce", "bps"): ["--params"],
+    ("reduce", "nn"): ["--pseudoknots", "--connected", "--min-hairpin"],
     ("levels", "bpm"): ["--params", "--dp", "--symmetry"],
     ("levels", "bps"): ["--params", "--dp", "--symmetry"],
 }
@@ -517,7 +561,9 @@ FLAG_VALUE = {"--params": ["/nonexistent"], "--min-hairpin": ["0"]}  # a zero is
                          ids=[" ".join(case) for case in UNREAD_CASES])
 def test_a_flag_the_model_does_not_read_is_bad_input(command, model, flag):
     params = ["--params", toy_params_file("toy_nn_a")] if model == "nn" else []
-    argv = [command, "GGGAAAACCC", "--model", model, *params, flag, *FLAG_VALUE.get(flag, [])]
+    reduction = ["mfe-via-ssel"] if command == "reduce" else []
+    argv = [command, *reduction, "GGGAAAACCC", "--model", model, *params, flag,
+            *FLAG_VALUE.get(flag, [])]
     assert run_main(argv) == (4, "", f"bad input: {command} --model {model} "
                                      f"does not read {flag}\n")
 
@@ -807,8 +853,7 @@ def command_lines(draw, command, files):
         wants_k = {"k", "level"} & set(cli.REDUCTIONS[reduction])
         k = ["-k", draw(pools(*FLAG_VALUES["-k"]))] if draw(pools([bool(wants_k)], [True])) \
             else []
-        tail = [reduction, strands] + maybe("--model", st.sampled_from(["bpm", "bps"])) \
-            + space + maybe("--base") + (["=".join(k)] if k else []) \
+        tail = [reduction, strands] + model + params + space + maybe("--base") + (["=".join(k)] if k else []) \
             + maybe("--transcript", pools([files["transcript"]], [files["dir"]]))
     elif command == "levels":
         nn = model == ["--model", "nn"]
@@ -837,6 +882,8 @@ def contract_files(tmp_path_factory):
 PINNED_EXITS = {
     # an empty parameter file: the grid reads the entries the loops of n bases read
     "levels": (["levels", "GGGGAAACCCC", "--model", "nn", "--params", os.devnull], 4),
+    "reduce": (["reduce", "mfe-via-ssel", "GGGGAAACCCC", "--model", "nn", "--params",
+                os.devnull], 4),
     "solve": (["solve", "GGGGAAACCCC", "--model", "nn", "--params", os.devnull], 4),
 }
 

@@ -39,7 +39,6 @@ from exfold.energy import (
     energy,
     energy_nn_detail,
     interior_like_energy,
-    loop_energy,
     max_symmetry_order,
     nn_model,
     rotational_symmetry,
@@ -90,6 +89,18 @@ def ref_face(flat, loop):
     nicks = sum(1 for p in flat.nicks
                 if lo <= p <= hi - 1 and not any(d <= p < e for d, e in loop.children))
     return free, nicks + (loop.closing is None)
+
+
+def ref_loop_energy(loop, flat, params):
+    """A face's NN energy, by the kind its ``Loop`` record names."""
+    if loop.kind == "exterior":
+        return 0
+    (i, j), kids, free = loop.closing, loop.children, loop.free_bases
+    if loop.kind == "hairpin":
+        return params.size_entry("hairpin", free)
+    if loop.kind == "multiloop":
+        return params.multi_init + (len(kids) + 1) * params.multi_bp + free * params.multi_nt
+    return interior_like_energy(flat, i, *kids[0], j, params)
 
 
 def ref_symmetry_order(system, ordering):
@@ -181,7 +192,7 @@ class TestAgainstBaseRefReferences:
             assert rotational_symmetry(s, ordering, structure) == r
             detail = energy_nn_detail(s, ordering, structure, params)
             assert detail.symmetry_order == r
-            assert detail.loops_quanta == sum(loop_energy(loop, flat, params)
+            assert detail.loops_quanta == sum(ref_loop_energy(loop, flat, params)
                                               for loop in loops)
             assert energy(nn_model(params), s, structure, ordering) == detail.total
 

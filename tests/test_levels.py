@@ -34,6 +34,7 @@ from exfold.energy import (
 from exfold.levels import (
     LevelSet,
     augment_symmetry,
+    candidate_levels,
     grid_slope,
     levels_bpm,
     levels_bps,
@@ -701,6 +702,27 @@ class TestSupersetLaw:
         pair_levels = set(levels_bpm(system.n).levels)
         for model in (BPM, BPS):
             assert set(dos_brute(system, StructureSpace(), model).counts) <= pair_levels
+
+
+class TestCandidateLevels:
+    """One candidate set per model: the pair-count set for BPM and BPS, and
+    for NN a superset of every occupied level, repeated strands included."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(systems(), st.sampled_from(PARAMS))
+    def test_nn_holds_every_brute_force_level(self, system, params):
+        model = nn_model(params)
+        occupied = set(dos_brute(system, nn_space(params.min_hairpin), model).counts)
+        for dp in (True, False):
+            lv = candidate_levels(system, model, dp=dp)
+            assert occupied <= set(lv.levels) and lv.delta == params.delta
+        assert candidate_levels(system, model, False, False) == levels_nn_grid(system, params)
+
+    @pytest.mark.parametrize("seqs", [("ACGT",), ("GC", "GC"), ("GGCC", "AU", "GGCC"), ("A",)])
+    def test_bpm_and_bps_are_the_pair_count_set(self, seqs):
+        system = sys_of(*seqs)
+        for model in (BPM, BPS):
+            assert candidate_levels(system, model) == levels_bpm(system.n)
 
 
 def test_levelset_json_roundtrip():

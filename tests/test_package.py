@@ -16,7 +16,7 @@ from exfold import hardness, reductions, strands
 PUBLIC = set("""
     DuplicateNodes VandermondeSystem rat_to_str solve_vandermonde
     BaseRef BudgetExceeded EMPTY_STRUCTURE Flattening InvalidInput
-    SecondaryStructure Strand StrandSystem StructureSpace all_pairs_space
+    SecondaryStructure Strand StrandSystem StructureSpace
     candidate_pairs complementary count_structures enumerate_structures
     is_connected is_unpseudoknotted_multi is_unpseudoknotted_single
     min_hairpin_ok nn_space parse_strands read_strand_file validate_structure
@@ -25,8 +25,8 @@ PUBLIC = set("""
     max_symmetry_order nn_model parse_nn_params rotational_symmetry
     toy_params_a toy_params_b toy_params_file
     DensityOfStates OracleHandle check_base dos_brute make_oracle pf_decimal
-    LevelSet augment_symmetry levels_bpm levels_bps levels_nn_dp levels_nn_grid
-    nn_level_counts
+    LevelSet augment_symmetry candidate_levels levels_bpm levels_bps levels_nn_dp
+    levels_nn_grid nn_level_counts
     BudgetViolation OracleInconsistency ReductionTranscript dmfe_via_dpf
     dmfe_via_mfe dos_via_pf dpf_via_pf magnified_separation_holds mfe_via_dmfe
     mfe_via_ssel pf_via_dpf pf_via_ssel ssel_via_pf

@@ -261,6 +261,14 @@ class TestTranscripts:
         assert payload["calls"][0]["magnification"] == 1
         assert payload["details"]["counts"] == {"-2": "1", "-1": "2", "0": "1"}
 
+    def test_each_transcript_names_its_own_reduction(self):
+        # ssel_via_pf reuses dos_via_pf's transcript and renames it with its answer
+        oracle = acgt_oracle()
+        _, t = dos_via_pf(oracle, levels_bpm(4), F(2))
+        assert t.reduction == json.loads(t.to_json())["reduction"] == "dos-via-pf"
+        _, t = ssel_via_pf(oracle, levels_bpm(4), F(2), -1)
+        assert (t.reduction, t.answer) == ("ssel-via-pf", "2")
+
     def test_inconsistent_oracle_detected(self):
         class Liar:
             n = 4

@@ -22,7 +22,6 @@ from exfold.strands import (
     Strand,
     StrandSystem,
     StructureSpace,
-    all_pairs_space,
     candidate_pairs,
     complementary,
     count_structures,
@@ -535,7 +534,7 @@ class TestCounts:
     @pytest.mark.parametrize("n,expected", [(3, 4), (4, 10), (5, 26)])
     def test_all_pairable_counts(self, n, expected):
         s = sys_of("A" * n)
-        assert count_structures(s, all_pairs_space()) == expected
+        assert count_structures(s, StructureSpace(pairing="all")) == expected
         assert expected == self.matching_total(n)
 
     def test_counts_below_factorial(self):
