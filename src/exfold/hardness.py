@@ -7,7 +7,8 @@ parsimony verifiers trust no weight: they recount both sides exactly, by
 exhaustive searches memoised on what the rest of the search depends on, and
 check the predicted multiplicative factor.  Both recounts skip work without
 rounding: a 4-PARTITION anchor's last partner is bisected and a run of equal
-weights counted at once, and the stack search packs each state's histogram
+weights counted at once; the stack search keys the G runs that touch no C
+by the sorted lengths of their free blocks, and packs each state's histogram
 into one int whose slots no count can overflow.  The chain route for
 strands beyond enumeration places only chains of two or more stacked pairs,
 as vectors of chain counts by length, and takes the single pairs left over
@@ -16,8 +17,8 @@ from the closed-form matching count.
 
 from __future__ import annotations
 
-import itertools
 import json
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -318,9 +319,7 @@ def gen_bps_from_4part(inst: FourPartitionInstance) -> BPSInstance:
 def _cg_positions(strand: str) -> tuple[list, list]:
     if any(b in "TU" for b in strand):
         raise InvalidInput("stack counting expects strands over A, C, G only")
-    cpos = [i for i, b in enumerate(strand, 1) if b == "C"]
-    gpos = [i for i, b in enumerate(strand, 1) if b == "G"]
-    return cpos, gpos
+    return tuple([i for i, b in enumerate(strand, 1) if b == x] for x in "CG")
 
 
 def count_bps_brute(strand: str, target: int,
@@ -330,40 +329,51 @@ def count_bps_brute(strand: str, target: int,
 
     The C's are paired in order, each with nothing or any unused G.  Pairing
     C ``c`` with G ``g`` gains a stack if ``c-1`` pairs ``g+1`` and one if
-    ``c+1`` pairs ``g-1``, so the search is memoised on ``(idx, used-G
-    bitmask, partners of the watched positions)``, the watched positions
-    being the neighbours of the C's from ``cpos[idx]`` on that are a G or a
-    C paired earlier: equal keys have equal futures.  Each state returns its
-    completions as a histogram by stacks gained, packed into one int whose
-    slots are as wide as the strand's matching count ``_matchings``: that
-    count bounds every entry, so no slot carries into the next.  The
-    answer is the slot at ``target``.  Past ``BPS_MEMO_STATES`` states the
-    search raises ``BudgetExceeded``; the default pairable-base budget stays far below."""
+    ``c+1`` pairs ``g-1``.  The memo key is ``idx``, the used G's of runs
+    that touch a C, the partners of ``cpos[idx]-1`` and of the G's next to
+    ``cpos[idx:]``, and the sorted lengths of the blocks of free, consecutive
+    G's in the open runs, which touch no C.  There a stack only pairs
+    consecutive C's with consecutive free G's, so blocks of equal length are
+    interchangeable, and equal keys have equal futures once an open partner
+    ``p`` of ``cpos[idx]-1`` is keyed as the length of the block topped by
+    ``p-1``, the one block its stack can extend.  Each state's completions
+    are a histogram by stacks gained, packed into one int with slots as wide
+    as the matching count ``_matchings``, which bounds every entry, so no
+    slot carries into the next.  Past ``BPS_MEMO_STATES`` states the search
+    raises ``BudgetExceeded``; it keeps the block shapes of at most as many
+    masks.  The default pairable-base budget stays far below."""
     cpos, gpos = _cg_positions(strand)
     if len(cpos) + len(gpos) > budget:
         raise BudgetExceeded(
             f"{len(cpos)} + {len(gpos)} pairable bases exceed the budget {budget}")
-    gset = set(gpos)
+    gmask = sum(1 << g for g in gpos)  # bit g for the G at position g
+    open_g = sum(((1 << len(m[0])) - 1) << (m.start() + 1) for m in re.finditer("G+", strand)
+                 if "C" not in strand[max(m.start() - 1, 0):m.end() + 1])
     watched = [sorted({p for c in cpos[idx:] for p in (c - 1, c + 1)
-                       if p in gset or p in cpos[:idx]})
-               for idx in range(len(cpos))]
+                       if gmask >> p & 1} - {cpos[idx] - 1}) for idx in range(len(cpos))]
     width = _matchings(len(cpos), len(gpos)).bit_length()
     partner: list = [None] * (len(strand) + 2)
     memo: dict[tuple, int] = {}
+    shape = lru_cache(BPS_MEMO_STATES)(  # the free blocks, as sorted runs of 1's
+        lambda bits: tuple(sorted(f"{bits:b}".replace("0", " ").split())))
 
     def rec(idx: int, used: int) -> int:
         if idx == len(cpos):
             return 1
-        key = (idx, used, *map(partner.__getitem__, watched[idx]))
+        c, free = cpos[idx], gmask & ~used
+        mark = partner[c - 1]
+        if mark is not None and open_g >> mark & 1:  # -(length of the block topped by mark-1)
+            mark = (~free & (1 << mark) - 1).bit_length() - mark or None
+        key = (idx, used & ~open_g, shape(free & open_g), mark)
+        if watched[idx]:
+            key += tuple(map(partner.__getitem__, watched[idx]))
         hit = memo.get(key)
         if hit is not None:
             return hit
-        c = cpos[idx]
         hist = rec(idx + 1, used)  # c stays unpaired
-        free = ~used & ((1 << len(gpos)) - 1)
         while free:  # the unused G's, lowest first
             bit = free & -free
-            g, free = gpos[bit.bit_length() - 1], free ^ bit
+            g, free = bit.bit_length() - 1, free ^ bit
             gained = (partner[c - 1] == g + 1) + (partner[c + 1] == g - 1)
             partner[c], partner[g] = g, c
             hist += rec(idx + 1, used | bit) << width * gained
@@ -375,11 +385,6 @@ def count_bps_brute(strand: str, target: int,
         return hist
 
     return (rec(0, 0) >> width * target) & ((1 << width) - 1) if target >= 0 else 0
-
-
-def _runs(strand: str, letter: str) -> tuple[int, ...]:
-    return tuple(len(run) for ch, run in
-                 ((k, list(g)) for k, g in itertools.groupby(strand)) if ch == letter)
 
 
 def count_bps_chains(strand: str, target: int) -> int:
@@ -405,7 +410,7 @@ def count_bps_chains(strand: str, target: int) -> int:
         raise InvalidInput(
             "chain counting is exact only with at most one adjacent C/G "
             f"run boundary; this strand has {mixed}")
-    q = _chain_packings(_runs(strand, "C"), _runs(strand, "G"))
+    q = _chain_packings(*(tuple(map(len, re.findall(f"{b}+", strand))) for b in "CG"))
     if target < 0:
         return 0
     return sum((-1) ** (s - target) * comb(s, target) * qs
@@ -507,14 +512,10 @@ class ParsimonyReport:
         return self.status == "ok"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "status": self.status,
-            "lhs": None if self.lhs is None else str(self.lhs),
-            "rhs": None if self.rhs is None else str(self.rhs),
-            "coefficient": None if self.coefficient is None else str(self.coefficient),
-            "route": self.route,
-            "notes": self.notes,
-        }, sort_keys=True)
+        nums = {"lhs": self.lhs, "rhs": self.rhs, "coefficient": self.coefficient}
+        return json.dumps({"status": self.status, "route": self.route, "notes": self.notes,
+                           **{k: None if v is None else str(v) for k, v in nums.items()}},
+                          sort_keys=True)
 
 
 def verify_parsimony_bps(inst: FourPartitionInstance,

@@ -397,10 +397,10 @@ class TestHardgen:
         assert "argument --budget: '-5' is not a non-negative integer" in proc.stderr
 
     def test_oversized_verify_stops_at_the_memo_ceiling(self, tmp_path):
-        # 48 pairable bases let through by --budget 100: the stack count
+        # 56 pairable bases let through by --budget 100: the stack count
         # stops at its state ceiling in seconds instead of growing past 1 GB
-        path = tmp_path / "w8.json"
-        path.write_text(json.dumps({"weights": ["3"] * 8, "bound": "12"}))
+        path = tmp_path / "w4.json"
+        path.write_text(json.dumps({"weights": ["7"] * 4, "bound": "28"}))
         proc = subprocess.run(RUN + ["hardgen", "verify-bps", str(path), "--budget", "100"],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 3

@@ -241,6 +241,24 @@ def random_strands(rng, alphabet, count, max_pairable):
     return out
 
 
+def block_shape_strand(rng, kind):
+    """A strand of A-separated C runs and G runs; kind 0 has two or more G
+    runs of one length and no C/G boundary, kind 1 one G run fused to a C
+    run, kind 2 both."""
+    c_runs = ["C" * rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+    length = rng.randint(1, 3)
+    g_runs = [] if kind == 1 else ["G" * length] * rng.randint(2, 3)
+    g_runs += ["G" * rng.randint(1, 3)] * rng.randint(kind == 1, 1)
+    runs = c_runs + g_runs
+    rng.shuffle(runs)
+    if kind:
+        fused = runs.pop(next(j for j, r in enumerate(runs) if r[0] == "G"))
+        i = rng.choice([i for i, r in enumerate(runs) if r[0] == "C"])
+        runs.insert(i + rng.randint(0, 1), fused)
+        runs[i:i + 2] = ["".join(runs[i:i + 2])]
+    return "".join(r + "A" * rng.randint(1, 2) for r in runs)
+
+
 @pytest.mark.parametrize("build, error, message", [
     (lambda: ThreeDMInstance((1, 2), (1, 2), (1,), ()), InvalidInput,
      "X, Y, Z must have equal sizes"),
@@ -517,6 +535,38 @@ class TestStackCounting:
                 assert count_bps_brute(strand, k) == plain_bps_count(strand, k), \
                     (strand, k)
 
+    def test_block_shape_key_matches_positional_searches(self):
+        # open G runs are keyed by block shape; both references key every G
+        # by position, so they share no key with the library
+        rng = random.Random(53)
+        strands = ["CCACCAGGAGG", "CCCAGGAGGAGG", "CCGGACCAGGAGG", "GGACCACCCAGG"]
+        strands += [block_shape_strand(rng, i % 3) for i in range(60)]
+        for strand in strands:
+            c, g = strand.count("C"), strand.count("G")
+            if c + g > 16:
+                continue
+            want = list_histogram_bps(strand)
+            want = [0] + want + [0] * (c + g + 2 - len(want))
+            got = [count_bps_brute(strand, k) for k in range(-1, c + g + 2)]
+            assert got == want, strand
+            if c + g <= 10:
+                assert got == [plain_bps_count(strand, k) for k in range(-1, c + g + 2)], strand
+
+    @pytest.mark.parametrize("weights,bound,targets", [
+        ((3, 3, 3, 3), 12, None),
+        ((3, 3, 3, 4), 13, None),
+        ((3, 3, 4, 4), 14, None),
+        ((4, 4, 4, 4), 16, (11, 12, 13)),
+    ])
+    def test_enumeration_matches_chain_route(self, weights, bound, targets):
+        # the balanced k=4 strands the chain route serves, recounted by
+        # enumeration past its default budget
+        bps = gen_bps_from_4part(FourPartitionInstance(weights, bound))
+        assert targets is None or bps.target_stacks == targets[1]
+        for s in targets or range(-1, bps.target_stacks + 2):
+            assert count_bps_brute(bps.strand, s, budget=100) \
+                == count_bps_chains(bps.strand, s), (weights, s)
+
     def test_counts_sum_to_all_matchings(self):
         rng = random.Random(37)
         for strand in random_strands(rng, "ACG", 40, 14):
@@ -547,17 +597,19 @@ class TestStackCounting:
         monkeypatch.setattr(hardness, "BPS_MEMO_STATES", 1000)
         with pytest.raises(BudgetExceeded, match="more than 1000 matching states"):
             count_bps_brute("CCCCCCGGCGGCGGCG", 0)
+        # (3,)*8/12 takes enumeration at this budget and needs 99 690 states
         report = verify_parsimony_bps(FourPartitionInstance((3, 3, 3, 3, 3, 3, 3, 3), 12),
                                       enum_budget=100)
         assert report.status == "skipped" and "matching states" in report.notes
 
     @pytest.mark.parametrize("strand,target,states", [
-        ("CCACCACCACCAAAGGGGGGGG", 4, 2944),
+        ("CCACCACCACCAAAGGGGGGGG", 4, 260),  # one open G run: keyed by block shape
         ("CCCCCCGGCGGCGGCG", 2, 55619),
         ("C" * 8 + "G" * 8, 3, 10648),
     ])
     def test_memo_state_count_is_pinned(self, monkeypatch, strand, target, states):
-        # the memo key decides the state count: a drifting key changes it
+        # the memo key decides the state count: a drifting key changes it; the
+        # all-C/G strands pin the positional part
         from exfold import hardness
         monkeypatch.setattr(hardness, "BPS_MEMO_STATES", states)
         count = count_bps_brute(strand, target)
