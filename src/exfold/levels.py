@@ -1,24 +1,23 @@
 """Candidate energy-level sets.
 
-A candidate set is a finite superset of the energies occupied by a system's
-ensemble, computable without solving the MFE problem.  The base-pair models
-have closed forms; the nearest-neighbour model gets a coarse grid from
-per-loop bounds, and a count dynamic program that returns exactly the
-occupied, symmetry-free levels for a fixed strand ordering, with the number
-of structures at each.
+A candidate set is a finite superset of the energies a system's ensemble
+occupies, computable without solving the MFE problem.  The base-pair models
+have closed forms; the nearest-neighbour model gets a coarse grid from per-loop
+bounds, and a count dynamic program that returns exactly the occupied,
+symmetry-free levels for a fixed strand ordering and their structure counts.
 
-The count DP is a multistranded partition-function recursion (McCaskill
-1990; Dirks, Bois, Schaeffer, Winfree & Pierce 2007) over exact integers.
-Each cell is a count polynomial sum_k c_k x**(lo + k), stored as the pair
-(lo, packed) with packed = sum_k c_k * 2**(W*k) (Kronecker substitution)
-and lo its lowest level: a term joins a sum by one shift and one addition,
-the product of two cells (the sumset of their levels) is one integer
-multiplication, and an energy shift only moves lo.  Every coefficient
-counts crossing-free structures on at most n flat bases, fewer than 3**n,
-so slots of W = (3**n).bit_length() + 1 bits never carry.  Splitting on
-the rightmost pair makes every branch but the O(n**2) interior scan O(n)
-per cell: O(n**3) big-integer products and O(n**4) interior terms at
-most.  The loops do this algebra in line, with no call per term.
+The count DP is a multistranded partition-function recursion (McCaskill 1990;
+Dirks, Bois, Schaeffer, Winfree & Pierce 2007) over exact integers.  Each cell
+is a count polynomial sum_k c_k x**(lo + k), stored as the pair (lo, packed)
+with packed = sum_k c_k * 2**(W*k) (Kronecker substitution) and lo its lowest
+level: a term joins a sum by one shift and one addition, the product of two
+cells (the sumset of their levels) is one integer multiplication, and an energy
+shift only moves lo.  Every coefficient counts distinct crossing-free
+structures on at most n flat bases, at most S of them (see nn_level_counts), so
+slots of W = S.bit_length() + 1 bits never carry.  Splitting on the rightmost
+pair makes every branch but the O(n**2) interior scan O(n) per cell: O(n**3)
+big-integer products and O(n**4) interior terms at most.  The loops do this
+algebra in line, with no call per term.
 """
 
 from __future__ import annotations
@@ -158,30 +157,34 @@ def levels_nn_grid(system: StrandSystem, params: NNParams) -> LevelSet:
 
 def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
                     params: NNParams) -> dict[int, int]:
-    """{level: number of structures} over the connected, crossing-free
-    structures under ``ordering``, with symmetry-free energies in quanta of
-    params.delta.
+    """{level: structure count} over the connected, crossing-free structures
+    under ``ordering``, with symmetry-free energies in quanta of params.delta.
 
     Cells over the flat subsequence [i, j], each a packed count polynomial
     (see the module docstring) or a false value for Phi, "no structure":
       gb[i][j]  given that (i, j) is a pair, kept in ends[i] and starts[j];
       g[i][j]   exterior-loop contents, no nick outside a pair; g[i][i-1] = 1;
       gm[i][j]  multiloop contents with at least one pair; each pair carries
-                multi_bp, each unpaired base multi_nt, and no nick lies
-                outside a pair;
+                multi_bp, each unpaired base multi_nt, no nick outside a pair;
       gm2[i][j] the same with at least two pairs;
       s1[i][j]  multiloop contents with one pair, which ends at j.
-    g, gm and gm2 sum over the rightmost pair (d, j), then add the trail
-    [no nick at j-1] * shift(T[i, j-1], unpaired cost).  gb[i][j] sums its
-    terms by level and packs them from the lowest.  Its interior terms scan
-    the non-empty gb[d][e] with nick-free flanks in (d, e) order, cells by
-    length then i, reading ``interior_like_energy``'s formula off per-call
-    tables (the two mismatches, the size entries for 0..n); a term that
-    meets an empty slot calls it, so a missing entry raises at the first
-    loop that needs it.
+    g, gm and gm2 sum over the rightmost pair (d, j), then add the trail [no
+    nick at j-1] * shift(T[i, j-1], unpaired cost).  gb[i][j] sums its terms by
+    level and packs them from the lowest.  Its interior terms scan the
+    non-empty gb[d][e] with nick-free flanks in (d, e) order, cells by length
+    then i, reading ``interior_like_energy``'s formula off per-call tables (the
+    two mismatches, the size entries for 0..n); a term that meets an empty slot
+    calls it, so a missing entry raises at the first loop that needs it.  A
+    coefficient counts distinct structures on at most n bases, so at most S =
+    s[n], the pairings of n points in a row with h or more points inside each
+    pair (Stein & Waterman 1979), h = min_hairpin on one strand, else 0: a pair
+    across a nick has no floor.
     """
     flat, n = flattening(system, ordering), system.n
-    width = (3 ** n).bit_length() + 1
+    h, s = 0 if flat.nicks else params.min_hairpin, [1]  # s[k]: the pairings of k points
+    for k in range(1, n + 1):  # point k unpaired, or paired with k - q + 1 around q - 2 >= h
+        s.append(s[-1] + sum(s[q - 2] * s[k - q] for q in range(h + 2, k + 1)))
+    width = s[n].bit_length() + 1
     seq = " " + flat.sequence + " "  # seq[p] is base p; the pads match no table key
     stack, mismatch = params.stack, params.mismatch
 

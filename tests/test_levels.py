@@ -506,11 +506,13 @@ class TestCountDP:
         assert levels_nn_dp(system, system.ids, params).levels \
             == reference_levels(system, system.ids, params)
 
-    @pytest.mark.parametrize("n", [48, 64])
+    @pytest.mark.parametrize("n", [48, 64, 100])
     def test_long_single_strands_match_the_reference_counts(self, n):
+        """n = 100 runs under toy_params_a only: its reference alone takes
+        about 2 s."""
         rng = random.Random(n + 1)
         system = sys_of("".join(rng.choice("GCAU") for _ in range(n)))
-        for params in (toy_params_a(n), toy_params_b(n)):
+        for params in (toy_params_a(n), toy_params_b(n))[:1 if n >= 100 else 2]:
             assert nn_level_counts(system, system.ids, params) \
                 == reference_counts(system, system.ids, params)
 
@@ -542,6 +544,38 @@ class TestCountDP:
                 counts = nn_level_counts(system, ordering, p)
                 assert counts == reference_counts(system, ordering, p), (system, ordering)
                 assert counts == brute_counts(system, ordering, p), (system, ordering)
+
+    # The slots are as wide as the crossing-free pairings of n points allow
+    # (the hairpin floor only on one strand), while ``reference_counts`` keeps
+    # 3**n's width: these systems put counts close to the narrower bound.
+
+    def test_an_all_pairing_strand_near_the_slot_bound(self):
+        """G*20 + C*20 has 2**35 structures or more, against fewer than 2**40
+        pairings of 40 points with three or more inside each pair."""
+        system = sys_of("G" * 20 + "C" * 20)
+        params = toy_params_a(40)
+        counts = nn_level_counts(system, system.ids, params)
+        assert sum(counts.values()).bit_length() == 36
+        assert counts == reference_counts(system, system.ids, params)
+
+    def test_a_pair_across_a_nick_has_no_hairpin_floor(self):
+        """GG + CC has 4 structures at one level.  A hairpin floor of 3 on
+        its 4 flat bases would allow a single pairing and a 2-bit slot."""
+        system, params = sys_of("GG", "CC"), toy_params_a(4)
+        counts = nn_level_counts(system, system.ids, params)
+        assert 4 in counts.values()
+        assert counts == reference_counts(system, system.ids, params)
+        assert counts == brute_counts(system, system.ids, params)
+
+    def test_short_gc_strands_under_every_ordering(self):
+        rng = random.Random(30)
+        for _ in range(40):
+            system = sys_of(*("".join(rng.choice("GC") for _ in range(rng.randint(1, 4)))
+                              for _ in range(rng.randint(2, 5))))
+            params = toy_params_a(system.n)
+            for ordering in system.circular_orderings():
+                assert nn_level_counts(system, ordering, params) \
+                    == reference_counts(system, ordering, params), (system, ordering)
 
 
 class TestMissingTableEntries:
