@@ -23,12 +23,11 @@ _MODULES = {
     "strands": """BaseRef BudgetExceeded BudgetViolation EMPTY_STRUCTURE Flattening
         InvalidInput OracleInconsistency SecondaryStructure Strand StrandSystem
         StructureSpace candidate_pairs complementary
-        count_structures enumerate_structures is_connected is_unpseudoknotted_multi
-        is_unpseudoknotted_single min_hairpin_ok nn_space parse_strands
-        read_strand_file validate_structure""",
+        count_structures enumerate_structures is_unpseudoknotted_multi nn_space
+        parse_strands read_strand_file validate_structure""",
     "energy": """BPM BPS EnergyModel Loop NNEnergyDetail NNParams decompose_loops
         dump_nn_params energy energy_nn_detail load_nn_params
-        max_symmetry_order nn_model parse_nn_params rotational_symmetry
+        nn_model parse_nn_params rotational_symmetry
         toy_params_a toy_params_b toy_params_file""",
     "oracles": "DensityOfStates OracleHandle check_base dos_brute make_oracle pf_decimal",
     "levels": """LevelSet augment_symmetry candidate_levels levels_bpm levels_bps

@@ -6,10 +6,10 @@ approximation beside the exact field.  Identical inputs produce
 byte-identical output.
 
 ``_setup`` builds the system, space and model with the library's own
-constructors.  The NN space is knot-free, connected and takes
-``min_hairpin`` from the --params file; the bpm/bps spaces come from the
-space flags.  A flag of ``MODEL_FLAGS`` that the chosen model does not read
-is bad input, whatever the subcommand.
+constructors: the NN space is knot-free, connected and takes ``min_hairpin``
+from --params; the bpm/bps spaces come from the space flags.  A flag the run
+does not read is bad input: one of ``MODEL_FLAGS`` the model does not read,
+or --budget on a hardgen action other than verify-bps.
 
 Each ``cmd_*`` imports the modules it runs beyond ``strands`` and ``energy``.
 
@@ -250,6 +250,8 @@ def cmd_levels(args) -> int:
 def cmd_hardgen(args) -> int:
     from . import hardness
 
+    if args.budget is not None and args.action != "verify-bps":
+        raise InvalidInput(f"hardgen {args.action} does not read --budget")
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
     if args.action == "4part-from-3dm":
@@ -266,7 +268,8 @@ def cmd_hardgen(args) -> int:
         return EXIT_OK
     if args.action == "verify-bps":
         report = hardness.verify_parsimony_bps(
-            hardness.FourPartitionInstance.from_json(text), enum_budget=args.budget)
+            hardness.FourPartitionInstance.from_json(text),
+            DEFAULT_BPS_ENUM_BUDGET if args.budget is None else args.budget)
     else:
         report = hardness.verify_parsimony_4part(hardness.ThreeDMInstance.from_json(text))
     print(report.to_json())
@@ -332,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=(
         "4part-from-3dm", "bps-from-4part", "verify-bps", "verify-4part"))
     p.add_argument("file", help="instance JSON file")
-    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BPS_ENUM_BUDGET,
-                   help="pairable-base budget for the enumeration route")
+    p.add_argument("--budget", type=_non_negative,
+                   help="verify-bps: pairable-base budget for the enumeration route")
     p.set_defaults(func=cmd_hardgen)
     return parser
 

@@ -220,12 +220,6 @@ def _kind(closing: Optional[tuple[int, int]], kids: list, nicks: int) -> str:
 # rotational symmetry
 
 
-def max_symmetry_order(system: StrandSystem, ordering: Sequence[int]) -> int:
-    """v(pi): the largest order of a rotation of the circular ordering that
-    maps every strand onto one with an identical sequence."""
-    return flattening(system, ordering).symmetry_order
-
-
 def rotational_symmetry(system: StrandSystem, ordering: Sequence[int],
                         structure: SecondaryStructure) -> int:
     """Largest divisor R of v(pi) whose strand rotation fixes the pair set."""

@@ -41,7 +41,6 @@ from .energy import (
     EnergyModel,
     NNParams,
     interior_like_energy,
-    max_symmetry_order,
     round_log_multiple,
 )
 
@@ -104,9 +103,9 @@ def _pool(params: NNParams, n: int) -> tuple[int, int]:
     return min(values), max(values)
 
 
-def _max_symmetry_quanta(c: int, params: NNParams) -> int:
-    return max([0] + [round_log_multiple(params.kbt, r, params.delta)
-                      for r in range(2, c + 1) if c % r == 0])
+def _symmetry_penalties(v: int, params: NNParams) -> list[int]:
+    """The rounded k_B T ln R, in quanta, of each divisor R > 1 of v."""
+    return [round_log_multiple(params.kbt, r, params.delta) for r in range(2, v + 1) if v % r == 0]
 
 
 def grid_slope(params: NNParams, c: int = 1) -> int:
@@ -116,7 +115,7 @@ def grid_slope(params: NNParams, c: int = 1) -> int:
     lo, hi = _pool(params, 0)
     return (max(0, hi) - min(0, lo)
             + abs(params.multi_bp) + abs(params.multi_nt)
-            + abs(params.assoc) + _max_symmetry_quanta(c, params))
+            + abs(params.assoc) + max(_symmetry_penalties(c, params), default=0))
 
 
 def levels_nn_grid(system: StrandSystem, params: NNParams) -> LevelSet:
@@ -147,7 +146,7 @@ def levels_nn_grid(system: StrandSystem, params: NNParams) -> LevelSet:
            + assoc)
     high = ((n // 2) * max(0, hi_pool)
             + n * max(0, params.multi_bp) + n * max(0, params.multi_nt)
-            + assoc + _max_symmetry_quanta(c, params))
+            + assoc + max(_symmetry_penalties(c, params), default=0))
     return LevelSet(params.delta, tuple(range(low, high + 1)))
 
 
@@ -319,14 +318,8 @@ def augment_symmetry(levels: LevelSet, system: StrandSystem,
     """Close a level set under the possible rotational-symmetry penalties:
     for every divisor R > 1 of the ordering's maximum symmetry order, each
     level also appears shifted by the rounded k_B T ln R."""
-    v = max_symmetry_order(system, ordering)
-    out = set(levels.levels)
-    for r in range(2, v + 1):
-        if v % r != 0:
-            continue
-        shift = round_log_multiple(params.kbt, r, params.delta)
-        out.update(l + shift for l in levels.levels)
-    return LevelSet(levels.delta, tuple(out))
+    shifts = [0] + _symmetry_penalties(flattening(system, ordering).symmetry_order, params)
+    return LevelSet(levels.delta, tuple(l + shift for shift in shifts for l in levels.levels))
 
 
 def candidate_levels(system: StrandSystem, model: EnergyModel, dp: bool = True,

@@ -1,6 +1,6 @@
-"""Strands, multi-stranded systems, secondary structures, and the structural
-predicates and enumerators everything else consumes; also the package's
-error classes and default budgets, which the CLI's parser and ``main`` read.
+"""Strands, systems, structures, their predicates (``validate_structure``,
+``is_unpseudoknotted_multi``, ``Flattening.connected``/``.hairpins_ok``) and
+enumerators; also the package's error classes and the budgets the CLI reads.
 
 Conventions used throughout the package:
 
@@ -408,20 +408,13 @@ def checked_flat(system: StrandSystem, structure: SecondaryStructure) -> list[tu
     return structure.sorted_flat(system)
 
 
-def is_unpseudoknotted_single(flat_pairs) -> bool:
-    """No two pairs cross under the flattened order."""
-    pairs = sorted(flat_pairs)
-    return not any(i < k < j < l
-                   for (i, j), (k, l) in itertools.combinations(pairs, 2))
-
-
 def _first_crossing_free(system: StrandSystem, pairs, orderings):
     """(flattening, pairs under it) of the first of ``orderings`` under which
     the sorted identity-flat ``pairs`` do not cross; None if there is none."""
     for ordering in orderings:
         flat = flattening(system, ordering)
         placed = flat.from_identity(pairs)
-        if is_unpseudoknotted_single(placed):
+        if not any(i < k < j < l for (i, j), (k, l) in itertools.combinations(placed, 2)):
             return flat, placed
     return None
 
@@ -461,17 +454,6 @@ def place(system: StrandSystem, structure: SecondaryStructure,
     if not found[0].connected(found[1]):
         raise InvalidInput("structure is disconnected")
     return found
-
-
-def is_connected(system: StrandSystem, structure: SecondaryStructure) -> bool:
-    """Connectivity of the strand graph with one edge per inter-strand pair."""
-    return flattening(system).connected(structure.sorted_flat(system))
-
-
-def min_hairpin_ok(system: StrandSystem, structure: SecondaryStructure, min_hairpin: int) -> bool:
-    """Every same-strand pair enclosing only unpaired bases of that strand
-    must enclose at least ``min_hairpin`` of them."""
-    return flattening(system).hairpins_ok(structure.sorted_flat(system), min_hairpin)
 
 
 # ---------------------------------------------------------------------------

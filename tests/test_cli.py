@@ -391,6 +391,12 @@ class TestHardgen:
         payload = json.loads(run_cli("hardgen", "verify-4part", t_json).stdout)
         assert payload["status"] == "ok"
 
+    @pytest.mark.parametrize("action", ["4part-from-3dm", "bps-from-4part", "verify-4part"])
+    def test_only_verify_bps_reads_the_budget(self, action, w_json, t_json):
+        instance = w_json if action == "bps-from-4part" else t_json
+        assert run_main(["hardgen", action, instance, "--budget", "0"]) \
+            == (4, "", f"bad input: hardgen {action} does not read --budget\n")
+
     def test_budget_must_be_a_non_negative_integer(self, w_json):
         proc = run_cli("hardgen", "verify-bps", w_json, "--budget", "-5", check=False)
         assert proc.returncode == 4 and proc.stdout == ""
@@ -538,7 +544,7 @@ def test_levels_refuses_a_flag_its_model_does_not_read(args, flag):
 
 
 # (subcommand, model) -> the model-dependent flags it does not read; hardgen
-# has none
+# reads no model, and only its verify-bps action reads --budget
 UNREAD_FLAGS = {
     ("enumerate", "bpm"): ["--params"],
     ("enumerate", "bps"): ["--params"],

@@ -28,7 +28,6 @@ from exfold.energy import (
     energy,
     energy_nn_detail,
     load_nn_params,
-    max_symmetry_order,
     nn_model,
     parse_nn_params,
     rotational_symmetry,
@@ -153,12 +152,12 @@ class TestSymmetry:
     def test_two_identical_strands_symmetric_structure(self):
         s = sys_of("AT", "AT")
         st = SecondaryStructure.from_refs(s, [((1, 1), (2, 2)), ((2, 1), (1, 2))])
-        assert max_symmetry_order(s, (1, 2)) == 2
+        assert flattening(s, (1, 2)).symmetry_order == 2
         assert rotational_symmetry(s, (1, 2), st) == 2
 
     def test_distinct_sequences(self):
         s = sys_of("AT", "GC")
-        assert max_symmetry_order(s, (1, 2)) == 1
+        assert flattening(s, (1, 2)).symmetry_order == 1
         assert rotational_symmetry(s, (1, 2), EMPTY_STRUCTURE) == 1
 
     def test_asymmetric_structure_on_symmetric_strands(self):

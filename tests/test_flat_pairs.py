@@ -25,9 +25,7 @@ from exfold.strands import (
     candidate_pairs,
     enumerate_structures,
     flattening,
-    is_connected,
     is_unpseudoknotted_multi,
-    min_hairpin_ok,
     nn_space,
 )
 from exfold.energy import (
@@ -39,7 +37,6 @@ from exfold.energy import (
     energy,
     energy_nn_detail,
     interior_like_energy,
-    max_symmetry_order,
     nn_model,
     rotational_symmetry,
     round_log_multiple,
@@ -397,7 +394,7 @@ class TestRecordFreeScoring:
         s = StrandSystem.from_sequences(*strands)
         orders = set()
         for ordering in s.circular_orderings():
-            assert max_symmetry_order(s, ordering) == ref_symmetry_order(s, ordering)
+            assert flattening(s, ordering).symmetry_order == ref_symmetry_order(s, ordering)
             for name, params in NN_PARAMS.items():
                 for min_hairpin in range(4):
                     space = StructureSpace(allow_pseudoknots=False, require_connected=True)
@@ -446,9 +443,11 @@ class TestPseudoknottedEnumeration:
                     if (not connected or ref_connected(s, structure))
                     and ref_min_hairpin_ok(s, structure, min_hairpin)]
         assert [structure.pairs for structure in enumerate_structures(s, space)] == expected
+        identity = flattening(s)
         for structure in everything:
-            assert is_connected(s, structure) == ref_connected(s, structure)
-            assert min_hairpin_ok(s, structure, min_hairpin) == \
+            pairs = structure.sorted_flat(s)
+            assert identity.connected(pairs) == ref_connected(s, structure)
+            assert identity.hairpins_ok(pairs, min_hairpin) == \
                 ref_min_hairpin_ok(s, structure, min_hairpin)
 
 
@@ -470,8 +469,8 @@ class TestUnknownBase:
         lambda s, st: energy(BPS, s, st),
         lambda s, st: rotational_symmetry(s, (1,), st),
         lambda s, st: decompose_loops(s, (1,), st),
-        lambda s, st: is_connected(s, st),
-        lambda s, st: min_hairpin_ok(s, st, 3),
+        lambda s, st: flattening(s).connected(st.sorted_flat(s)),
+        lambda s, st: flattening(s).hairpins_ok(st.sorted_flat(s), 3),
     ])
     def test_edges_raise_invalid_input(self, call):
         s = StrandSystem.from_sequences("GGGAAACCC")

@@ -709,6 +709,20 @@ class TestSymmetryAugmentation:
         assert set(augment_symmetry(lv, s, (1, 2), params).levels) \
             == {0, -2, t, -2 + t}
 
+    @pytest.mark.parametrize("c, tops", [(4, (88, 99)), (6, (133, 150))])
+    def test_every_divisor_of_the_symmetry_order(self, c, tops):
+        # v = c on c equal strands: each divisor R > 1 shifts every level by
+        # its own rounded kT ln R (toy_params_b has delta = 1/2)
+        from exfold.energy import round_log_multiple
+        system = sys_of(*["GC"] * c)
+        assert flattening(system, system.ids).symmetry_order == c
+        for params, top in zip(PARAMS, tops):
+            dp = levels_nn_dp(system, system.ids, params)
+            want = {level + round_log_multiple(params.kbt, r, params.delta)
+                    for level in dp.levels for r in range(1, c + 1) if c % r == 0}
+            assert set(augment_symmetry(dp, system, system.ids, params).levels) == want
+            assert levels_nn_grid(system, params).levels[-1] == top
+
     def test_superset_of_full_occupied(self):
         for seqs in (("AT", "AT"), ("GC", "GC"), ("ACG", "ACG"), ("GC", "GC", "GC")):
             system = sys_of(*seqs)

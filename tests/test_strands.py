@@ -27,10 +27,7 @@ from exfold.strands import (
     count_structures,
     enumerate_structures,
     flattening,
-    is_connected,
     is_unpseudoknotted_multi,
-    is_unpseudoknotted_single,
-    min_hairpin_ok,
     nn_space,
     parse_strands,
     place,
@@ -48,6 +45,12 @@ def flat(system, pairs):
     identity = flattening(system)
     return SecondaryStructure.from_refs(system, [(identity.ref(i), identity.ref(j))
                                                  for i, j in pairs])
+
+
+def crossing_free(flat_pairs):
+    """No two pairs cross: the definition, on any flat pairs."""
+    pairs = sorted(flat_pairs)
+    return not any(i < k < j < l for (i, j), (k, l) in itertools.combinations(pairs, 2))
 
 
 def looked_up(under, structure):
@@ -124,23 +127,32 @@ def test_refused_input(build, message):
 
 
 class TestPseudoknots:
+    """Crossing pairs, through the ordering search and ``place``."""
+
     def test_nested_ok(self):
-        assert is_unpseudoknotted_single([(1, 4), (2, 3)])
+        s = sys_of("GGCC")
+        assert is_unpseudoknotted_multi(s, flat(s, [(1, 4), (2, 3)])) == (True, (1,))
+        assert place(s, flat(s, [(1, 4), (2, 3)]), (1,))[1] == [(1, 4), (2, 3)]
 
     def test_crossing(self):
-        assert not is_unpseudoknotted_single([(1, 3), (2, 4)])
+        s = sys_of("GGCC")
+        assert is_unpseudoknotted_multi(s, flat(s, [(1, 3), (2, 4)])) == (False, None)
+        with pytest.raises(InvalidInput, match="pseudoknotted under this ordering"):
+            place(s, flat(s, [(1, 3), (2, 4)]), (1,))
 
     def test_empty(self):
-        assert is_unpseudoknotted_single([])
+        s = sys_of("GGCC")
+        assert is_unpseudoknotted_multi(s, EMPTY_STRUCTURE) == (True, (1,))
 
     def test_multi_reordering_recovers(self):
         # crossing under ordering 1,3,2,4 disappears under 1,2,3,4
         s = sys_of("GG", "CC", "GG", "CC")
         pairs = [((1, 1), (2, 2)), ((1, 2), (2, 1)), ((3, 1), (4, 2)), ((3, 2), (4, 1))]
         st = SecondaryStructure.from_refs(s, pairs)
-        from exfold.strands import Flattening
         crossed = looked_up(Flattening(s, (1, 3, 2, 4)), st)
-        assert not is_unpseudoknotted_single(crossed)
+        assert not crossing_free(crossed)
+        with pytest.raises(InvalidInput, match="pseudoknotted under this ordering"):
+            place(s, st, (1, 3, 2, 4))
         ok, witness = is_unpseudoknotted_multi(s, st)
         assert ok and witness == (1, 2, 3, 4)
 
@@ -160,28 +172,26 @@ class TestPseudoknots:
 
 class TestConnectivity:
     def test_two_strands_empty(self):
-        assert not is_connected(sys_of("GC", "GC"), EMPTY_STRUCTURE)
+        assert not flattening(sys_of("GC", "GC")).connected([])
 
     def test_single_strand_empty(self):
-        assert is_connected(sys_of("ACGT"), EMPTY_STRUCTURE)
+        assert flattening(sys_of("ACGT")).connected([])
 
     def test_bridge(self):
         s = sys_of("GC", "GC")
-        assert is_connected(s, SecondaryStructure.from_refs(s, [((1, 1), (2, 2))]))
+        assert flattening(s).connected(
+            SecondaryStructure.from_refs(s, [((1, 1), (2, 2))]).sorted_flat(s))
 
 
 class TestMinHairpin:
     def test_small_loop_rejected(self):
-        s = sys_of("ACGT")
-        assert not min_hairpin_ok(s, flat(s, [(1, 4)]), 3)
+        assert not flattening(sys_of("ACGT")).hairpins_ok([(1, 4)], 3)
 
     def test_zero_knob_allows(self):
-        s = sys_of("ACGT")
-        assert min_hairpin_ok(s, flat(s, [(1, 4)]), 0)
+        assert flattening(sys_of("ACGT")).hairpins_ok([(1, 4)], 0)
 
     def test_cross_nick_pair_allowed(self):
-        s = sys_of("G", "C")
-        assert min_hairpin_ok(s, flat(s, [(1, 2)]), 3)
+        assert flattening(sys_of("G", "C")).hairpins_ok([(1, 2)], 3)
 
 
 class TestEnumeration:
@@ -231,12 +241,13 @@ class TestEnumeration:
                 ordering = tuple(rng.sample(s.ids, c))
                 assert [st.pairs for st in
                         enumerate_structures(s, knot_free, fixed_ordering=ordering)] == \
-                    [st.pairs for st in everything if is_unpseudoknotted_single(
-                        looked_up(flattening(s, ordering), st))]
-                assert [st.pairs for st in enumerate_structures(s, nn_space())] == \
                     [st.pairs for st in everything
-                     if is_unpseudoknotted_multi(s, st)[0] and is_connected(s, st)
-                     and min_hairpin_ok(s, st, 3)]
+                     if crossing_free(looked_up(flattening(s, ordering), st))]
+                identity = flattening(s)
+                assert [st.pairs for st in enumerate_structures(s, nn_space())] == \
+                    [st.pairs for st in everything if is_unpseudoknotted_multi(s, st)[0]
+                     and identity.connected(st.sorted_flat(s))
+                     and identity.hairpins_ok(st.sorted_flat(s), 3)]
 
     def test_fixed_ordering_must_permute_the_strands(self):
         s = sys_of("GC", "GC")
@@ -267,7 +278,7 @@ class TestEnumeration:
     def test_multi_agrees_with_single_on_one_strand(self):
         s = sys_of("GCAUGC")
         for st in enumerate_structures(s, StructureSpace(allow_pseudoknots=True)):
-            single = is_unpseudoknotted_single(st.sorted_flat(s))
+            single = crossing_free(st.sorted_flat(s))
             assert single == is_unpseudoknotted_multi(s, st)[0]
 
 
