@@ -80,10 +80,16 @@ class NNParams:
     def __post_init__(self):
         if self.delta <= 0 or self.kbt <= 0 or self.min_hairpin < 0:
             raise InvalidInput("delta and kbt must be positive and min_hairpin >= 0")
-        # size_entry's lookup copies, where it memoises what it extrapolates;
-        # the fields, so equality, repr and dump_nn_params, stay explicit
+        # size_entry's lookup copies, where it memoises what it extrapolates, and
+        # derived's memo; not fields, so equality, repr and dump_nn_params ignore them
         object.__setattr__(self, "_sizes", {name: dict(getattr(self, name))
                                             for name in SIZE_TABLES})
+        object.__setattr__(self, "_derived", {})
+
+    def derived(self, key: tuple, build):
+        """build(), kept under ``key`` once it returns; a raise keeps nothing."""
+        memo = self._derived
+        return memo[key] if key in memo else memo.setdefault(key, build())
 
     def table_entry(self, table: dict, key, what: str) -> int:
         """A stack or mismatch entry."""

@@ -8,11 +8,11 @@ exhaustive searches memoised on what the rest of the search depends on, and
 check the predicted multiplicative factor.  Both recounts skip work without
 rounding: a 4-PARTITION anchor's last partner is bisected and a run of equal
 weights counted at once; the stack search keys the G runs that touch no C
-by the sorted lengths of their free blocks, and packs each state's histogram
-into one int whose slots no count can overflow.  The chain route for
-strands beyond enumeration places only chains of two or more stacked pairs,
-as vectors of chain counts by length, and takes the single pairs left over
-from the closed-form matching count.
+by the sorted lengths of their free blocks, enters equally long ones once,
+and packs each state's histogram into one int no count can overflow.  The
+chain route for strands beyond enumeration places only chains of two or
+more stacked pairs, as vectors of chain counts by length, and takes the
+single pairs left over from the closed-form matching count.
 """
 
 from __future__ import annotations
@@ -336,12 +336,15 @@ def count_bps_brute(strand: str, target: int,
     consecutive C's with consecutive free G's, so blocks of equal length are
     interchangeable, and equal keys have equal futures once an open partner
     ``p`` of ``cpos[idx]-1`` is keyed as the length of the block topped by
-    ``p-1``, the one block its stack can extend.  Each state's completions
-    are a histogram by stacks gained, packed into one int with slots as wide
-    as the matching count ``_matchings``, which bounds every entry, so no
-    slot carries into the next.  Past ``BPS_MEMO_STATES`` states the search
-    raises ``BudgetExceeded``; it keeps the block shapes of at most as many
-    masks.  The default pairable-base budget stays far below."""
+    ``p-1``, the one block its stack can extend.  A state tries each G by a
+    C or in that block, and, once for all, times their number, the G's at
+    one offset in the other open blocks of one length: their children have
+    equal keys and gain no stack.  Each state's completions are a histogram
+    by stacks gained, packed into one int with slots as wide as the matching
+    count ``_matchings``, which bounds every entry, so no slot carries into
+    the next.  Past ``BPS_MEMO_STATES`` states the search raises
+    ``BudgetExceeded``; it keeps the block shapes of at most as many masks.
+    The default pairable-base budget stays far below."""
     cpos, gpos = _cg_positions(strand)
     if len(cpos) + len(gpos) > budget:
         raise BudgetExceeded(
@@ -360,24 +363,33 @@ def count_bps_brute(strand: str, target: int,
     def rec(idx: int, used: int) -> int:
         if idx == len(cpos):
             return 1
-        c, free = cpos[idx], gmask & ~used
-        mark = partner[c - 1]
+        c, avail = cpos[idx], gmask & ~used
+        mark = top = partner[c - 1]
         if mark is not None and open_g >> mark & 1:  # -(length of the block topped by mark-1)
-            mark = (~free & (1 << mark) - 1).bit_length() - mark or None
-        key = (idx, used & ~open_g, shape(free & open_g), mark)
+            mark = (~avail & (1 << mark) - 1).bit_length() - mark or None
+        key = (idx, used & ~open_g, shape(avail & open_g), mark)
         if watched[idx]:
             key += tuple(map(partner.__getitem__, watched[idx]))
         hit = memo.get(key)
         if hit is not None:
             return hit
-        hist = rec(idx + 1, used)  # c stays unpaired
-        while free:  # the unused G's, lowest first
+        free = avail & ~open_g | ((1 << top) - (1 << top + mark) if mark and mark < 0 else 0)
+        hist, rest, blocks = rec(idx + 1, used), avail ^ free, {}  # c stays unpaired
+        while free:  # one child per G by a C or in the block under mark, lowest first
             bit = free & -free
             g, free = bit.bit_length() - 1, free ^ bit
             gained = (partner[c - 1] == g + 1) + (partner[c + 1] == g - 1)
             partner[c], partner[g] = g, c
             hist += rec(idx + 1, used | bit) << width * gained
             partner[c] = partner[g] = None
+        while rest:  # drop the lowest block, block ^ rest; length -> [first's lowest G, count]
+            low, rest, block = (rest & -rest).bit_length() - 1, rest & rest + (rest & -rest), rest
+            blocks.setdefault((block ^ rest).bit_length() - low, [low, 0])[1] += 1
+        for size, (low, k) in blocks.items():  # one child per offset; none gains a stack
+            for g in range(low, low + size):
+                partner[c], partner[g] = g, c
+                hist += k * rec(idx + 1, used | 1 << g)
+                partner[c] = partner[g] = None
         if len(memo) == BPS_MEMO_STATES:
             raise BudgetExceeded(
                 f"stack counting needs more than {BPS_MEMO_STATES} matching states")

@@ -13,11 +13,16 @@ with packed = sum_k c_k * 2**(W*k) (Kronecker substitution) and lo its lowest
 level: a term joins a sum by one shift and one addition, the product of two
 cells (the sumset of their levels) is one integer multiplication, and an energy
 shift only moves lo.  Every coefficient counts distinct crossing-free
-structures on at most n flat bases, at most S of them (see nn_level_counts), so
+structures on at most n flat bases, at most S of them (see _slot_width), so
 slots of W = S.bit_length() + 1 bits never carry.  Splitting on the rightmost
 pair makes every branch but the O(n**2) interior scan O(n) per cell: O(n**3)
 big-integer products and O(n**4) interior terms at most.  The loops do this
 algebra in line, with no call per term.
+
+The grid's checked bounds per (n, c, alphabet) and the DP's size rows per n
+are kept on the parameter set (``NNParams.derived``: frozen fields, a new
+memo per ``replace``, no failure kept, and, as for ``size_entry``'s copies,
+tables never edited in place), W per (n, h) in a bounded cache.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -128,25 +134,31 @@ def levels_nn_grid(system: StrandSystem, params: NNParams) -> LevelSet:
     superset of the occupied levels, O(n / delta) wide.  It first reads each
     entry a loop on n bases can read (the sizes of ``loop_sizes``, mismatches
     opening with a complementary pair, stacks of two), so as to refuse an
-    incomplete set."""
+    incomplete set; params keeps the bounds once checked, per (n, c,
+    alphabet), the only inputs they read, and refuses a refused set again."""
     n, c = system.n, system.c
-    letters = sorted({b for strand in system.strands for b in strand.sequence})
-    pairs = [(a, b) for a in letters for b in letters if complementary(a, b)]
-    for name in SIZE_TABLES:
-        for m in params.loop_sizes(name, n):
-            params.size_entry(name, m)
-    for (a, b), x, y in itertools.product(pairs, letters, letters):
-        params.table_entry(params.mismatch, (a, b, x, y), "mismatch")
-        if (x, y) in pairs:
-            params.table_entry(params.stack, (a, x, y, b), "stack")
-    lo_pool, hi_pool = _pool(params, n)
-    assoc = (c - 1) * params.assoc
-    low = ((n // 2) * min(0, lo_pool)
-           + n * min(0, params.multi_bp) + n * min(0, params.multi_nt)
-           + assoc)
-    high = ((n // 2) * max(0, hi_pool)
-            + n * max(0, params.multi_bp) + n * max(0, params.multi_nt)
-            + assoc + max(_symmetry_penalties(c, params), default=0))
+    letters = "".join(sorted(set().union(*(strand.sequence for strand in system.strands))))
+
+    def bounds():
+        pairs = [(a, b) for a in letters for b in letters if complementary(a, b)]
+        for name in SIZE_TABLES:
+            for m in params.loop_sizes(name, n):
+                params.size_entry(name, m)
+        for (a, b), x, y in itertools.product(pairs, letters, letters):
+            params.table_entry(params.mismatch, (a, b, x, y), "mismatch")
+            if (x, y) in pairs:
+                params.table_entry(params.stack, (a, x, y, b), "stack")
+        lo_pool, hi_pool = _pool(params, n)
+        assoc = (c - 1) * params.assoc
+        low = ((n // 2) * min(0, lo_pool)
+               + n * min(0, params.multi_bp) + n * min(0, params.multi_nt)
+               + assoc)
+        high = ((n // 2) * max(0, hi_pool)
+                + n * max(0, params.multi_bp) + n * max(0, params.multi_nt)
+                + assoc + max(_symmetry_penalties(c, params), default=0))
+        return low, high
+
+    low, high = params.derived(("grid", n, c, letters), bounds)
     return LevelSet(params.delta, tuple(range(low, high + 1)))
 
 
@@ -171,34 +183,21 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
     nick at j-1] * shift(T[i, j-1], unpaired cost).  gb[i][j] sums its terms by
     level and packs them from the lowest.  Its interior terms scan the
     non-empty gb[d][e] with nick-free flanks in (d, e) order, cells by length
-    then i, reading ``interior_like_energy``'s formula off per-call tables (the
-    two mismatches, the size entries for 0..n); a term that meets an empty slot
-    calls it, so a missing entry raises at the first loop that needs it.  A
-    coefficient counts distinct structures on at most n bases, so at most S =
-    s[n], the pairings of n points in a row with h or more points inside each
-    pair (Stein & Waterman 1979), h = min_hairpin on one strand, else 0: a pair
-    across a nick has no floor.
+    then i, reading ``interior_like_energy``'s formula off the two mismatches
+    and the size rows for 0..n that params keeps per n; a term that meets an
+    empty slot calls it, so a missing entry raises at the first loop that
+    needs it.  Slots are ``_slot_width`` bits wide.
     """
     flat, n = flattening(system, ordering), system.n
-    h, s = 0 if flat.nicks else params.min_hairpin, [1]  # s[k]: the pairings of k points
-    for k in range(1, n + 1):  # point k unpaired, or paired with k - q + 1 around q - 2 >= h
-        s.append(s[-1] + sum(s[q - 2] * s[k - q] for q in range(h + 2, k + 1)))
-    width = s[n].bit_length() + 1
+    width = _slot_width(n, 0 if flat.nicks else params.min_hairpin)
     seq = " " + flat.sequence + " "  # seq[p] is base p; the pads match no table key
     stack, mismatch = params.stack, params.mismatch
-
-    def entry(name, m):  # None where size_entry raises: the scan raises there, if it goes there
-        try:
-            return params.size_entry(name, m)
-        except InvalidInput:
-            return None
-
-    bulge, size, asym = ([entry(name, m) for m in range(n + 1)]
-                         for name in ("bulge", "interior_size", "interior_asym"))
-    pairable = {(a, b) for a in set(seq) for b in set(seq) if complementary(a, b)}
+    bulge, size, asym = params.derived(("rows", n), lambda: tuple(  # None: no entry, raise at use
+        list(map(params.size_table(name, n).get, range(n + 1))) for name in list(SIZE_TABLES)[1:]))
+    pairable = {(a, b) for a, b in itertools.product(set(seq), repeat=2) if complementary(a, b)}
     nick = [p in flat.nicks for p in range(n + 1)]  # nick[p]: between p and p+1
-    next_nick = [min([q for q in flat.nicks if q >= p], default=n) for p in range(n + 1)]
-    last_nick = [max([q for q in flat.nicks if q <= p], default=0) for p in range(n + 1)]
+    last_nick = [*itertools.accumulate((p * x for p, x in enumerate(nick)), max)]
+    next_nick = [*itertools.accumulate((p if nick[p] else n for p in range(n, -1, -1)), min)][::-1]
     bp, nt = params.multi_bp, params.multi_nt
 
     g, gm, gm2, s1 = ([[None] * (n + 2) for _ in range(n + 2)] for _ in range(4))
@@ -303,6 +302,18 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
         packed >>= width
         level += 1
     return counts
+
+
+@lru_cache(maxsize=256)
+def _slot_width(n: int, h: int) -> int:
+    """S.bit_length() + 1 bits.  A coefficient counts distinct structures on
+    at most n bases, so at most S = s[n], the pairings of n points in a row
+    with h or more points inside each pair (Stein & Waterman 1979); h is
+    min_hairpin on one strand, else 0: a pair across a nick has no floor."""
+    s = [1]  # s[k]: the pairings of k points
+    for k in range(1, n + 1):  # point k unpaired, or paired with k - q + 1 around q - 2 >= h
+        s.append(s[-1] + sum(s[q - 2] * s[k - q] for q in range(h + 2, k + 1)))
+    return s[n].bit_length() + 1
 
 
 def levels_nn_dp(system: StrandSystem, ordering: Sequence[int],

@@ -241,6 +241,20 @@ def random_strands(rng, alphabet, count, max_pairable):
     return out
 
 
+def equal_blocks_strand(rng, marked):
+    """A-separated C runs, of one C or, when ``marked``, of two or three
+    (a C after a C marks the block its predecessor's pair tops), and three
+    or four open G blocks of one length, maybe one more G run; at most 16
+    pairable bases."""
+    while True:
+        runs = ["C" * rng.randint(1 + marked, 1 + 2 * marked) for _ in range(rng.randint(1, 3))]
+        runs += ["G" * rng.randint(1, 3)] * rng.randint(3, 4)
+        runs += ["G" * rng.randint(1, 3)] * rng.randint(0, 1)
+        rng.shuffle(runs)
+        if sum(map(len, runs)) <= 16:
+            return "A".join(runs)
+
+
 def block_shape_strand(rng, kind):
     """A strand of A-separated C runs and G runs; kind 0 has two or more G
     runs of one length and no C/G boundary, kind 1 one G run fused to a C
@@ -552,6 +566,22 @@ class TestStackCounting:
             if c + g <= 10:
                 assert got == [plain_bps_count(strand, k) for k in range(-1, c + g + 2)], strand
 
+    def test_open_block_classes_match_a_positional_search(self):
+        # the library recurses once per offset into the open G blocks of one
+        # length; the references try every G by position, one at a time
+        rng = random.Random(67)
+        strands = ["CACACACAAGGAGGAGGAGG", "CCACCACCAAGGAGGAGGAGG", "CCCAAGGGAGGGAGGGAGG",
+                   "GAGAGAGAACCACCAC", "CCAGGAGGAGGACGG"]
+        strands += [equal_blocks_strand(rng, i % 2) for i in range(40)]
+        for strand in strands:
+            c, g = strand.count("C"), strand.count("G")
+            want = list_histogram_bps(strand)
+            want = [0] + want + [0] * (c + g + 2 - len(want))
+            got = [count_bps_brute(strand, k) for k in range(-1, c + g + 2)]
+            assert got == want, strand
+            if c + g <= 10:
+                assert got == [plain_bps_count(strand, k) for k in range(-1, c + g + 2)], strand
+
     @pytest.mark.parametrize("weights,bound,targets", [
         ((3, 3, 3, 3), 12, None),
         ((3, 3, 3, 4), 13, None),
@@ -604,6 +634,7 @@ class TestStackCounting:
 
     @pytest.mark.parametrize("strand,target,states", [
         ("CCACCACCACCAAAGGGGGGGG", 4, 260),  # one open G run: keyed by block shape
+        ("CCACCACCAAGGAGGAGGAGG", 3, 46),  # four equal open G blocks, each C after a C marked
         ("CCCCCCGGCGGCGGCG", 2, 55619),
         ("C" * 8 + "G" * 8, 3, 10648),
     ])

@@ -690,8 +690,74 @@ class TestMissingTableEntries:
         rng = random.Random(40)
         system = sys_of("".join(rng.choice("GCAU") for _ in range(40)))
         assert nn_level_counts(system, system.ids, params)
+        assert levels_nn_grid(system, params) == levels_nn_grid(system, params)
         assert params == before and repr(params) == text and dump_nn_params(params) == dump
         assert {name: params.size_table(name, 16) for name in SIZE_TABLES} == tables
+
+    @pytest.mark.parametrize("what", ["outer mismatch", "inner mismatch", "stack",
+                                      "interior size", "interior asymmetry"])
+    def test_a_refused_set_refuses_every_call(self, what):
+        # the per-set memo keeps no failure: each call raises the same error
+        params, message = self.partial_tables()[what]
+        system = sys_of("GAGGAAACCAC")
+        for call in (lambda: levels_nn_grid(system, params),
+                     lambda: nn_level_counts(system, system.ids, params)):
+            got = []
+            for _ in range(2):
+                with pytest.raises(InvalidInput) as err:
+                    call()
+                got.append(str(err.value))
+            assert got[0] == got[1] and got[0].startswith("missing "), (what, got)
+        assert str(err.value) == message  # the DP's, as the references raise it
+
+
+class TestDerivedMemo:
+    """``NNParams.derived`` keeps the grid's checked bounds and the count
+    DP's size rows on the parameter set; a warm set, shared by systems of
+    every size, answers as a fresh copy does."""
+
+    def test_a_warm_set_answers_as_a_fresh_copy(self):
+        rng = random.Random(62)
+        pristine = {"a": toy_params_a(24), "b": toy_params_b(24),
+                    "file": load_nn_params(toy_params_file("toy_nn_a"))}
+        warm, big_first = copy.deepcopy(pristine), copy.deepcopy(pristine)
+        big = random_system(rng, 30, 2)
+        for params in big_first.values():  # a larger n first
+            assert levels_nn_grid(big, params) and nn_level_counts(big, big.ids, params)
+        for case in range(210):
+            c = rng.randint(1, 3)
+            system = random_system(rng, rng.randint(c, 22), c, rng.choice(("GCAU", "GC", "GCA")))
+            ordering = rng.choice(list(system.circular_orderings()))
+            name = rng.choice(sorted(warm))
+            fresh = copy.deepcopy(pristine[name]) if case % 2 else replace(pristine[name])
+            grid, counts = levels_nn_grid(system, fresh), nn_level_counts(system, ordering, fresh)
+            for shared in (warm[name], big_first[name]):
+                assert levels_nn_grid(system, shared) == grid, system
+                assert nn_level_counts(system, ordering, shared) == counts, (system, ordering)
+        assert warm == big_first == pristine
+
+    def test_the_grid_checks_each_alphabet(self):
+        # a set missing a stack only A-U pairs read: a G-C system of the same
+        # size and strand count gets its grid first, then A-U is refused
+        params = toy_params_a(12)
+        params = replace(params, stack={k: v for k, v in params.stack.items()
+                                        if k != tuple("AGCU")})
+        assert levels_nn_grid(sys_of("GGGAAAACCC"), params)
+        for _ in range(2):
+            with pytest.raises(InvalidInput, match="missing stack parameter entry"):
+                levels_nn_grid(sys_of("GGAUAAAACC"), params)
+
+    def test_replace_starts_a_fresh_memo(self):
+        # a replaced set with other tables must not read the first set's memo
+        params = toy_params_a(12)
+        system = sys_of("GGGAAAACCCA")
+        grid, counts = levels_nn_grid(system, params), nn_level_counts(system, system.ids, params)
+        other = replace(params, bulge={m: v + 5 for m, v in params.bulge.items()},
+                        stack={k: v - 1 for k, v in params.stack.items()})
+        want = (levels_nn_grid(system, copy.deepcopy(other)),
+                nn_level_counts(system, system.ids, copy.deepcopy(other)))
+        assert (levels_nn_grid(system, other), nn_level_counts(system, system.ids, other)) == want
+        assert want[0] != grid and want[1] != counts
 
 
 class TestSymmetryAugmentation:
