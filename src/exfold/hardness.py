@@ -124,12 +124,8 @@ def count_3dm_brute(inst: ThreeDMInstance) -> int:
     def rec(idx: int, used_y: frozenset, used_z: frozenset) -> int:
         if idx == len(order):
             return 1
-        x = order[idx]
-        total = 0
-        for (tx, ty, tz) in inst.triples:
-            if tx == x and ty not in used_y and tz not in used_z:
-                total += rec(idx + 1, used_y | {ty}, used_z | {tz})
-        return total
+        return sum(rec(idx + 1, used_y | {ty}, used_z | {tz}) for tx, ty, tz in inst.triples
+                   if tx == order[idx] and ty not in used_y and tz not in used_z)
 
     return rec(0, frozenset(), frozenset())
 
@@ -267,9 +263,7 @@ def gen_4part_from_3dm(inst: ThreeDMInstance) -> FourPartitionConstruction:
                         for d4 in [first] + [later] * (occurrences[(axis, a)] - 1)]
     bound = 4 * offset + 15 + q * rho + q * rho**2 + q * rho**3 + 4 * rho**4
 
-    alpha = 1
-    for count in occurrences.values():
-        alpha *= factorial(count - 1)
+    alpha = prod(factorial(count - 1) for count in occurrences.values())
     return FourPartitionConstruction(FourPartitionInstance(tuple(weights), bound), alpha, False)
 
 
@@ -336,13 +330,14 @@ def count_bps_brute(strand: str, target: int,
     consecutive C's with consecutive free G's, so blocks of equal length are
     interchangeable, and equal keys have equal futures once an open partner
     ``p`` of ``cpos[idx]-1`` is keyed as the length of the block topped by
-    ``p-1``, the one block its stack can extend.  A state tries each G by a
-    C or in that block, and, once for all, times their number, the G's at
-    one offset in the other open blocks of one length: their children have
-    equal keys and gain no stack.  Each state's completions are a histogram
-    by stacks gained, packed into one int with slots as wide as the matching
-    count ``_matchings``, which bounds every entry, so no slot carries into
-    the next.  Past ``BPS_MEMO_STATES`` states the search raises
+    ``p-1``, the one block its stack can extend.  A state tries each G by a C
+    or in that block, and, once for all, times their number, the G's at one
+    offset in the other open blocks of one length L, or at offsets o and L-1-o
+    unless the next C is ``c+1`` (whose mark is the offset): their children
+    have equal keys and gain no stack.  Each state's completions are a
+    histogram by stacks gained, packed into one int with slots as wide as the
+    matching count ``_matchings``, which bounds every entry, so no slot
+    carries into the next.  Past ``BPS_MEMO_STATES`` states the search raises
     ``BudgetExceeded``; it keeps the block shapes of at most as many masks.
     The default pairable-base budget stays far below."""
     cpos, gpos = _cg_positions(strand)
@@ -385,10 +380,11 @@ def count_bps_brute(strand: str, target: int,
         while rest:  # drop the lowest block, block ^ rest; length -> [first's lowest G, count]
             low, rest, block = (rest & -rest).bit_length() - 1, rest & rest + (rest & -rest), rest
             blocks.setdefault((block ^ rest).bit_length() - low, [low, 0])[1] += 1
-        for size, (low, k) in blocks.items():  # one child per offset; none gains a stack
-            for g in range(low, low + size):
+        fold = cpos[idx + 1:idx + 2] != [c + 1]  # else the next mark reads g's offset
+        for size, (low, k) in blocks.items():  # one child per offset (mirror pair if fold)
+            for g in range(low, low + size - fold * (size // 2)):  # none gains a stack
                 partner[c], partner[g] = g, c
-                hist += k * rec(idx + 1, used | 1 << g)
+                hist += (k << (fold and 2 * (g - low) + 1 < size)) * rec(idx + 1, used | 1 << g)
                 partner[c] = partner[g] = None
         if len(memo) == BPS_MEMO_STATES:
             raise BudgetExceeded(

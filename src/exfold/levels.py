@@ -16,8 +16,8 @@ shift only moves lo.  Every coefficient counts distinct crossing-free
 structures on at most n flat bases, at most S of them (see _slot_width), so
 slots of W = S.bit_length() + 1 bits never carry.  Splitting on the rightmost
 pair makes every branch but the O(n**2) interior scan O(n) per cell: O(n**3)
-big-integer products and O(n**4) interior terms at most.  The loops do this
-algebra in line, with no call per term.
+multiloop products, O(n**4) interior terms and, as only cells read are summed,
+O(n**2) exterior products on one strand.  The loops do this algebra in line.
 
 The grid's checked bounds per (n, c, alphabet) and the DP's size rows per n
 are kept on the parameter set (``NNParams.derived``: frozen fields, a new
@@ -175,6 +175,8 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
     (see the module docstring) or a false value for Phi, "no structure":
       gb[i][j]  given that (i, j) is a pair, kept in ends[i] and starts[j];
       g[i][j]   exterior-loop contents, no nick outside a pair; g[i][i-1] = 1;
+                Phi unless read: row 1 (the answer g[1][n]), rows past a nick
+                and columns up to the last nick (the sides of a loop across it);
       gm[i][j]  multiloop contents with at least one pair; each pair carries
                 multi_bp, each unpaired base multi_nt, no nick outside a pair;
       gm2[i][j] the same with at least two pairs;
@@ -259,8 +261,9 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
             # the other cells add their terms (v, p) to running sums (lo, packed), lo
             # their lowest level so far and packed 0 for Phi; i or j unpaired costs nt
             trail = j == i or not nick[j - 1]  # j may be unpaired
+            read = i == 1 or nick[i - 1] or j <= last_nick[n]  # else g[i][j] stays Phi
             o_lo, o = not nick[i] and s1[i + 1][j] or (0, 0)
-            e_lo, e = trail and g[i][j - 1] or (0, 0)
+            e_lo, e = read and trail and g[i][j - 1] or (0, 0)
             m_lo, m = trail and gm[i][j - 1] or (0, 0)
             m2_lo, m2 = trail and gm2[i][j - 1] or (0, 0)
             o_lo, m_lo, m2_lo = o_lo + nt, m_lo + nt, m2_lo + nt
@@ -276,7 +279,7 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
                 m += o << width * (o_lo - m_lo)
             g_i, gm_i = g[i], gm[i]
             for d, lo, packed, free in starts[j]:  # terms whose last pair is (d, j)
-                left = (free or d == i) and g_i[d - 1]
+                left = read and (free or d == i) and g_i[d - 1]
                 if left:
                     v, p = left[0] + lo, left[1] * packed
                     if not e or v < e_lo:

@@ -469,6 +469,22 @@ def reference_counts(system, ordering, params) -> dict:
     return counts
 
 
+def nussinov_count(seq: str, h: int) -> int:
+    """Crossing-free structures on one strand whose pairs are complementary
+    and close h or more bases (Nussinov, Pieczenik, Griggs & Kleitman, SIAM
+    J. Appl. Math. 35, 1978): base j-1 of seq[i:j] is unpaired or pairs a k
+    with j-2-k >= h."""
+    n = len(seq)
+    count = [[1] * (n + 1) for _ in range(n + 1)]  # count[i][j]: structures on seq[i:j]
+    for length in range(h + 2, n + 1):
+        for i in range(n - length + 1):
+            j = i + length
+            count[i][j] = count[i][j - 1] + sum(
+                count[i][k] * count[k + 1][j - 1] for k in range(i, j - h - 1)
+                if complementary(seq[k], seq[j - 1]))
+    return count[0][n]
+
+
 def random_system(rng, n, c, alphabet="GCAU"):
     """c strands over n bases; a quarter of the multistrand systems repeat
     one strand."""
@@ -515,6 +531,35 @@ class TestCountDP:
         for params in (toy_params_a(n), toy_params_b(n))[:1 if n >= 100 else 2]:
             assert nn_level_counts(system, system.ids, params) \
                 == reference_counts(system, system.ids, params)
+
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_long_single_strands_total_the_nussinov_count(self, n):
+        """Past brute force, a check that shares no recursion with the DP:
+        on one strand every crossing-free structure of complementary pairs
+        that close min_hairpin or more bases has an energy, so the counts
+        over all levels sum to the Nussinov count."""
+        rng = random.Random(n + 2)
+        seq = "".join(rng.choice("GCAU") for _ in range(n))
+        system = sys_of(seq)
+        for params in (toy_params_a(n), toy_params_b(n)):
+            total = sum(nn_level_counts(system, system.ids, params).values())
+            assert total == nussinov_count(seq, params.min_hairpin) > 1 << 40
+
+    @pytest.mark.parametrize("lens", [(1, 23), (23, 1), (1, 1, 22), (11, 1, 11)],
+                             ids=lambda lens: "-".join(map(str, lens)))
+    def test_exterior_cells_up_to_the_last_nick(self, lens):
+        """``nn_level_counts`` sums the exterior cell g[i][j] only in row 1,
+        in a row just past a nick and in the columns up to the last nick,
+        the cells an exterior loop across a nick reads; ``reference_counts``
+        sums every cell.  These orderings put the last nick early (few rows
+        and columns are summed) or late (almost every cell is)."""
+        rng = random.Random(len(lens) * 100 + lens[0])
+        for case in range(4):
+            system = sys_of(*("".join(rng.choice("GCGCAU") for _ in range(k)) for k in lens))
+            params = (toy_params_a, toy_params_b)[case % 2](system.n)
+            for ordering in system.circular_orderings():
+                assert nn_level_counts(system, ordering, params) \
+                    == reference_counts(system, ordering, params), (system, ordering)
 
     @pytest.mark.parametrize("n,c", [(16, 2), (32, 2), (24, 3), (32, 3), (24, 4), (32, 4)])
     def test_multistrand_systems_match_the_reference(self, n, c):
