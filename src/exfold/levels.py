@@ -17,9 +17,9 @@ structures on at most n flat bases, at most S of them (see _slot_width), so
 slots of W = S.bit_length() + 1 bits never carry.  Splitting on the rightmost
 pair makes every branch but the O(n**2) interior scan O(n) per cell: O(n**3)
 multiloop products, O(n**4) interior terms and, as only cells read are summed,
-O(n**2) exterior products on one strand.  The loops do this algebra in line.
+O(n**2) exterior products on one strand.  The loops do this algebra in line, row by row.
 
-The grid's checked bounds per (n, c, alphabet) and the DP's size rows per n
+The grid's checked bounds per (n, c, alphabet) and the DP's size tables per n
 are kept on the parameter set (``NNParams.derived``: frozen fields, a new
 memo per ``replace``, no failure kept, and, as for ``size_entry``'s copies,
 tables never edited in place), W per (n, h) in a bounded cache.
@@ -51,6 +51,7 @@ from .energy import (
 )
 
 BPM_LEVEL_BASES = 1 << 16  # largest n levels_bpm lists the levels of
+NN_DP_BASES = 200  # largest n nn_level_counts runs on: 30 s for one random 200-nt strand
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,8 @@ def levels_nn_grid(system: StrandSystem, params: NNParams) -> LevelSet:
 def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
                     params: NNParams) -> dict[int, int]:
     """{level: structure count} over the connected, crossing-free structures
-    under ``ordering``, with symmetry-free energies in quanta of params.delta.
+    under ``ordering``, with symmetry-free energies in quanta of params.delta;
+    n above ``NN_DP_BASES`` raises ``BudgetExceeded`` before any cell is built.
 
     Cells over the flat subsequence [i, j], each a packed count polynomial
     (see the module docstring) or a false value for Phi, "no structure":
@@ -177,41 +179,52 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
       g[i][j]   exterior-loop contents, no nick outside a pair; g[i][i-1] = 1;
                 Phi unless read: row 1 (the answer g[1][n]), rows past a nick
                 and columns up to the last nick (the sides of a loop across it);
-      gm[i][j]  multiloop contents with at least one pair; each pair carries
-                multi_bp, each unpaired base multi_nt, no nick outside a pair;
-      gm2[i][j] the same with at least two pairs;
-      s1[i][j]  multiloop contents with one pair, which ends at j.
-    g, gm and gm2 sum over the rightmost pair (d, j), then add the trail [no
-    nick at j-1] * shift(T[i, j-1], unpaired cost).  gb[i][j] sums its terms by
-    level and packs them from the lowest.  Its interior terms scan the
-    non-empty gb[d][e] with nick-free flanks in (d, e) order, cells by length
-    then i, reading ``interior_like_energy``'s formula off the two mismatches
-    and the size rows for 0..n that params keeps per n; a term that meets an
-    empty slot calls it, so a missing entry raises at the first loop that
-    needs it.  Slots are ``_slot_width`` bits wide.
+      gm[i][j]  multiloop contents with a pair or more, no nick outside a pair;
+      gm2[i][j] the same with two pairs or more; s1[i][j] with one, ending at j.
+    Rows run i = n..1, columns j = i..n, so every cell read is final: g keeps
+    its rows, gm is one row, gm2 this row and the one below, s1 one column.
+    g, gm and gm2 are running sums per row over the rightmost pair (d, j),
+    kept by the trail [no nick at j-1].  Multiloop levels are normalized: each
+    base costs multi_nt, a pair (d, e) enters at its level + multi_bp -
+    multi_nt * (e - d + 1), an unpaired base moves nothing, and the closing
+    pair (i, j) adds multi_nt * (j - i - 1) back.  gb[i][j] packs its terms,
+    summed by level, from the lowest.  Its interior terms scan the non-empty
+    gb[d][e] with nick-free flanks in (d, e) order, reading the formula of
+    ``interior_like_energy`` off the mismatches, the bulge row and the size +
+    asymmetry table params keeps per n; a term that meets an empty slot calls
+    it, so the first loop in this order that needs a missing entry raises.
+    Slots are ``_slot_width`` bits wide.
     """
+    if system.n > NN_DP_BASES:
+        raise BudgetExceeded(f"n = {system.n} exceeds the count DP's budget of {NN_DP_BASES} bases")
     flat, n = flattening(system, ordering), system.n
     width = _slot_width(n, 0 if flat.nicks else params.min_hairpin)
     seq = " " + flat.sequence + " "  # seq[p] is base p; the pads match no table key
     stack, mismatch = params.stack, params.mismatch
-    bulge, size, asym = params.derived(("rows", n), lambda: tuple(  # None: no entry, raise at use
-        list(map(params.size_table(name, n).get, range(n + 1))) for name in list(SIZE_TABLES)[1:]))
+
+    def rows():  # bulge[m], interior[l1][l2] = size[l1+l2] + asym[|l1-l2|]; None: missing
+        bulge, size, asym = (list(map(params.size_table(name, n).get, range(n + 1)))
+                             for name in list(SIZE_TABLES)[1:])
+        return bulge, [[None if None in (size[a + b], asym[abs(a - b)]) else size[a + b]
+                        + asym[abs(a - b)] for b in range(n + 1 - a)] for a in range(n + 1)]
+    bulge, interior = params.derived(("rows", n), rows)
     pairable = {(a, b) for a, b in itertools.product(set(seq), repeat=2) if complementary(a, b)}
     nick = [p in flat.nicks for p in range(n + 1)]  # nick[p]: between p and p+1
     last_nick = [*itertools.accumulate((p * x for p, x in enumerate(nick)), max)]
     next_nick = [*itertools.accumulate((p if nick[p] else n for p in range(n, -1, -1)), min)][::-1]
     bp, nt = params.multi_bp, params.multi_nt
 
-    g, gm, gm2, s1 = ([[None] * (n + 2) for _ in range(n + 2)] for _ in range(4))
-    for i in range(1, n + 2):
-        g[i][i - 1] = (0, 1)
-    ends = [[] for _ in range(n + 2)]    # ends[d]: (e, *gb[d][e], inner mismatch), e ascending
-    starts = [[] for _ in range(n + 2)]  # starts[e]: (d, *gb[d][e], no nick at d-1)
-
-    for l in range(1, n + 1):
-        for i in range(1, n - l + 2):
-            j = i + l - 1
-            cb = None
+    g = [None] * (n + 2)  # g[i]: row i, read by the rows above
+    gm, gm2, s1 = [None] * (n + 1), [None] * (n + 1), [None] * (n + 1)
+    ends = [[] for _ in range(n + 2)]    # ends[d]: (e, *gb[d][e], gb level + inner mismatch)
+    starts = [[] for _ in range(n + 2)]  # starts[e]: (d, *gb[d][e], multiloop level, no nick at d-1)
+    for i in range(n, 0, -1):
+        g[i] = g_i = [None] * (i - 1) + [(0, 1)] + [None] * (n + 1 - i)  # g[i][i-1] = 1
+        below, gm2 = gm2, [None] * (n + 1)  # gm2[i+1] and row i
+        read_to = n if i == 1 or nick[i - 1] else last_nick[n]  # g[i][j] past it stays Phi
+        ex_lo, ex, m_lo, m, m2_lo, m2 = 0, 1, 0, 0, 0, 0  # g, gm, gm2 [i, j]; 0 is Phi
+        for j in range(i, n + 1):
+            p = 0  # gb[i][j]'s packed counts, v its multiloop level
             if (seq[i], seq[j]) in pairable:
                 terms = {}  # gb[i][j]'s terms: level -> summed packed counts
                 if next_nick[i] >= j and j - i - 1 >= params.min_hairpin:
@@ -220,7 +233,8 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
                 e_min = last_nick[j - 1] + 1  # with d <= next_nick[i]: nick-free flanks
                 for d in range(i + 1, min(j - 2, next_nick[i]) + 1):
                     l1 = d - i - 1
-                    for e, lo, packed, inner in ends[d]:
+                    row = interior[l1]
+                    for e, lo, packed, lo_inner in ends[d]:
                         if e >= j:
                             break
                         if e < e_min:
@@ -228,7 +242,7 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
                         l2 = j - e - 1
                         try:  # interior_like_energy's formula on the tables
                             if l1 and l2:
-                                lo += size[l1 + l2] + asym[abs(l1 - l2)] + outer + inner
+                                lo = lo_inner + row[l2] + outer
                             elif l1 or l2:
                                 lo += bulge[l1 + l2]
                             else:
@@ -236,75 +250,62 @@ def nn_level_counts(system: StrandSystem, ordering: Sequence[int],
                         except TypeError:  # a part is None: raise its InvalidInput
                             lo += interior_like_energy(flat, i, d, e, j, params)
                         terms[lo] = terms.get(lo, 0) + packed
-                inside = not nick[i] and not nick[j - 1] and gm2[i + 1][j - 1]
+                inside = not nick[i] and not nick[j - 1] and below[j - 1]
                 if inside:  # (i, j) closes a multiloop
-                    lo = inside[0] + params.multi_init + bp
+                    lo = inside[0] + params.multi_init + bp + nt * (j - i - 1)
                     terms[lo] = terms.get(lo, 0) + inside[1]
                 x = next_nick[i]
                 while x < j:  # (i, j) closes an exterior loop across the nick x in [i, j-1]
                     left, right = g[i + 1][x], g[x + 1][j - 1]
-                    if left and right and ((not nick[i] and not nick[j - 1]) or i == j - 1
-                                           or (x == i and not nick[j - 1])
-                                           or (x == j - 1 and not nick[i])):
+                    if left and right and (x == i or not nick[i]) and (x == j - 1 or not nick[j - 1]):
                         lo = left[0] + right[0]
                         terms[lo] = terms.get(lo, 0) + left[1] * right[1]
                     x = next_nick[x + 1]
                 if terms:
-                    lo, packed = min(terms), 0
-                    for v, p in terms.items():
-                        packed += p << width * (v - lo)
-                    cb = lo, packed
+                    lo, v = min(terms), min(terms) + bp - nt * (j - i + 1)
+                    for k, q in terms.items():
+                        p += q << width * (k - lo)
                     inner = mismatch.get((seq[j], seq[i], seq[j + 1], seq[i - 1]))
-                    ends[i].append((j, *cb, inner))
-                    starts[j].append((i, *cb, not nick[i - 1]))
+                    ends[i].append((j, lo, p, None if inner is None else lo + inner))
+                    starts[j].append((i, lo, p, v, not nick[i - 1]))
 
-            # the other cells add their terms (v, p) to running sums (lo, packed), lo
-            # their lowest level so far and packed 0 for Phi; i or j unpaired costs nt
-            trail = j == i or not nick[j - 1]  # j may be unpaired
-            read = i == 1 or nick[i - 1] or j <= last_nick[n]  # else g[i][j] stays Phi
-            o_lo, o = not nick[i] and s1[i + 1][j] or (0, 0)
-            e_lo, e = read and trail and g[i][j - 1] or (0, 0)
-            m_lo, m = trail and gm[i][j - 1] or (0, 0)
-            m2_lo, m2 = trail and gm2[i][j - 1] or (0, 0)
-            o_lo, m_lo, m2_lo = o_lo + nt, m_lo + nt, m2_lo + nt
-            if cb:
-                v = cb[0] + bp
+            # terms (v, p) join a running sum (lo, packed) by shifting the lower-level one
+            if j > i and nick[j - 1]:  # j cannot be unpaired
+                ex = m = m2 = 0
+            o_lo, o = not nick[i] and s1[j] or (0, 0)
+            if p:
                 if not o or v < o_lo:  # v is the lowest level so far
                     o, o_lo = o and o << width * (o_lo - v), v
-                o += cb[1] << width * (v - o_lo)
-            s1[i][j] = o and (o_lo, o)
+                o += p << width * (v - o_lo)
+            s1[j] = o and (o_lo, o)
             if o:
                 if not m or o_lo < m_lo:
                     m, m_lo = m and m << width * (m_lo - o_lo), o_lo
                 m += o << width * (o_lo - m_lo)
-            g_i, gm_i = g[i], gm[i]
-            for d, lo, packed, free in starts[j]:  # terms whose last pair is (d, j)
-                left = read and (free or d == i) and g_i[d - 1]
+            for d, lo, packed, lo_m, free in starts[j]:  # terms whose last pair is (d, j)
+                left = j <= read_to and (free or d == i) and g_i[d - 1]
                 if left:
                     v, p = left[0] + lo, left[1] * packed
-                    if not e or v < e_lo:
-                        e, e_lo = e and e << width * (e_lo - v), v
-                    e += p << width * (v - e_lo)
-                left = free and gm_i[d - 1]
+                    if not ex or v < ex_lo:
+                        ex, ex_lo = ex and ex << width * (ex_lo - v), v
+                    ex += p << width * (v - ex_lo)
+                left = free and gm[d - 1]
                 if left:  # a pair or more before d
-                    v, p = left[0] + lo + bp, left[1] * packed
+                    v, p = left[0] + lo_m, left[1] * packed
                     if not m or v < m_lo:
                         m, m_lo = m and m << width * (m_lo - v), v
                     m += p << width * (v - m_lo)
                     if not m2 or v < m2_lo:
                         m2, m2_lo = m2 and m2 << width * (m2_lo - v), v
                     m2 += p << width * (v - m2_lo)
-            g[i][j], gm[i][j], gm2[i][j] = e and (e_lo, e), m and (m_lo, m), m2 and (m2_lo, m2)
+            if j <= read_to:
+                g_i[j] = ex and (ex_lo, ex)
+            gm[j], gm2[j] = m and (m_lo, m), m2 and (m2_lo, m2)
 
-    level, packed = g[1][n] or (0, 0)
-    level += (system.c - 1) * params.assoc
-    counts, mask = {}, (1 << width) - 1
-    while packed:
-        if packed & mask:
-            counts[level] = packed & mask
-        packed >>= width
-        level += 1
-    return counts
+    lo, packed = g[1][n] or (0, 0)
+    lo, mask = lo + (system.c - 1) * params.assoc, (1 << width) - 1
+    return {lo + k: count for k in range(-(-packed.bit_length() // width))
+            if (count := packed >> width * k & mask)}
 
 
 @lru_cache(maxsize=256)

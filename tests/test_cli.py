@@ -17,7 +17,7 @@ from exfold import cli
 from exfold.energy import (
     dump_nn_params, load_nn_params, nn_model, toy_params_a, toy_params_file)
 from exfold.exactmath import rat_to_str
-from exfold.levels import augment_symmetry, levels_nn_dp, levels_nn_grid
+from exfold.levels import NN_DP_BASES, augment_symmetry, levels_nn_dp, levels_nn_grid
 from exfold.oracles import EMPTY_ENSEMBLE, dos_brute
 from exfold.reductions import BudgetViolation, OracleInconsistency
 from exfold.strands import BudgetExceeded, InvalidInput, StrandSystem, StructureSpace, nn_space
@@ -766,6 +766,35 @@ def test_enumerate_past_the_ordering_budget_exits_3():
 def test_levels_n_past_the_budget_exits_3():
     assert run_main(["levels", "-n", "1" + "0" * 30]) == \
         (3, "", "budget exceeded: n exceeds the budget of 65536 bases\n")
+
+
+def test_the_nn_count_dp_past_its_budget_exits_3():
+    """Both commands that run the count DP refuse more than NN_DP_BASES
+    bases (a random 200-nt strand takes about 30 s); the grid has no such
+    budget."""
+    strand, path = "A" * (NN_DP_BASES + 1), toy_params_file("toy_nn_a")
+    message = f"n = {NN_DP_BASES + 1} exceeds the count DP's budget of {NN_DP_BASES} bases"
+    for argv in (["levels", strand, "--model", "nn", "--dp", "--params", path],
+                 ["reduce", "pf-via-dpf", strand, "--model", "nn", "--params", path]):
+        assert run_main(argv) == (3, "", f"budget exceeded: {message}\n")
+    assert run_main(["levels", strand, "--model", "nn", "--params", path])[0] == 0
+
+
+def test_levels_dp_names_a_missing_entry(tmp_path):
+    """A set without hairpins 3 and 4: the count DP's row order meets the
+    hairpin of 4 in UAUUUCGAGA before one of 3, which a length-major order
+    meets first.  ``levels --dp`` exits 4 naming the library's entry, which
+    is missing."""
+    shipped = load_nn_params(toy_params_file("toy_nn_a"))
+    params = replace(shipped, hairpin={m: v for m, v in shipped.hairpin.items() if m >= 5})
+    path = tmp_path / "short.txt"
+    path.write_text(dump_nn_params(params))
+    system = StrandSystem.from_sequences("UAUUUCGAGA")
+    with pytest.raises(InvalidInput) as err:
+        levels_nn_dp(system, system.ids, params)
+    assert str(err.value) in (f"missing hairpin parameter entry for {m}" for m in (3, 4))
+    assert run_main(["levels", "UAUUUCGAGA", "--model", "nn", "--dp", "--params", str(path)]) \
+        == (4, "", f"bad input: {err.value}\n")
 
 
 @pytest.mark.parametrize("args, message", [

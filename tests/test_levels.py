@@ -1,6 +1,8 @@
+import ast
 import copy
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -32,6 +34,7 @@ from exfold.energy import (
     toy_params_file,
 )
 from exfold.levels import (
+    NN_DP_BASES,
     LevelSet,
     augment_symmetry,
     candidate_levels,
@@ -375,11 +378,14 @@ def brute_counts(system, ordering, params) -> dict:
 
 def reference_counts(system, ordering, params) -> dict:
     """``nn_level_counts``'s recursion written with ``add``, ``mul`` and
-    ``shift`` on packed cells, a table s1 of one-pair multiloop contents,
-    every interior term scored by ``interior_like_energy`` and folded into
-    its cell one at a time, and every x in [i, j-1] tested for a nick: the
-    same interior scan order without the per-call tables, so the count maps
-    and the first missing entry must agree."""
+    ``shift`` on packed cells, in length-major order (cells by length, then
+    i), with 2-D tables for every cell, multiloop levels that charge each
+    unpaired base as it is passed, every interior term scored by
+    ``interior_like_energy`` and folded into its cell one at a time, and
+    every x in [i, j-1] tested for a nick.  The count maps must agree, and so
+    must the refusal of a set one entry short; with several entries missing,
+    each order raises at its own first loop that needs one, so the two may
+    name different entries (``TestMissingTableEntries``)."""
     flat = flattening(system, ordering)
     n = system.n
     width = (3 ** n).bit_length() + 1
@@ -544,6 +550,43 @@ class TestCountDP:
         for params in (toy_params_a(n), toy_params_b(n)):
             total = sum(nn_level_counts(system, system.ids, params).values())
             assert total == nussinov_count(seq, params.min_hairpin) > 1 << 40
+
+    @pytest.mark.parametrize("nt, bp", [(0, 0), (-1, 2), (3, -2)])
+    def test_normalized_multiloop_levels_under_other_multiloop_costs(self, nt, bp):
+        """The DP charges multi_nt to every base of a multiloop's contents and
+        refunds a pair's span when it enters; ``reference_counts`` charges the
+        unpaired bases as it passes them.  They agree with no, a negative and
+        a positive multi_nt, on one to three strands, repeated strands
+        included, under every circular ordering."""
+        rng = random.Random(60 + 7 * nt + bp)
+        for case in range(9):
+            c, n = 1 + case % 3, rng.randint(10, 18)
+            if c > 1 and case >= 6:  # repeated strands
+                system = sys_of(*["".join(rng.choice("GCGCAU") for _ in range(n // c))] * c)
+            else:
+                system = random_system(rng, n, c, "GCGCAU")
+            for params in (toy_params_a(system.n), tiny_params()):
+                params = replace(params, multi_nt=nt, multi_bp=bp)
+                for ordering in system.circular_orderings():
+                    assert nn_level_counts(system, ordering, params) \
+                        == reference_counts(system, ordering, params), (system, ordering)
+
+    def test_the_budget_refuses_before_any_cell_is_built(self):
+        """Past ``NN_DP_BASES`` bases the DP raises ``BudgetExceeded``, also
+        on a set without stacks, which its first stacked pair would refuse;
+        n = NN_DP_BASES still runs, and the grid has no such budget."""
+        over = sys_of("GC" * (NN_DP_BASES // 2) + "A")
+        params = replace(toy_params_a(over.n), stack={})
+        message = f"n = {NN_DP_BASES + 1} exceeds the count DP's budget of {NN_DP_BASES} bases"
+        for call in (lambda: nn_level_counts(over, over.ids, params),
+                     lambda: levels_nn_dp(over, over.ids, toy_params_a(over.n)),
+                     lambda: candidate_levels(over, nn_model(params))):
+            with pytest.raises(BudgetExceeded) as err:
+                call()
+            assert str(err.value) == message
+        assert candidate_levels(over, nn_model(toy_params_a(over.n)), dp=False).levels
+        at = sys_of("A" * NN_DP_BASES)
+        assert nn_level_counts(at, at.ids, toy_params_a(at.n)) == {0: 1}
 
     @pytest.mark.parametrize("lens", [(1, 23), (23, 1), (1, 1, 22), (11, 1, 11)],
                              ids=lambda lens: "-".join(map(str, lens)))
@@ -727,6 +770,40 @@ class TestMissingTableEntries:
                     raised.add(what)
                 self.check_counts(system, params)
         assert raised == set(self.partial_tables())
+
+    def several_short(self):
+        """Sets short of several entries: no bulge at all, and no hairpin
+        below 5 (sizes 3 and 4 missing)."""
+        return {"no bulges": replace(self.SHIPPED, bulge={}),
+                "hairpins from 5": replace(self.SHIPPED, hairpin={
+                    m: v for m, v in self.SHIPPED.hairpin.items() if m >= 5})}
+
+    def names_a_missing_entry(self, message, params):
+        what, key = re.fullmatch(r"missing (.+) parameter entry for (.+)", message).groups()
+        table = {**{v: k for k, v in SIZE_TABLES.items()}, "stack": "stack", "mismatch": "mismatch"}
+        return ast.literal_eval(key) not in getattr(params, table[what])
+
+    def test_with_several_entries_missing_a_missing_one_is_named(self):
+        """The DP raises at the first loop, in its row order, that needs a
+        missing entry, and the length-major ``reference_counts`` at its own
+        first one: with several entries missing they may name different ones
+        (19 of the 93 refusals here), but they refuse the same systems,
+        each names an entry that is missing, and the counts agree elsewhere."""
+        rng = random.Random(17)
+        refused = 0
+        for _ in range(60):
+            system = random_system(rng, rng.randint(8, 18), rng.choice((1, 1, 2)))
+            for params in self.several_short().values():
+                got = self.outcome(lambda *a: nn_level_counts(*a).items(), system, params)
+                want = self.outcome(lambda *a: reference_counts(*a).items(), system, params)
+                assert isinstance(got, str) == isinstance(want, str), system
+                if isinstance(got, str):
+                    refused += 1
+                    assert self.names_a_missing_entry(got, params), (system, got)
+                    assert self.names_a_missing_entry(want, params), (system, want)
+                else:
+                    assert got == want, system
+        assert refused >= 40
 
     def test_the_dp_changes_nothing_visible_on_params(self):
         params = load_nn_params(toy_params_file("toy_nn_a"))
